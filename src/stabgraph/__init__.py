@@ -16,7 +16,6 @@ from .clifford import (
     local_complement_op,
 )
 from .decomposition import (
-    InvertibleCDForm,
     LCSequence,
     NotInDomainError,
     Single,
@@ -39,7 +38,6 @@ from .graphs import (
     complement,
     induced_subgraph,
     local_complement,
-    local_complement_matrix_form,
     neighborhood,
 )
 from .orbit import CapExceededError, Orbit, canonical_form, enumerate_orbit, same_orbit
@@ -66,7 +64,6 @@ __all__ = [
     "Indeterminate",
     "Inequivalent",
     "InvalidCliffordError",
-    "InvertibleCDForm",
     "LCSequence",
     "LocalCliffordOp",
     "NotInDomainError",
@@ -92,7 +89,6 @@ __all__ = [
     "graph_action",
     "induced_subgraph",
     "local_complement",
-    "local_complement_matrix_form",
     "local_complement_op",
     "neighborhood",
     "random_stabilizer",

@@ -3,8 +3,8 @@
 A local Clifford operation is a 2n x 2n symplectic matrix whose four n x n
 blocks are diagonal; only the four diagonals are stored, as n-bit vectors
 (a, b, c, d). Per qubit i the 2x2 matrix [[a_i, b_i], [c_i, d_i]] must be
-invertible, i.e. a_i d_i + b_i c_i = 1, which is equivalent to the assembled
-matrix preserving the symplectic form.
+invertible, i.e. a_i d_i + b_i c_i = 1, which is equivalent to the full
+2n x 2n matrix preserving the symplectic form.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ class LocalCliffordOp:
             (self.c.bits >> idx) & 1,
             (self.d.bits >> idx) & 1,
         )
-
-    def assemble(self):
-        """Materialize the full 2n x 2n matrix (debug / cross-check only)."""
-        n = self.n
-        rows = []
-        for i in range(n):
-            rows.append((((self.a.bits >> i) & 1) << i) | (((self.b.bits >> i) & 1) << (n + i)))
-        for i in range(n):
-            rows.append((((self.c.bits >> i) & 1) << i) | (((self.d.bits >> i) & 1) << (n + i)))
-        return BitMatrix(2 * n, 2 * n, rows)
 
     def __eq__(self, other):
         return (
@@ -203,7 +193,9 @@ def graph_action(q, g):
         return GraphDomainReport(invertible_cd=True, zero_diagonal=False)
     if not gf2.is_symmetric(image):
         raise InternalError("graph action produced an asymmetric adjacency matrix")
-    return GraphDomainReport(invertible_cd=True, zero_diagonal=True, image=graphs.Graph(image))
+    return GraphDomainReport(
+        invertible_cd=True, zero_diagonal=True, image=graphs.Graph._trusted(image)
+    )
 
 
 def local_complement_op(g, i):

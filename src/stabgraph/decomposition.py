@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import clifford, gf2, graphs
 from .errors import InternalError, ParseError
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 log = logging.getLogger(__name__)
 
@@ -84,26 +84,6 @@ class LCSequence:
         return out
 
 
-class InvertibleCDForm:
-    """A graph with diagonal vectors (c, d) whose combination diag(c).adj + diag(d) is invertible."""
-
-    __slots__ = ("graph", "c", "d", "matrix")
-
-    def __init__(self, graph, c, d):
-        if c.n != graph.n or d.n != graph.n:
-            raise ValueError("diagonal length mismatch")
-        matrix = clifford.cd_matrix(graph.adj, c, d)
-        if not gf2.is_invertible(matrix):
-            raise gf2.SingularError("diag(c).adj + diag(d) is singular")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvertibleCDForm is immutable")
-
-
 def cd_step(m, i):
     """Step a square matrix by vertex i: m . (E_i m + m_ii E_i + I).
 
@@ -123,46 +103,12 @@ def cd_step(m, i):
     return gf2.mat_mul(m, BitMatrix(n, n, factor_rows))
 
 
-def factor_cd_form(m):
-    """Recover some (graph, c, d) with diag(c).adj + diag(d) = m, or None.
+def reduce_to_identity(m):
+    """Vertex sequence whose cd-steps take the invertible matrix m to the identity.
 
-    Membership oracle for the invertible-CD-form class: d is read off the
-    diagonal, each nonzero off-diagonal row forces c_i = 1 and the adjacency
-    row, and rows with c_i = 0 are filled in by symmetry.
-    """
-    if not m.is_square():
-        return None
-    n = m.rows
-    dbits = gf2.diagonal(m).bits
-    cbits = 0
-    adj_rows = [0] * n
-    forced = [False] * n
-    for i in range(n):
-        u = m.row_ints[i] & ~(1 << i)
-        if u:
-            cbits |= 1 << i
-            adj_rows[i] = u
-            forced[i] = True
-    for i in range(n):
-        if forced[i]:
-            continue
-        for j in range(n):
-            if forced[j] and (adj_rows[j] >> i) & 1:
-                adj_rows[i] |= 1 << j
-    adj = BitMatrix(n, n, adj_rows)
-    if not gf2.is_symmetric(adj) or gf2.diagonal(adj).bits != 0:
-        return None
-    c = BitVec(n, cbits)
-    d = BitVec(n, dbits)
-    if clifford.cd_matrix(adj, c, d) != m:
-        return None
-    return graphs.Graph(adj), c, d
-
-
-def reduce_to_identity(form):
-    """Vertex sequence whose cd-steps take the form's matrix to the identity.
-
-    Two phases, all choices lowest-index: first, any row with a diagonal 1
+    m is an invertible diag(c).adj + diag(d), as :func:`decompose_action`
+    builds it; cd-steps keep the rank, so a singular m ends in a
+    DecompositionError. Two phases, all choices lowest-index: first, any row with a diagonal 1
     that is not yet a unit row is finished with one step at that vertex;
     second, remaining rows (whose diagonal entries are all 0) are finished in
     pairs j, k with m_kj = 1 via the three-step pattern. Singles always come
@@ -170,8 +116,7 @@ def reduce_to_identity(form):
     claimed termination behavior; the sequence is still returned if the
     indices repeat, with the anomaly logged.
     """
-    n = form.graph.n
-    m = form.matrix
+    n = m.rows
     ident = gf2.identity(n)
     steps = []
     budget = 3 * n
@@ -237,7 +182,7 @@ def decompose_action(q, g):
     report = clifford.graph_action(q, g)
     if not report.in_domain():
         raise NotInDomainError(report)
-    seq = reduce_to_identity(InvertibleCDForm(g, q.c, q.d))
+    seq = reduce_to_identity(clifford.cd_matrix(g.adj, q.c, q.d))
     if apply_sequence(g, seq) != report.image:
         raise InternalError("decomposed sequence does not reproduce the graph action")
     return seq

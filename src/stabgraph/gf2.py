@@ -207,8 +207,7 @@ class SymplecticForm:
     """The fixed symplectic form on 2n-bit vectors: [[0, I], [I, 0]] in block form.
 
     Held implicitly; the inner product pairs the low n bits of one vector with
-    the high n bits of the other. Materialize with :meth:`matrix` only when a
-    dense product is genuinely needed.
+    the high n bits of the other.
     """
 
     __slots__ = ("n",)
@@ -230,11 +229,6 @@ class SymplecticForm:
         uz, ux = u.bits & mask, u.bits >> n
         vz, vx = v.bits & mask, v.bits >> n
         return ((uz & vx).bit_count() + (ux & vz).bit_count()) & 1
-
-    def matrix(self):
-        n = self.n
-        rows = [1 << (n + i) for i in range(n)] + [1 << i for i in range(n)]
-        return BitMatrix(2 * n, 2 * n, rows)
 
 
 def identity(n):

@@ -13,7 +13,11 @@ from .gf2 import BitMatrix
 
 
 class Graph:
-    """Simple undirected graph held as a symmetric, zero-diagonal adjacency matrix."""
+    """Simple undirected graph held as a symmetric, zero-diagonal adjacency matrix.
+
+    ``Graph(adj)`` validates its input; transformations whose output is a
+    graph by construction build it with :meth:`_trusted` instead.
+    """
 
     __slots__ = ("n", "adj")
 
@@ -27,16 +31,24 @@ class Graph:
         object.__setattr__(self, "n", adj.rows)
         object.__setattr__(self, "adj", adj)
 
+    @classmethod
+    def _trusted(cls, adj):
+        """Wrap an adjacency matrix that is symmetric with zero diagonal by construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", adj.rows)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
     def empty(cls, n):
-        return cls(BitMatrix.zeros(n, n))
+        return cls._trusted(BitMatrix.zeros(n, n))
 
     @classmethod
     def complete(cls, n):
-        return cls(gf2.all_ones_offdiag(n))
+        return cls._trusted(gf2.all_ones_offdiag(n))
 
     @classmethod
     def path(cls, n):
@@ -45,7 +57,7 @@ class Graph:
         for i in range(n - 1):
             rows[i] |= 1 << (i + 1)
             rows[i + 1] |= 1 << i
-        return cls(BitMatrix(n, n, rows))
+        return cls._trusted(BitMatrix(n, n, rows))
 
     @classmethod
     def star(cls, n, center=1):
@@ -53,7 +65,7 @@ class Graph:
         c = _check_vertex(n, center)
         rows = [1 << c if i != c else 0 for i in range(n)]
         rows[c] = ((1 << n) - 1) ^ (1 << c)
-        return cls(BitMatrix(n, n, rows))
+        return cls._trusted(BitMatrix(n, n, rows))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -65,7 +77,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {i}")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return cls(BitMatrix(n, n, rows))
+        return cls._trusted(BitMatrix(n, n, rows))
 
     def edges(self):
         """Sorted list of (i, j) edge pairs with i < j, 1-based."""
@@ -118,24 +130,23 @@ def induced_subgraph(g, vertices):
         for new_b, old_b in enumerate(order):
             if new_a != new_b and g.adj.entry(old_a, old_b):
                 rows[new_a] |= 1 << new_b
-    return Graph(BitMatrix(k, k, rows))
+    return Graph._trusted(BitMatrix(k, k, rows))
 
 
 def complement(g):
     """Complement graph: every non-edge becomes an edge and vice versa."""
     full = gf2.all_ones_offdiag(g.n)
     rows = [a ^ b for a, b in zip(g.adj.row_ints, full.row_ints)]
-    return Graph(BitMatrix(g.n, g.n, rows))
+    return Graph._trusted(BitMatrix(g.n, g.n, rows))
 
 
 def local_complement(g, i):
     """Complement the induced subgraph on the neighborhood of vertex i.
 
-    Edge-toggling path: for every pair of neighbors j, k of i the edge {j, k}
-    is toggled, one row XOR against the neighborhood mask per neighbor. This
-    is the performance implementation; :func:`local_complement_matrix_form`
-    computes the same map from the closed adjacency-matrix formula and the two
-    are kept as permanent cross-checks of each other.
+    For every pair of neighbors j, k of i the edge {j, k} is toggled, one row
+    XOR against the neighborhood mask per neighbor. Toggling inside a
+    neighborhood keeps the matrix symmetric with zero diagonal, so the result
+    is built without re-validation.
     """
     idx = _check_vertex(g.n, i)
     mask = g.adj.row_ints[idx]
@@ -146,24 +157,7 @@ def local_complement(g, i):
         j = low.bit_length() - 1
         rows[j] ^= mask & ~low
         bits ^= low
-    return Graph(BitMatrix(g.n, g.n, rows))
-
-
-def local_complement_matrix_form(adj, i):
-    """Local complementation as the literal matrix formula.
-
-    Adds to the adjacency matrix the outer product of row i with itself
-    (adj . unit_diag_i . adj), then zeroes the diagonal. Input must be a
-    symmetric zero-diagonal BitMatrix; returns a BitMatrix of the same shape.
-    """
-    if not gf2.is_symmetric(adj) or gf2.diagonal(adj).bits != 0:
-        raise ValueError("matrix is not a simple-graph adjacency matrix")
-    n = adj.rows
-    idx = _check_vertex(n, i)
-    unit_diag = BitMatrix(n, n, [(1 << idx) if r == idx else 0 for r in range(n)])
-    correction = gf2.mat_mul(gf2.mat_mul(adj, unit_diag), adj)
-    summed = BitMatrix(n, n, [a ^ b for a, b in zip(adj.row_ints, correction.row_ints)])
-    return gf2.set_diagonal_zero(summed)
+    return Graph._trusted(BitMatrix(g.n, g.n, rows))
 
 
 def format_edge_list(g):
@@ -207,7 +201,7 @@ def parse_edge_list(text):
         rows[j - 1] |= 1 << (i - 1)
     if n is None:
         raise ParseError("empty graph file", line=1)
-    return Graph(BitMatrix(n, n, rows))
+    return Graph._trusted(BitMatrix(n, n, rows))
 
 
 def to_dot(g):

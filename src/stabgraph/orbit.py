@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from . import graphs
 from .decomposition import LCSequence, Single
@@ -80,38 +79,3 @@ def same_orbit(g, h, member_cap=DEFAULT_MEMBER_CAP):
     if g.n != h.n:
         raise ValueError("vertex count mismatch")
     return canonical_form(g, member_cap) == canonical_form(h, member_cap)
-
-
-def are_isomorphic(g, h):
-    """Brute-force labeled-isomorphism test by trying all vertex permutations.
-
-    Experimental helper for grouping canonical forms; factorial cost, intended
-    for n <= 8 only.
-    """
-    if g.n != h.n:
-        return False
-    if sorted(g.degree(i) for i in range(1, g.n + 1)) != sorted(
-        h.degree(i) for i in range(1, h.n + 1)
-    ):
-        return False
-    g_edges = set(g.edges())
-    for perm in permutations(range(1, g.n + 1)):
-        mapped = {
-            tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in h.edges()
-        }
-        if mapped == g_edges:
-            return True
-    return False
-
-
-def group_by_isomorphism(members):
-    """Partition graphs into isomorphism classes by brute force. Experimental; n <= 8."""
-    classes = []
-    for g in members:
-        for cls in classes:
-            if are_isomorphic(cls[0], g):
-                cls.append(g)
-                break
-        else:
-            classes.append([g])
-    return classes

@@ -127,7 +127,7 @@ def to_graph_state(stab):
     q_shear = clifford.LocalCliffordOp(BitVec.ones(n), diag, BitVec.zeros(n), BitVec.ones(n))
     t = clifford.apply_to_rows(q_shear, t)
 
-    graph = graphs.Graph(BitMatrix(n, n, t.row_ints[:n]))
+    graph = graphs.Graph._trusted(BitMatrix(n, n, t.row_ints[:n]))
     q = clifford.compose(q_shear, q_h)
     witness = ReductionWitness(graph=graph, q=q, r=r)
     if not verify_witness(stab, witness):

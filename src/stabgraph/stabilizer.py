@@ -115,6 +115,14 @@ class StabilizerGenMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
 
+    @classmethod
+    def _trusted(cls, s):
+        """Wrap a 2n x n matrix that is a valid generator matrix by construction."""
+        stab = object.__new__(cls)
+        object.__setattr__(stab, "n", s.cols)
+        object.__setattr__(stab, "s", s)
+        return stab
+
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGenMatrix is immutable")
 
@@ -168,8 +176,12 @@ def from_pauli_strings(paulis):
 
 
 def from_graph(g):
-    """Graph-state generator matrix: adjacency block on top of an identity block."""
-    return StabilizerGenMatrix(gf2.vstack(g.adj, gf2.identity(g.n)))
+    """Graph-state generator matrix: adjacency block on top of an identity block.
+
+    The identity block gives full rank, and the symmetry of the adjacency
+    block makes the columns pairwise commute, so no check is re-run.
+    """
+    return StabilizerGenMatrix._trusted(gf2.vstack(g.adj, gf2.identity(g.n)))
 
 
 def basis_change(stab, r):

@@ -48,6 +48,12 @@ def naive_rank(rows):
     return r
 
 
+def symplectic_form_matrix(n):
+    """The 2n x 2n matrix [[0, I], [I, 0]] of the symplectic form."""
+    rows = [1 << (n + i) for i in range(n)] + [1 << i for i in range(n)]
+    return gf2.BitMatrix(2 * n, 2 * n, rows)
+
+
 def random_bitmatrix(rng, rows, cols):
     return gf2.BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 

@@ -1,0 +1,37 @@
+"""Values built on the trusted internal paths pass the public validating constructors.
+
+The rejections of the public constructors are checked in test_graphs.py
+(test_graph_invariants_enforced) and test_stabilizer.py.
+"""
+
+import random
+
+from conftest import random_graph, random_in_domain_op
+from stabgraph import clifford, graphs, reduction, stabilizer
+from stabgraph.graphs import Graph
+from stabgraph.stabilizer import StabilizerGenMatrix
+
+
+def trusted_graphs(rng, g):
+    n = g.n
+    i = rng.randrange(1, n + 1)
+    yield graphs.local_complement(g, i)
+    yield graphs.complement(g)
+    yield graphs.induced_subgraph(g, [v for v in range(1, n + 1) if rng.getrandbits(1)])
+    yield graphs.parse_edge_list(graphs.format_edge_list(g))
+    yield clifford.graph_action(random_in_domain_op(rng, g), g).image
+    yield reduction.to_graph_state(stabilizer.random_stabilizer(n, rng.getrandbits(32))).graph
+    yield Graph.from_edges(n, g.edges())
+    yield Graph.star(n, i)
+    for build in (Graph.empty, Graph.complete, Graph.path):
+        yield build(n)
+
+
+def test_trusted_outputs_pass_public_validation():
+    rng = random.Random(90)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 13))
+        for x in trusted_graphs(rng, g):
+            assert Graph(x.adj) == x
+        s = stabilizer.from_graph(g)
+        assert StabilizerGenMatrix(s.s) == s

@@ -1,6 +1,11 @@
 """Command-line front end: exit codes, artifacts, round-trips, error reporting."""
 
+import os
 import random
+import subprocess
+import sys
+
+import pytest
 
 from conftest import random_graph
 from stabgraph import cli, clifford, gf2, graphs, stabilizer
@@ -22,6 +27,67 @@ def test_usage_errors(capsys):
     assert cli.run(["no-such-command"]) == cli.EXIT_USAGE
     assert cli.run(["orbit"]) == cli.EXIT_USAGE
     assert "error: usage:" in capsys.readouterr().err
+
+
+POSITIONALS = {
+    "reduce": 1,
+    "decompose": 2,
+    "apply": 2,
+    "orbit": 1,
+    "canon": 1,
+    "equiv": 2,
+    "export-dot": 1,
+    "oracle-check": 1,
+}
+KEPT_FLAGS = {
+    "reduce": {"seed", "verify", "quiet"},
+    "decompose": {"verify", "quiet"},
+    "apply": {"verify", "quiet"},
+    "orbit": {"cap", "verify", "quiet"},
+    "canon": {"cap", "quiet"},
+    "equiv": {"cap", "seed", "verify", "quiet"},
+    "export-dot": {"quiet"},
+    "oracle-check": {"seed", "quiet"},
+}
+FLAG_ARGV = {
+    "cap": ["--cap", "3"],
+    "seed": ["--seed", "5"],
+    "verify": ["--verify"],
+    "quiet": ["--quiet"],
+}
+FLAG_VALUE = {"cap": 3, "seed": 5, "verify": True, "quiet": True}
+
+
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+@pytest.mark.parametrize("flag", sorted(FLAG_ARGV))
+def test_each_command_accepts_only_the_flags_it_reads(command, flag, capsys):
+    argv = [command] + [f"in{k}.txt" for k in range(POSITIONALS[command])] + FLAG_ARGV[flag]
+    if flag in KEPT_FLAGS[command]:
+        assert getattr(cli._build_parser().parse_args(argv), flag) == FLAG_VALUE[flag]
+    else:
+        assert cli.run(argv) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --" + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom\non two lines"), MemoryError()])
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc):
+    def explode(text):
+        raise exc
+
+    path = graph_file(tmp_path, "k3.graph", Graph.complete(3))
+    monkeypatch.setattr(graphs, "parse_edge_list", explode)
+    assert cli.run(["canon", path]) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal: {type(exc).__name__}:")
+    assert err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, stabgraph.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -102,8 +168,18 @@ def test_decompose_and_apply_roundtrip(tmp_path, capsys):
 
     out_path = str(tmp_path / "applied.graph")
     assert cli.run(["apply", gpath, seq_path, "--out", out_path, "--verify"]) == cli.EXIT_OK
+    assert "symplectic replay: ok" in capsys.readouterr().out
     applied = graphs.parse_edge_list((tmp_path / "applied.graph").read_text())
     assert applied == graphs.local_complement(g, 2)
+
+
+def test_apply_verify_catches_wrong_edge_toggling(tmp_path, capsys, monkeypatch):
+    # the replay goes through the symplectic graph action, not local_complement
+    gpath = graph_file(tmp_path, "path4.graph", Graph.path(4))
+    seq_path = write(tmp_path, "steps.lcs", "g 2\n")
+    monkeypatch.setattr(graphs, "local_complement", lambda g, i: g)
+    assert cli.run(["apply", gpath, seq_path, "--verify", "--quiet"]) == cli.EXIT_FAILURE
+    assert "error: failed: symplectic replay" in capsys.readouterr().err
 
 
 def test_decompose_domain_failure(tmp_path, capsys):

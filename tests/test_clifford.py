@@ -4,12 +4,29 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph, random_in_domain_op, random_valid_clifford
+from conftest import (
+    all_graphs,
+    random_graph,
+    random_in_domain_op,
+    random_valid_clifford,
+    symplectic_form_matrix,
+)
 from stabgraph import clifford, gf2, graphs, stabilizer
 from stabgraph.clifford import LocalCliffordOp, complete_from_cd, graph_action, local_complement_op
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.graphs import Graph
+
+
+def assemble(q):
+    """The full 2n x 2n matrix [[diag(a), diag(b)], [diag(c), diag(d)]] of the operation."""
+    n = q.n
+    rows = []
+    for i in range(n):
+        rows.append((((q.a.bits >> i) & 1) << i) | (((q.b.bits >> i) & 1) << (n + i)))
+    for i in range(n):
+        rows.append((((q.c.bits >> i) & 1) << i) | (((q.d.bits >> i) & 1) << (n + i)))
+    return BitMatrix(2 * n, 2 * n, rows)
 
 
 def test_validity_enforced():
@@ -21,16 +38,16 @@ def test_validity_enforced():
 
 def test_validity_equals_symplectic_condition():
     rng = random.Random(30)
-    p = gf2.SymplecticForm(4).matrix()
+    p = symplectic_form_matrix(4)
     for _ in range(100):
         q = random_valid_clifford(rng, 4)
-        m = q.assemble()
+        m = assemble(q)
         assert gf2.mat_mul(gf2.mat_mul(gf2.transpose(m), p), m) == p
     # a diagonal-block matrix with a non-invertible qubit block breaks it
     bad = BitMatrix.from_rows([[1, 0], [0, 0]])  # n=1 blocks a=1, b=0, c=0, d=0
     assert gf2.mat_mul(
-        gf2.mat_mul(gf2.transpose(bad), gf2.SymplecticForm(1).matrix()), bad
-    ) != gf2.SymplecticForm(1).matrix()
+        gf2.mat_mul(gf2.transpose(bad), symplectic_form_matrix(1)), bad
+    ) != symplectic_form_matrix(1)
 
 
 def test_compose_identity_and_hadamard():
@@ -50,7 +67,7 @@ def test_compose_matches_assembled_product():
         q1 = random_valid_clifford(rng, n)
         q2 = random_valid_clifford(rng, n)
         composed = clifford.compose(q2, q1)
-        assert composed.assemble() == gf2.mat_mul(q2.assemble(), q1.assemble())
+        assert assemble(composed) == gf2.mat_mul(assemble(q2), assemble(q1))
 
 
 def test_inverse():

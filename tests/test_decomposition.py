@@ -7,7 +7,6 @@ import pytest
 from conftest import all_graphs, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, gf2, graphs
 from stabgraph.decomposition import (
-    InvertibleCDForm,
     LCSequence,
     NotInDomainError,
     Single,
@@ -15,7 +14,6 @@ from stabgraph.decomposition import (
     apply_sequence,
     cd_step,
     decompose_action,
-    factor_cd_form,
     reduce_to_identity,
 )
 from stabgraph.errors import ParseError
@@ -24,27 +22,57 @@ from stabgraph.graphs import Graph
 
 
 def cd_members(n):
-    """All (graph, c, d) triples on n vertices with an invertible combination."""
+    """Every invertible diag(c).adj + diag(d) over all graphs and diagonals on n vertices."""
     for g in all_graphs(n):
         for cbits in range(1 << n):
             for dbits in range(1 << n):
-                c = BitVec(n, cbits)
-                d = BitVec(n, dbits)
-                try:
-                    yield InvertibleCDForm(g, c, d)
-                except gf2.SingularError:
-                    continue
+                m = clifford.cd_matrix(g.adj, BitVec(n, cbits), BitVec(n, dbits))
+                if gf2.is_invertible(m):
+                    yield m
 
 
 def random_cd_member(rng, n):
     while True:
         g = random_graph(rng, n)
-        c = BitVec(n, rng.getrandbits(n))
-        d = BitVec(n, rng.getrandbits(n))
-        try:
-            return InvertibleCDForm(g, c, d)
-        except gf2.SingularError:
+        m = clifford.cd_matrix(g.adj, BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n)))
+        if gf2.is_invertible(m):
+            return m
+
+
+def factor_cd_form(m):
+    """Recover some (graph, c, d) with diag(c).adj + diag(d) = m, or None.
+
+    Membership oracle for the CD-form class: d is read off the diagonal,
+    each nonzero off-diagonal row forces c_i = 1 and the adjacency row, and
+    rows with c_i = 0 are filled in by symmetry.
+    """
+    if not m.is_square():
+        return None
+    n = m.rows
+    dbits = gf2.diagonal(m).bits
+    cbits = 0
+    adj_rows = [0] * n
+    forced = [False] * n
+    for i in range(n):
+        u = m.row_ints[i] & ~(1 << i)
+        if u:
+            cbits |= 1 << i
+            adj_rows[i] = u
+            forced[i] = True
+    for i in range(n):
+        if forced[i]:
             continue
+        for j in range(n):
+            if forced[j] and (adj_rows[j] >> i) & 1:
+                adj_rows[i] |= 1 << j
+    adj = BitMatrix(n, n, adj_rows)
+    if not gf2.is_symmetric(adj) or gf2.diagonal(adj).bits != 0:
+        return None
+    c = BitVec(n, cbits)
+    d = BitVec(n, dbits)
+    if clifford.cd_matrix(adj, c, d) != m:
+        return None
+    return Graph(adj), c, d
 
 
 def test_cd_step_identity_fixed():
@@ -59,9 +87,9 @@ def test_cd_step_clears_unit_upper():
 def test_cd_step_closure():
     rng = random.Random(60)
     for _ in range(300):
-        form = random_cd_member(rng, rng.randrange(1, 8))
-        i = rng.randrange(1, form.graph.n + 1)
-        stepped = cd_step(form.matrix, i)
+        m = random_cd_member(rng, rng.randrange(1, 8))
+        i = rng.randrange(1, m.rows + 1)
+        stepped = cd_step(m, i)
         assert gf2.is_invertible(stepped)
         factored = factor_cd_form(stepped)
         assert factored is not None
@@ -86,26 +114,25 @@ def test_factor_cd_form_accepts_singular_members():
 
 
 def test_reduce_identity_empty_sequence():
-    g = Graph.empty(3)
-    form = InvertibleCDForm(g, BitVec.zeros(3), BitVec.ones(3))
-    assert reduce_to_identity(form).steps == ()
+    m = clifford.cd_matrix(Graph.empty(3).adj, BitVec.zeros(3), BitVec.ones(3))
+    assert reduce_to_identity(m).steps == ()
 
 
 def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
     edge = Graph.from_edges(2, [(1, 2)])
-    form = InvertibleCDForm(edge, BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1]))
-    assert form.matrix == BitMatrix.from_rows([[1, 1], [0, 1]])
-    seq = reduce_to_identity(form)
+    m = clifford.cd_matrix(edge.adj, BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1]))
+    assert m == BitMatrix.from_rows([[1, 1], [0, 1]])
+    seq = reduce_to_identity(m)
     assert seq.steps == (Single(1),)
 
 
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = Graph.from_edges(2, [(1, 2)])
-    form = InvertibleCDForm(edge, BitVec.ones(2), BitVec.zeros(2))
-    assert form.matrix == edge.adj
-    seq = reduce_to_identity(form)
+    m = clifford.cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2))
+    assert m == edge.adj
+    seq = reduce_to_identity(m)
     assert seq.steps == (Triple(1, 2),)
     m = edge.adj
     for v in (1, 2, 1):
@@ -113,8 +140,7 @@ def test_reduce_triple_step_case():
     assert m == gf2.identity(2)
 
 
-def apply_steps(form, seq):
-    m = form.matrix
+def apply_steps(m, seq):
     for v in seq.expand():
         m = cd_step(m, v)
     return m
@@ -122,9 +148,9 @@ def apply_steps(form, seq):
 
 def test_reduce_exhaustive_small():
     for n in range(1, 4):
-        for form in cd_members(n):
-            seq = reduce_to_identity(form)
-            assert apply_steps(form, seq) == gf2.identity(n)
+        for m in cd_members(n):
+            seq = reduce_to_identity(m)
+            assert apply_steps(m, seq) == gf2.identity(n)
             kinds = [isinstance(s, Triple) for s in seq.steps]
             assert kinds == sorted(kinds)  # singles strictly before triples
             indices = seq.vertex_indices()
@@ -134,9 +160,9 @@ def test_reduce_exhaustive_small():
 def test_reduce_random_members():
     rng = random.Random(61)
     for _ in range(300):
-        form = random_cd_member(rng, rng.randrange(1, 13))
-        seq = reduce_to_identity(form)
-        assert apply_steps(form, seq) == gf2.identity(form.graph.n)
+        m = random_cd_member(rng, rng.randrange(1, 13))
+        seq = reduce_to_identity(m)
+        assert apply_steps(m, seq) == gf2.identity(m.rows)
         indices = seq.vertex_indices()
         assert len(set(indices)) == len(indices)
 

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import naive_mat_mul, naive_rank, random_bitmatrix, random_invertible, rows_of
+from conftest import (
+    naive_mat_mul,
+    naive_rank,
+    random_bitmatrix,
+    random_invertible,
+    rows_of,
+    symplectic_form_matrix,
+)
 from stabgraph import gf2
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec, SingularError, SymplecticForm
@@ -191,7 +198,7 @@ def test_symplectic_form():
     x1 = BitVec.from_bits([0, 0, 1, 0])
     assert form.product(z1, x1) == 1
     assert form.product(z1, z2) == 0
-    p = form.matrix()
+    p = symplectic_form_matrix(2)
     assert gf2.is_symmetric(p)
     assert gf2.mat_mul(p, p) == gf2.identity(4)
     for u in (z1, z2, x1):

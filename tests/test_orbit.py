@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import all_graphs, random_graph
-from stabgraph import graphs, orbit
+from stabgraph import graphs
 from stabgraph.decomposition import apply_sequence
 from stabgraph.graphs import Graph
 from stabgraph.orbit import (
@@ -105,12 +105,3 @@ def test_partition_of_all_4_vertex_graphs():
         assert rep in members
         for m in members:
             assert canonical_form(m) == rep
-
-
-def test_isomorphism_helpers():
-    k3_123 = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
-    k3_234 = Graph.from_edges(4, [(2, 3), (2, 4), (3, 4)])
-    assert orbit.are_isomorphic(k3_123, k3_234)
-    assert not orbit.are_isomorphic(Graph.path(4), Graph.star(4, 1))
-    groups = orbit.group_by_isomorphism([k3_123, k3_234, Graph.path(4)])
-    assert sorted(len(g) for g in groups) == [1, 2]
