@@ -32,7 +32,7 @@ from .equivalence import (
     test_equivalence,
     test_equivalence_graphs,
 )
-from .gf2 import BitMatrix, BitVec, SingularError, SymplecticForm
+from .gf2 import BitMatrix, BitVec, SingularError
 from .graphs import (
     Graph,
     complement,
@@ -73,7 +73,6 @@ __all__ = [
     "Single",
     "SingularError",
     "StabilizerGenMatrix",
-    "SymplecticForm",
     "Triple",
     "apply_sequence",
     "basis_change",

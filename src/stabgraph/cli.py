@@ -107,11 +107,13 @@ def _flags(p, *names):
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
+_PARSER = _build_parser()
+
+
 def run(argv):
     """Execute one command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -168,30 +170,9 @@ def _write(path, text):
     Path(path).write_text(text)
 
 
-def _load_graph(path):
+def _load(parse, path):
     try:
-        return graphs.parse_edge_list(_read(path))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_stabilizer(path):
-    try:
-        return stabilizer.parse_stabilizer(_read(path))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_clifford(path):
-    try:
-        return clifford.parse_clifford(_read(path))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_sequence(path):
-    try:
-        return decomposition.parse_sequence(_read(path))
+        return parse(_read(path))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -217,7 +198,7 @@ def _stem(path):
 
 
 def _cmd_reduce(args):
-    stab = _load_stabilizer(args.stabilizer)
+    stab = _load(stabilizer.parse_stabilizer, args.stabilizer)
     witness = reduction.to_graph_state(stab)
     stem = _stem(args.stabilizer)
     graph_path = args.out_graph or stem + ".graph"
@@ -249,8 +230,8 @@ def _verify_reduction(args, stab, witness):
 
 
 def _cmd_decompose(args):
-    q = _load_clifford(args.clifford)
-    g = _load_graph(args.graph)
+    q = _load(clifford.parse_clifford, args.clifford)
+    g = _load(graphs.parse_edge_list, args.graph)
     seq = decomposition.decompose_action(q, g)
     out = args.out or _stem(args.graph) + ".lcs"
     _write(out, decomposition.format_sequence(seq))
@@ -279,8 +260,8 @@ def _verify_decomposition(args, q, g, seq):
 
 
 def _cmd_apply(args):
-    g = _load_graph(args.graph)
-    seq = _load_sequence(args.sequence)
+    g = _load(graphs.parse_edge_list, args.graph)
+    seq = _load(decomposition.parse_sequence, args.sequence)
     result = decomposition.apply_sequence(g, seq)
     out = args.out or _stem(args.graph) + ".out.graph"
     _write(out, graphs.format_edge_list(result))
@@ -296,7 +277,7 @@ def _cmd_apply(args):
 
 
 def _cmd_orbit(args):
-    g = _load_graph(args.graph)
+    g = _load(graphs.parse_edge_list, args.graph)
     cap = args.cap if args.cap is not None else orbit.DEFAULT_MEMBER_CAP
     result = orbit.enumerate_orbit(g, member_cap=cap)
     count = len(result.members)
@@ -320,7 +301,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_canon(args):
-    g = _load_graph(args.graph)
+    g = _load(graphs.parse_edge_list, args.graph)
     cap = args.cap if args.cap is not None else orbit.DEFAULT_MEMBER_CAP
     rep = orbit.canonical_form(g, member_cap=cap)
     text = graphs.format_edge_list(rep)
@@ -365,7 +346,7 @@ def _verify_equivalence(args, first, second, q):
 
 
 def _cmd_export_dot(args):
-    g = _load_graph(args.graph)
+    g = _load(graphs.parse_edge_list, args.graph)
     text = graphs.to_dot(g)
     if args.out:
         _write(args.out, text)
@@ -378,7 +359,7 @@ def _cmd_export_dot(args):
 def _cmd_oracle_check(args):
     from . import oracle
 
-    g = _load_graph(args.graph)
+    g = _load(graphs.parse_edge_list, args.graph)
     state = oracle.build_graph_state(g)
     err = oracle.defining_equation_error(state, g)
     _say(args, f"defining equations satisfied (max deviation {err:.2e})")

@@ -232,7 +232,7 @@ def complete_from_cd(g, c, d):
     denom_inv = gf2.try_invert(denom)
     if denom_inv is None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    inv_cols = [gf2.column(denom_inv, i) for i in range(n)]
+    inv_cols = gf2.transpose(denom_inv).row_ints
     abits = 0
     bbits = 0
     for i in range(n):
@@ -244,7 +244,7 @@ def complete_from_cd(g, c, d):
             if (cand_a & di) ^ (cand_b & ci)
         )
         row = (g.adj.row_ints[i] if ai else 0) ^ ((1 << i) if bi else 0)
-        if (row & inv_cols[i].bits).bit_count() & 1:
+        if (row & inv_cols[i]).bit_count() & 1:
             ai ^= ci
             bi ^= di
         abits |= ai << i

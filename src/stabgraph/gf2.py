@@ -163,16 +163,6 @@ class BitMatrix:
             width = 0
         return cls(len(ints), width, ints)
 
-    @classmethod
-    def from_bitvecs(cls, vecs):
-        vecs = list(vecs)
-        if not vecs:
-            return cls(0, 0, [])
-        width = vecs[0].n
-        if any(v.n != width for v in vecs):
-            raise ValueError("ragged rows")
-        return cls(len(vecs), width, [v.bits for v in vecs])
-
     def row(self, i):
         return BitVec(self.cols, self.row_ints[i])
 
@@ -183,9 +173,6 @@ class BitMatrix:
 
     def is_square(self):
         return self.rows == self.cols
-
-    def is_zero(self):
-        return all(r == 0 for r in self.row_ints)
 
     def __eq__(self, other):
         return (
@@ -201,34 +188,6 @@ class BitMatrix:
     def __repr__(self):
         body = ",".join(BitVec(self.cols, r).to01() for r in self.row_ints)
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
-
-
-class SymplecticForm:
-    """The fixed symplectic form on 2n-bit vectors: [[0, I], [I, 0]] in block form.
-
-    Held implicitly; the inner product pairs the low n bits of one vector with
-    the high n bits of the other.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticForm is immutable")
-
-    def product(self, u, v):
-        """Symplectic inner product of two 2n-bit vectors; 0 means commuting."""
-        n = self.n
-        if u.n != 2 * n or v.n != 2 * n:
-            raise ValueError("vectors must have length 2n")
-        mask = (1 << n) - 1
-        uz, ux = u.bits & mask, u.bits >> n
-        vz, vx = v.bits & mask, v.bits >> n
-        return ((uz & vx).bit_count() + (ux & vz).bit_count()) & 1
 
 
 def identity(n):
@@ -329,55 +288,51 @@ def vstack(a, b):
     return BitMatrix(a.rows + b.rows, a.cols, a.row_ints + b.row_ints)
 
 
-def rank(m):
-    """GF(2) row rank, by elimination on a scratch copy."""
-    rows = list(m.row_ints)
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
+def eliminate(rows, columns):
+    """Gauss-Jordan elimination in place on a list of packed int rows.
+
+    For each bit position in ``columns``, in order, the pivot is the
+    lowest-index row not yet used as a pivot that has the bit set; it is XORed
+    into every other row that has the bit set. Rows are never reordered, so
+    callers can carry bookkeeping bits above the eliminated ones. Returns the
+    ``(column, row index)`` pivots in column order.
+    """
+    pivots = []
+    used = [False] * len(rows)
+    for col in columns:
+        if len(pivots) == len(rows):
+            break
+        bit = 1 << col
+        pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        used[pivot] = True
+        pivots.append((col, pivot))
+        prow = rows[pivot]
+        rows[:] = [r ^ prow if r & bit else r for r in rows]
+        rows[pivot] = prow
+    return pivots
+
+
+def rank(m):
+    """GF(2) row rank, by elimination on a scratch copy."""
+    return len(eliminate(list(m.row_ints), range(m.cols)))
 
 
 def try_invert(m):
     """Inverse of a square matrix, or None when singular.
 
-    Gauss-Jordan elimination; the pivot for each column is always the
-    lowest-index remaining row with a 1 there, so the computation is
-    deterministic.
+    Eliminates [m | I], packed one int per row; the pivot row for column i
+    then carries row i of the inverse above bit n.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    work = list(m.row_ints)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for i in range(n):
-            if i != col and (work[i] >> col) & 1:
-                work[i] ^= work[col]
-                inv[i] ^= inv[col]
-    return BitMatrix(n, n, inv)
+    work = [r | 1 << (n + i) for i, r in enumerate(m.row_ints)]
+    pivots = eliminate(work, range(n))
+    if len(pivots) < n:
+        return None
+    return BitMatrix(n, n, [work[i] >> n for _, i in pivots])
 
 
 def invert(m):
@@ -392,47 +347,24 @@ def is_invertible(m):
     return m.is_square() and try_invert(m) is not None
 
 
-def reduced_echelon(m):
-    """Reduced row-echelon form and its pivot columns (sorted)."""
-    rows = list(m.row_ints)
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return BitMatrix(m.rows, m.cols, rows), pivots
-
-
 def solve_homogeneous(m):
     """Basis of the null space {x : m.x = 0}, in reduced echelon order.
 
     One basis vector per free column, ordered by ascending free-column index;
     each has a 1 at its free column and the matching echelon entries at the
-    pivot columns. Deterministic.
+    pivot columns. This is the unique reduced basis of the null space.
     """
-    rref, pivots = reduced_echelon(m)
-    pivot_set = set(pivots)
+    rows = list(m.row_ints)
+    pivots = eliminate(rows, range(m.cols))
+    pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
         bits = 1 << free
-        for r, pcol in enumerate(pivots):
-            if (rref.row_ints[r] >> free) & 1:
-                bits |= 1 << pcol
+        for col, i in pivots:
+            if (rows[i] >> free) & 1:
+                bits |= 1 << col
         basis.append(BitVec(m.cols, bits))
     return basis
 

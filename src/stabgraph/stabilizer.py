@@ -13,7 +13,7 @@ import random
 
 from . import gf2
 from .errors import ParseError
-from .gf2 import BitMatrix, BitVec, SymplecticForm
+from .gf2 import BitMatrix, BitVec
 
 
 class StabilizerError(ValueError):
@@ -106,12 +106,15 @@ class StabilizerGenMatrix:
         n = s.cols
         if gf2.rank(s) != n:
             raise NotIndependentError()
-        form = SymplecticForm(n)
-        cols = [gf2.column(s, j) for j in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if form.product(cols[i], cols[j]) != 0:
-                    raise NotCommutingError(i + 1, j + 1)
+        # Entry (i, j) of p = Z^T.X is z_i.x_j, so the symplectic product of
+        # generators i and j is p[i][j] + p[j][i]: all commute iff p is symmetric.
+        z_t = gf2.transpose(BitMatrix(n, n, s.row_ints[:n]))
+        p = gf2.mat_mul(z_t, BitMatrix(n, n, s.row_ints[n:]))
+        for i, (row, col) in enumerate(zip(p.row_ints, gf2.transpose(p).row_ints)):
+            if row != col:
+                # the first asymmetric row i has its lowest asymmetric column j > i
+                diff = row ^ col
+                raise NotCommutingError(i + 1, (diff & -diff).bit_length())
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", s)
 
@@ -125,9 +128,6 @@ class StabilizerGenMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGenMatrix is immutable")
-
-    def z_block(self):
-        return BitMatrix(self.n, self.n, self.s.row_ints[: self.n])
 
     def x_block(self):
         return BitMatrix(self.n, self.n, self.s.row_ints[self.n :])
@@ -154,8 +154,9 @@ class StabilizerGenMatrix:
 def from_pauli_strings(paulis):
     """Assemble a generator matrix with column j encoding the j-th operator.
 
-    Raises WrongCountError / NotCommutingError / NotIndependentError when the
-    input is not a valid set of stabilizer generators.
+    Raises WrongCountError / NotIndependentError / NotCommutingError, in that
+    order of precedence, when the input is not a valid set of stabilizer
+    generators.
     """
     paulis = list(paulis)
     if not paulis:
@@ -163,16 +164,8 @@ def from_pauli_strings(paulis):
     n = paulis[0].n
     if len(paulis) != n or any(p.n != n for p in paulis):
         raise WrongCountError(n, len(paulis))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not paulis[i].commutes_with(paulis[j]):
-                raise NotCommutingError(i + 1, j + 1)
-    rows = [0] * (2 * n)
-    for j, p in enumerate(paulis):
-        for i in range(n):
-            rows[i] |= ((p.z.bits >> i) & 1) << j
-            rows[n + i] |= ((p.x.bits >> i) & 1) << j
-    return StabilizerGenMatrix(BitMatrix(2 * n, n, rows))
+    gens = BitMatrix(n, 2 * n, [p.z.bits | p.x.bits << n for p in paulis])
+    return StabilizerGenMatrix(gf2.transpose(gens))
 
 
 def from_graph(g):
@@ -188,7 +181,7 @@ def basis_change(stab, r):
     """Right-multiply by an invertible matrix: new generators for the same subspace."""
     if not gf2.is_invertible(r):
         raise gf2.SingularError("basis change matrix must be invertible")
-    return StabilizerGenMatrix(gf2.mat_mul(stab.s, r))
+    return StabilizerGenMatrix._trusted(gf2.mat_mul(stab.s, r))
 
 
 def same_subspace(a, b):
@@ -216,19 +209,16 @@ def random_stabilizer(n, seed, transvections=None):
     if transvections is None:
         transvections = _TRANSVECTIONS_PER_QUBIT * n
     rng = random.Random(seed)
-    form = SymplecticForm(n)
-    cols = [BitVec(2 * n, 1 << (n + j)) for j in range(n)]
+    mask = (1 << n) - 1
+    cols = [1 << (n + j) for j in range(n)]
     for _ in range(transvections):
-        vbits = 0
-        while vbits == 0:
-            vbits = rng.getrandbits(2 * n)
-        v = BitVec(2 * n, vbits)
-        cols = [c ^ v if form.product(v, c) else c for c in cols]
-    rows = [0] * (2 * n)
-    for j, c in enumerate(cols):
-        for i in range(2 * n):
-            rows[i] |= ((c.bits >> i) & 1) << j
-    return StabilizerGenMatrix(BitMatrix(2 * n, n, rows))
+        v = 0
+        while v == 0:
+            v = rng.getrandbits(2 * n)
+        # <v, c> pairs the Z half of v with the X half of c and vice versa
+        swapped = (v >> n) | (v & mask) << n
+        cols = [c ^ v if (swapped & c).bit_count() & 1 else c for c in cols]
+    return StabilizerGenMatrix(gf2.transpose(BitMatrix(n, 2 * n, cols)))
 
 
 def format_stabilizer(stab):

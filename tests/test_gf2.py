@@ -14,7 +14,7 @@ from conftest import (
 )
 from stabgraph import gf2
 from stabgraph.errors import ParseError
-from stabgraph.gf2 import BitMatrix, BitVec, SingularError, SymplecticForm
+from stabgraph.gf2 import BitMatrix, BitVec, SingularError
 
 
 def test_bitvec_basics():
@@ -167,6 +167,102 @@ def test_solve_homogeneous_deterministic_order():
     assert [b.to01() for b in basis] == ["0100", "1010", "1001"]
 
 
+def _span(rows):
+    """Every XOR of a subset of ``rows``, built subset by subset."""
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
+def _brute_rank(m):
+    return len(_span(m.row_ints)).bit_length() - 1
+
+
+def _first_independent_columns(m):
+    """Lowest-index columns that are independent of the columns before them."""
+    chosen = []
+    for j in range(m.cols):
+        col = sum(((r >> j) & 1) << i for i, r in enumerate(m.row_ints))
+        if col not in _span(chosen):
+            chosen.append(col)
+            yield j
+
+
+def _random_matrices(seed, count, square=False):
+    """Seeded matrices up to 12 x 12, half of them of deliberately low rank."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randrange(0, 13)
+        cols = rows if square else rng.randrange(0, 13)
+        if rng.getrandbits(1):
+            yield random_bitmatrix(rng, rows, cols)
+        else:
+            k = rng.randrange(0, 6)
+            yield gf2.mat_mul(random_bitmatrix(rng, rows, k), random_bitmatrix(rng, k, cols))
+
+
+def test_eliminate_pivot_rule_examples():
+    rows = [0b10, 0b01, 0b11]
+    assert gf2.eliminate(rows, range(2)) == [(0, 1), (1, 0)]
+    assert rows == [0b10, 0b01, 0b00]
+    # row 0 is already a pivot, so column 1 pivots on row 1 although row 0 has the bit
+    rows = [0b011, 0b010]
+    assert gf2.eliminate(rows, range(3)) == [(0, 0), (1, 1)]
+    assert rows == [0b001, 0b010]
+    # only the listed columns are eliminated
+    rows = [0b11, 0b01]
+    assert gf2.eliminate(rows, [1]) == [(1, 0)]
+    assert rows == [0b11, 0b01]
+
+
+def test_eliminate_properties():
+    for m in _random_matrices(31, 300):
+        # an identity carried above the eliminated bits records every row operation
+        rows = [r | 1 << (m.cols + i) for i, r in enumerate(m.row_ints)]
+        pivots = gf2.eliminate(rows, range(m.cols))
+        assert [c for c, _ in pivots] == list(_first_independent_columns(m))
+        assert len({i for _, i in pivots}) == len(pivots)
+        for col, i in pivots:
+            assert [(r >> col) & 1 for r in rows] == [int(k == i) for k in range(m.rows)]
+        low = (1 << m.cols) - 1
+        for r in rows:
+            combo = r >> m.cols
+            mixed = 0
+            for k, orig in enumerate(m.row_ints):
+                if (combo >> k) & 1:
+                    mixed ^= orig
+            assert r & low == mixed
+        assert _span([r & low for r in rows]) == _span(m.row_ints)
+
+
+def test_rank_matches_brute_force():
+    for m in _random_matrices(32, 300):
+        assert gf2.rank(m) == _brute_rank(m)
+
+
+def test_try_invert_matches_brute_force():
+    for m in _random_matrices(33, 300, square=True):
+        inv = gf2.try_invert(m)
+        if _brute_rank(m) < m.rows:
+            assert inv is None
+        else:
+            assert gf2.mat_mul(inv, m) == gf2.identity(m.rows)
+            assert gf2.mat_mul(m, inv) == gf2.identity(m.rows)
+
+
+def test_null_basis_is_the_reduced_basis():
+    for m in _random_matrices(34, 300):
+        basis = gf2.solve_homogeneous(m)
+        assert len(basis) == m.cols - _brute_rank(m)
+        free = [b.bits.bit_length() - 1 for b in basis]
+        assert free == sorted(set(range(m.cols)) - set(_first_independent_columns(m)))
+        free_mask = sum(1 << f for f in free)
+        for f, b in zip(free, basis):
+            assert gf2.mat_vec(m, b).bits == 0
+            assert b.bits & free_mask == 1 << f
+
+
 def test_helpers():
     assert gf2.all_ones_offdiag(2) == BitMatrix.from_rows([[0, 1], [1, 0]])
     rng = random.Random(7)
@@ -191,19 +287,18 @@ def test_stacking():
 
 
 def test_symplectic_form():
-    form = SymplecticForm(2)
+    p = symplectic_form_matrix(2)
     # (z|x) encodings: Z1 = 01|00, X1 = 00|01 anticommute; Z1, Z2 commute
     z1 = BitVec.from_bits([1, 0, 0, 0])
     z2 = BitVec.from_bits([0, 1, 0, 0])
     x1 = BitVec.from_bits([0, 0, 1, 0])
-    assert form.product(z1, x1) == 1
-    assert form.product(z1, z2) == 0
-    p = symplectic_form_matrix(2)
+    assert z1.dot(gf2.mat_vec(p, x1)) == 1
+    assert z1.dot(gf2.mat_vec(p, z2)) == 0
     assert gf2.is_symmetric(p)
     assert gf2.mat_mul(p, p) == gf2.identity(4)
     for u in (z1, z2, x1):
         for v in (z1, z2, x1):
-            assert form.product(u, v) == u.dot(gf2.mat_vec(p, v)) % 2
+            assert u.dot(gf2.mat_vec(p, v)) == v.dot(gf2.mat_vec(p, u))
 
 
 def test_matrix_text_roundtrip():

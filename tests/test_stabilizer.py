@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import random_invertible
+from conftest import random_invertible, symplectic_form_matrix
 from stabgraph import gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
-from stabgraph.gf2 import BitMatrix, SymplecticForm
+from stabgraph.gf2 import BitMatrix
 from stabgraph.stabilizer import (
     NotCommutingError,
     NotIndependentError,
@@ -63,6 +63,12 @@ def test_from_pauli_strings_errors():
     assert err.value.pair == (1, 2)
     with pytest.raises(NotIndependentError):
         from_pauli_strings([pauli("XX"), pauli("XX")])
+    # dependent and anticommuting: independence is checked first
+    with pytest.raises(NotIndependentError):
+        from_pauli_strings([pauli("XII"), pauli("ZII"), pauli("YII")])
+    with pytest.raises(NotCommutingError) as err:
+        from_pauli_strings([pauli("ZII"), pauli("IXI"), pauli("IZZ")])
+    assert err.value.pair == (2, 3)
     with pytest.raises(WrongCountError):
         from_pauli_strings([pauli("XI")])
     with pytest.raises(WrongCountError):
@@ -121,16 +127,15 @@ def test_same_subspace():
 
 
 def test_random_stabilizer_invariants():
-    form_cache = {}
+    p = symplectic_form_matrix(2)
     seen_ranks = set()
     for seed in range(500):
         s = random_stabilizer(2, seed)
         assert gf2.rank(s.s) == 2
-        form = form_cache.setdefault(2, SymplecticForm(2))
         cols = [gf2.column(s.s, j) for j in range(2)]
         for u in cols:
             for v in cols:
-                assert form.product(u, v) == 0
+                assert u.dot(gf2.mat_vec(p, v)) == 0
         seen_ranks.add(gf2.rank(s.x_block()))
     assert seen_ranks == {0, 1, 2}
 
