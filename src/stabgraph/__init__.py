@@ -21,7 +21,6 @@ from .decomposition import (
     Single,
     Triple,
     apply_sequence,
-    cd_step,
     decompose_action,
     reduce_to_identity,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "apply_sequence",
     "basis_change",
     "canonical_form",
-    "cd_step",
     "complement",
     "complete_from_cd",
     "compose",

@@ -163,7 +163,7 @@ def _read(path):
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+        raise ParseError(str(exc.strerror or exc)) from exc
 
 
 def _write(path, text):
@@ -177,20 +177,15 @@ def _load(parse, path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _load_state_input(path):
-    """Graph or stabilizer file, sniffed by the first meaningful line."""
-    text = _read(path)
+def _parse_state(text):
+    """Graph or stabilizer text, sniffed by the first meaningful line; returns the stabilizer."""
     first = next(
         (ln.split("#", 1)[0].strip() for ln in text.splitlines() if ln.split("#", 1)[0].strip()),
         "",
     )
-    try:
-        if len(first.split()) == 1 and first.isdigit():
-            g = graphs.parse_edge_list(text)
-            return stabilizer.from_graph(g), g
-        return stabilizer.parse_stabilizer(text), None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    if len(first.split()) == 1 and first.isdigit():
+        return stabilizer.from_graph(graphs.parse_edge_list(text))
+    return stabilizer.parse_stabilizer(text)
 
 
 def _stem(path):
@@ -314,8 +309,8 @@ def _cmd_canon(args):
 
 
 def _cmd_equiv(args):
-    first, first_graph = _load_state_input(args.first)
-    second, _ = _load_state_input(args.second)
+    first = _load(_parse_state, args.first)
+    second = _load(_parse_state, args.second)
     cap = args.cap if args.cap is not None else equivalence.DEFAULT_SEARCH_CAP
     result = equivalence.test_equivalence(first, second, search_cap=cap)
     if isinstance(result, equivalence.Equivalent):

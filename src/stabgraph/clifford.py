@@ -139,16 +139,8 @@ def apply_to_stabilizer(q, stab):
     n = stab.n
     if q.n != n:
         raise ValueError("qubit count mismatch")
-    return apply_to_rows(q, stab.s)
-
-
-def apply_to_rows(q, m):
-    """Row-level action on a raw 2n x m matrix (Z rows on top, X rows below)."""
-    n = q.n
-    if m.rows != 2 * n:
-        raise ValueError("matrix must have 2n rows")
-    zrows = m.row_ints[:n]
-    xrows = m.row_ints[n:]
+    zrows = stab.s.row_ints[:n]
+    xrows = stab.s.row_ints[n:]
     out_z = []
     out_x = []
     for i in range(n):
@@ -158,7 +150,7 @@ def apply_to_rows(q, m):
         dbit = (q.d.bits >> i) & 1
         out_z.append((zrows[i] if abit else 0) ^ (xrows[i] if bbit else 0))
         out_x.append((zrows[i] if cbit else 0) ^ (xrows[i] if dbit else 0))
-    return BitMatrix(2 * n, m.cols, out_z + out_x)
+    return BitMatrix(2 * n, n, out_z + out_x)
 
 
 def cd_matrix(adj, c, d):

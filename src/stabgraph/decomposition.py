@@ -1,11 +1,17 @@
 """Decomposing local Clifford actions on graphs into local complementations.
 
-The lower blocks (C, D) of an in-domain operation determine an invertible
-matrix C.adj + D. Stepping that matrix with :func:`cd_step` mirrors the
-effect of one local complementation, and repeatedly stepping it down to the
-identity yields a vertex sequence whose complementations reproduce the full
-graph action. Uniqueness of the in-domain completion of (C, D) is what makes
-the translation exact.
+The lower blocks (c, d) of an in-domain operation determine the invertible
+matrix diag(c).adj + diag(d). Local complementation at a vertex v with
+c_v = 1 maps the triple (g, c, d) to the lower blocks of
+compose(q, local_complement_op(g, v)):
+
+    g' = local_complement(g, v),  d' = d ^ (c & N(v)),  c' = c ^ (d & e_v),
+
+and diag(c').adj' + diag(d') is the old matrix times an invertible factor.
+Walking the triple down to the identity (d all ones, no vertex of c with a
+neighbour) yields a vertex sequence whose complementations reproduce the
+full graph action. Uniqueness of the in-domain completion of (c, d) is what
+makes the translation exact.
 """
 
 from __future__ import annotations
@@ -13,9 +19,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from . import clifford, gf2, graphs
+from . import clifford, graphs
 from .errors import InternalError, ParseError
-from .gf2 import BitMatrix
 
 log = logging.getLogger(__name__)
 
@@ -84,77 +89,65 @@ class LCSequence:
         return out
 
 
-def cd_step(m, i):
-    """Step a square matrix by vertex i: m . (E_i m + m_ii E_i + I).
+def _complement_at(g, c, d, v):
+    """One walk step at 0-based vertex v: the new (g, c, d)."""
+    return graphs.local_complement(g, v + 1), c ^ (d & 1 << v), d ^ (c & g.adj.row_ints[v])
 
-    E_i is the single-entry diagonal at i (1-based). This is the matrix-level
-    shadow of local complementation at i on matrices of the form
-    diag(c).adj + diag(d); it maps that class to itself and preserves
-    invertibility.
+
+def reduce_to_identity(g, c, d):
+    """Vertex sequence whose local complementations walk (g, c, d) to the identity.
+
+    (g, c, d) stands for the matrix diag(c).adj + diag(d), which must be
+    invertible, as it is for the lower blocks of an in-domain operation. Each
+    step complements g at a vertex v and updates the diagonals to
+    d ^ (c & N(v)) and c ^ (d & e_v). On an invertible input every step has
+    c_v = 1, where this is exactly the lower blocks of compose(q,
+    local_complement_op(g, v)): phase-1 targets lie in c, a phase-2 j has
+    d_j = 0 and so c_j = 1, and k is taken from c. Every step the walk takes
+    multiplies the matrix by an invertible factor, so a singular input ends
+    in a DecompositionError.
+
+    The walk ends when d is all ones and no vertex of c has a neighbour. Two
+    phases, all choices lowest-index: first, each vertex in c & d that has a
+    neighbour is finished with one step there; second, the vertices with
+    d_j = 0 are finished in pairs j, k, with k the lowest vertex of c adjacent
+    to j, via the three-step pattern. Singles always come before triples. A
+    step budget of 3n and a distinct-index check guard the claimed
+    termination behavior; the sequence is still returned if the indices
+    repeat, with the anomaly logged.
     """
-    if not m.is_square():
-        raise ValueError("matrix must be square")
-    idx = graphs._check_vertex(m.rows, i)
-    n = m.rows
-    factor_rows = [1 << r for r in range(n)]
-    factor_rows[idx] ^= m.row_ints[idx]
-    if (m.row_ints[idx] >> idx) & 1:
-        factor_rows[idx] ^= 1 << idx
-    return gf2.mat_mul(m, BitMatrix(n, n, factor_rows))
-
-
-def reduce_to_identity(m):
-    """Vertex sequence whose cd-steps take the invertible matrix m to the identity.
-
-    m is an invertible diag(c).adj + diag(d), as :func:`decompose_action`
-    builds it; cd-steps keep the rank, so a singular m ends in a
-    DecompositionError. Two phases, all choices lowest-index: first, any row with a diagonal 1
-    that is not yet a unit row is finished with one step at that vertex;
-    second, remaining rows (whose diagonal entries are all 0) are finished in
-    pairs j, k with m_kj = 1 via the three-step pattern. Singles always come
-    before triples. A step budget of 3n and a distinct-index check guard the
-    claimed termination behavior; the sequence is still returned if the
-    indices repeat, with the anomaly logged.
-    """
-    n = m.rows
-    ident = gf2.identity(n)
+    n = g.n
+    if c.n != n or d.n != n:
+        raise ValueError("diagonal lengths differ from the vertex count")
+    c, d = c.bits, d.bits
+    full = (1 << n) - 1
     steps = []
     budget = 3 * n
 
     while True:
-        target = None
-        for i in range(n):
-            if m.entry(i, i) == 1 and m.row_ints[i] != (1 << i):
-                target = i
-                break
+        both = c & d
+        target = next((v for v, row in enumerate(g.adj.row_ints) if both >> v & 1 and row), None)
         if target is None:
             break
         steps.append(Single(target + 1))
-        m = cd_step(m, target + 1)
+        g, c, d = _complement_at(g, c, d, target)
         if len(steps) > budget:
             raise DecompositionError("step budget exceeded while clearing diagonal-1 rows")
 
-    while m != ident:
-        j0 = None
-        for j in range(n):
-            if m.entry(j, j) == 0:
-                j0 = j
-                break
-        if j0 is None:
+    while d != full or any(c >> v & 1 and row for v, row in enumerate(g.adj.row_ints)):
+        if d == full:
             raise DecompositionError(
                 "no zero-diagonal row left but the matrix is not the identity"
             )
-        k0 = None
-        for k in range(n):
-            if m.entry(k, j0) == 1:
-                k0 = k
-                break
-        if k0 is None:
+        zeros = full ^ d
+        j = (zeros & -zeros).bit_length() - 1
+        column = c & g.adj.row_ints[j]
+        if not column:
             raise DecompositionError("zero column in an invertible matrix")
-        steps.append(Triple(j0 + 1, k0 + 1))
-        m = cd_step(m, j0 + 1)
-        m = cd_step(m, k0 + 1)
-        m = cd_step(m, j0 + 1)
+        k = (column & -column).bit_length() - 1
+        steps.append(Triple(j + 1, k + 1))
+        for v in (j, k, j):
+            g, c, d = _complement_at(g, c, d, v)
         if len(steps) > budget:
             raise DecompositionError("step budget exceeded while clearing zero-diagonal rows")
 
@@ -182,7 +175,7 @@ def decompose_action(q, g):
     report = clifford.graph_action(q, g)
     if not report.in_domain():
         raise NotInDomainError(report)
-    seq = reduce_to_identity(clifford.cd_matrix(g.adj, q.c, q.d))
+    seq = reduce_to_identity(g, q.c, q.d)
     if apply_sequence(g, seq) != report.image:
         raise InternalError("decomposed sequence does not reproduce the graph action")
     return seq

@@ -32,22 +32,23 @@ def to_graph_state(stab):
     """Transform a stabilizer generator matrix into graph-state standard form.
 
     Deterministic (lowest-index pivoting throughout) and total: every valid
-    stabilizer reduces. Steps:
+    stabilizer reduces. Each generator (a column of S) is one packed int:
+    Z part in bits 0..n-1, X part in bits n..2n-1, and its column of the
+    accumulated right factor R carried from bit 2n up. Steps:
 
     1. Gauss-Jordan elimination on the X parts of the generators; its pivot
        columns are the lowest-index rows of the X block that are linearly
        independent, k of them for an X block of rank k,
-    2. Z/X swap (Hadamard) on every qubit outside the pivot rows, which
-       makes the whole X block invertible,
-    3. basis change by the inverse of the new X block, leaving [M; I] with M
-       symmetric,
+    2. Z/X swap (Hadamard) on every qubit outside the pivot rows, done as a
+       bit swap in each generator, which makes the whole X block invertible,
+    3. a second elimination on the X parts; taken in pivot-column order,
+       generator j then has X part e_j, so the generators form [M; I] with
+       M symmetric, and their carried bits are the columns of R,
     4. the shear [[1, 1], [0, 1]] on each qubit where M has a diagonal 1,
        which clears the diagonal without touching anything else.
     """
     n = stab.n
     full = (1 << n) - 1
-    # Row j is generator j (column j of S) with column j of the accumulated
-    # right factor carried above bit 2n, so every generator update is tracked.
     gens = [g | 1 << (2 * n + j) for j, g in enumerate(gf2.transpose(stab.s).row_ints)]
 
     # Step 1: eliminate on the X parts of the generators (bits n..2n-1).
@@ -55,36 +56,34 @@ def to_graph_state(stab):
 
     # Step 2: Hadamard outside the pivot rows.
     swap_mask = full ^ sum(1 << (col - n) for col, _ in pivots)
+    for j, g in enumerate(gens):
+        flip = (g ^ g >> n) & swap_mask
+        gens[j] = g ^ flip ^ flip << n
     q_h = clifford.LocalCliffordOp(
         BitVec(n, full ^ swap_mask),
         BitVec(n, swap_mask),
         BitVec(n, swap_mask),
         BitVec(n, full ^ swap_mask),
     )
-    low = (1 << (2 * n)) - 1
-    t = gf2.transpose(BitMatrix(n, 2 * n, [g & low for g in gens]))
-    t = clifford.apply_to_rows(q_h, t)
 
     # Step 3: normalize the X block to the identity.
-    x_block = BitMatrix(n, n, t.row_ints[n:])
-    x_inv = gf2.try_invert(x_block)
-    if x_inv is None:
+    pivots = gf2.eliminate(gens, range(n, 2 * n))
+    if len(pivots) < n:
         raise InternalError("X block is singular after the Hadamard step")
-    t = gf2.mat_mul(t, x_inv)
-    r_t = BitMatrix(n, n, [g >> (2 * n) for g in gens])
-    r = gf2.mat_mul(gf2.transpose(r_t), x_inv)
-
-    # Step 4: clear the diagonal of the Z block.
-    m = BitMatrix(n, n, t.row_ints[:n])
-    if BitMatrix(n, n, t.row_ints[n:]) != gf2.identity(n):
+    gens = [gens[i] for _, i in pivots]
+    if any((g >> n) & full != 1 << j for j, g in enumerate(gens)):
         raise InternalError("X block failed to normalize to the identity")
+    r = gf2.transpose(BitMatrix(n, n, [g >> (2 * n) for g in gens]))
+
+    # Step 4: clear the diagonal of the Z block. Generator j holds column j
+    # of M, which is also row j exactly when M is symmetric.
+    m = BitMatrix(n, n, [g & full for g in gens])
     if not gf2.is_symmetric(m):
         raise InternalError("Z block of the standard form is not symmetric")
     diag = gf2.diagonal(m)
     q_shear = clifford.LocalCliffordOp(BitVec.ones(n), diag, BitVec.zeros(n), BitVec.ones(n))
-    t = clifford.apply_to_rows(q_shear, t)
 
-    graph = graphs.Graph._trusted(BitMatrix(n, n, t.row_ints[:n]))
+    graph = graphs.Graph._trusted(gf2.set_diagonal_zero(m))
     q = clifford.compose(q_shear, q_h)
     witness = ReductionWitness(graph=graph, q=q, r=r)
     if not verify_witness(stab, witness):

@@ -1,4 +1,5 @@
-"""Shared random-instance generators and naive list-of-lists GF(2) oracles.
+"""Shared random-instance generators, naive list-of-lists GF(2) oracles and
+the matrix reference for the decomposition walk.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
@@ -46,6 +47,25 @@ def naive_rank(rows):
                 work[i] = [(x + y) % 2 for x, y in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def cd_step(m, i):
+    """Step a square matrix by vertex i: m . (E_i m + m_ii E_i + I).
+
+    E_i is the single-entry diagonal at i (1-based). On a matrix
+    diag(c).adj + diag(d) with c_i = 1 this is the matrix of local
+    complementation at i, with lower blocks (c, d) updated as
+    compose(q, local_complement_op(g, i)) updates them; with c_i = 0 it is
+    the identity. The reference that the decomposition walk is checked
+    against.
+    """
+    n = m.rows
+    idx = i - 1
+    factor_rows = [1 << r for r in range(n)]
+    factor_rows[idx] ^= m.row_ints[idx]
+    if (m.row_ints[idx] >> idx) & 1:
+        factor_rows[idx] ^= 1 << idx
+    return gf2.mat_mul(m, gf2.BitMatrix(n, n, factor_rows))
 
 
 def symplectic_form_matrix(n):

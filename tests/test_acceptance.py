@@ -9,10 +9,10 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import all_graphs, random_graph, random_in_domain_op
+from conftest import all_graphs, cd_step, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs
 from stabgraph import oracle, orbit, reduction, stabilizer
-from stabgraph.decomposition import Triple, apply_sequence, cd_step, reduce_to_identity
+from stabgraph.decomposition import Triple, apply_sequence, reduce_to_identity
 from stabgraph.gf2 import BitVec
 from stabgraph.graphs import Graph, local_complement
 
@@ -104,9 +104,10 @@ def test_04_unique_completion():
 
 def test_05_cd_reduction_to_identity():
     with criterion(5, "cd-form-reduction", 60):
-        def check(m):
-            n = m.rows
-            seq = reduce_to_identity(m)
+        def check(g, c, d):
+            n = g.n
+            m = clifford.cd_matrix(g.adj, c, d)
+            seq = reduce_to_identity(g, c, d)
             for v in seq.expand():
                 m = cd_step(m, v)
             assert m == gf2.identity(n)
@@ -119,19 +120,18 @@ def test_05_cd_reduction_to_identity():
             for g in all_graphs(n):
                 for cbits in range(1 << n):
                     for dbits in range(1 << n):
-                        m = clifford.cd_matrix(g.adj, BitVec(n, cbits), BitVec(n, dbits))
-                        if gf2.is_invertible(m):
-                            check(m)
+                        c, d = BitVec(n, cbits), BitVec(n, dbits)
+                        if gf2.is_invertible(clifford.cd_matrix(g.adj, c, d)):
+                            check(g, c, d)
         rng = random.Random(202)
         checked = 0
         while checked < 1000:
             n = rng.randrange(1, 13)
             g = random_graph(rng, n)
             c, d = BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n))
-            m = clifford.cd_matrix(g.adj, c, d)
-            if not gf2.is_invertible(m):
+            if not gf2.is_invertible(clifford.cd_matrix(g.adj, c, d)):
                 continue
-            check(m)
+            check(g, c, d)
             checked += 1
 
 

@@ -99,8 +99,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_missing_file(tmp_path, capsys):
-    assert cli.run(["orbit", str(tmp_path / "nope.graph")]) == cli.EXIT_PARSE
-    assert "error: parse:" in capsys.readouterr().err
+    missing = str(tmp_path / "nope.graph")
+    for command, count in sorted(POSITIONALS.items()):
+        assert cli.run([command] + [missing] * count) == cli.EXIT_PARSE, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:"), command
+        assert err.count(missing) == 1, (command, err)
 
 
 def test_orbit_command(tmp_path, capsys):

@@ -1,18 +1,18 @@
-"""CD-form stepping, reduction to identity, and sequence decomposition."""
+"""CD-form stepping, the local-complementation walk to the identity, and sequence decomposition."""
 
 import random
 
 import pytest
 
-from conftest import all_graphs, random_graph, random_in_domain_op
+from conftest import all_graphs, cd_step, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, gf2, graphs
 from stabgraph.decomposition import (
+    DecompositionError,
     LCSequence,
     NotInDomainError,
     Single,
     Triple,
     apply_sequence,
-    cd_step,
     decompose_action,
     reduce_to_identity,
 )
@@ -21,22 +21,26 @@ from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.graphs import Graph
 
 
-def cd_members(n):
-    """Every invertible diag(c).adj + diag(d) over all graphs and diagonals on n vertices."""
+def cd_triples(n):
+    """Every (g, c, d) on n vertices, with whether diag(c).adj + diag(d) is invertible."""
     for g in all_graphs(n):
         for cbits in range(1 << n):
             for dbits in range(1 << n):
-                m = clifford.cd_matrix(g.adj, BitVec(n, cbits), BitVec(n, dbits))
-                if gf2.is_invertible(m):
-                    yield m
+                c, d = BitVec(n, cbits), BitVec(n, dbits)
+                yield g, c, d, gf2.is_invertible(clifford.cd_matrix(g.adj, c, d))
+
+
+def cd_members(n):
+    """Every (g, c, d) on n vertices whose diag(c).adj + diag(d) is invertible."""
+    return ((g, c, d) for g, c, d, invertible in cd_triples(n) if invertible)
 
 
 def random_cd_member(rng, n):
     while True:
         g = random_graph(rng, n)
-        m = clifford.cd_matrix(g.adj, BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n)))
-        if gf2.is_invertible(m):
-            return m
+        c, d = BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n))
+        if gf2.is_invertible(clifford.cd_matrix(g.adj, c, d)):
+            return g, c, d
 
 
 def factor_cd_form(m):
@@ -87,7 +91,8 @@ def test_cd_step_clears_unit_upper():
 def test_cd_step_closure():
     rng = random.Random(60)
     for _ in range(300):
-        m = random_cd_member(rng, rng.randrange(1, 8))
+        g, c, d = random_cd_member(rng, rng.randrange(1, 8))
+        m = clifford.cd_matrix(g.adj, c, d)
         i = rng.randrange(1, m.rows + 1)
         stepped = cd_step(m, i)
         assert gf2.is_invertible(stepped)
@@ -95,6 +100,16 @@ def test_cd_step_closure():
         assert factored is not None
         g2, c2, d2 = factored
         assert clifford.cd_matrix(g2.adj, c2, d2) == stepped
+        # the step is local complementation at i on the graph and the lower
+        # blocks of the operation when c_i = 1, and the identity otherwise
+        if c[i - 1]:
+            q = clifford.compose(
+                clifford.complete_from_cd(g, c, d), clifford.local_complement_op(g, i)
+            )
+            lc = graphs.local_complement(g, i)
+            assert clifford.cd_matrix(lc.adj, q.c, q.d) == stepped
+        else:
+            assert stepped == m
 
 
 def test_factor_cd_form_rejects_non_members():
@@ -114,25 +129,23 @@ def test_factor_cd_form_accepts_singular_members():
 
 
 def test_reduce_identity_empty_sequence():
-    m = clifford.cd_matrix(Graph.empty(3).adj, BitVec.zeros(3), BitVec.ones(3))
-    assert reduce_to_identity(m).steps == ()
+    assert reduce_to_identity(Graph.empty(3), BitVec.zeros(3), BitVec.ones(3)).steps == ()
 
 
 def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
     edge = Graph.from_edges(2, [(1, 2)])
-    m = clifford.cd_matrix(edge.adj, BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1]))
-    assert m == BitMatrix.from_rows([[1, 1], [0, 1]])
-    seq = reduce_to_identity(m)
+    c, d = BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1])
+    assert clifford.cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
+    seq = reduce_to_identity(edge, c, d)
     assert seq.steps == (Single(1),)
 
 
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = Graph.from_edges(2, [(1, 2)])
-    m = clifford.cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2))
-    assert m == edge.adj
-    seq = reduce_to_identity(m)
+    assert clifford.cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2)) == edge.adj
+    seq = reduce_to_identity(edge, BitVec.ones(2), BitVec.zeros(2))
     assert seq.steps == (Triple(1, 2),)
     m = edge.adj
     for v in (1, 2, 1):
@@ -148,9 +161,9 @@ def apply_steps(m, seq):
 
 def test_reduce_exhaustive_small():
     for n in range(1, 4):
-        for m in cd_members(n):
-            seq = reduce_to_identity(m)
-            assert apply_steps(m, seq) == gf2.identity(n)
+        for g, c, d in cd_members(n):
+            seq = reduce_to_identity(g, c, d)
+            assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(n)
             kinds = [isinstance(s, Triple) for s in seq.steps]
             assert kinds == sorted(kinds)  # singles strictly before triples
             indices = seq.vertex_indices()
@@ -160,11 +173,27 @@ def test_reduce_exhaustive_small():
 def test_reduce_random_members():
     rng = random.Random(61)
     for _ in range(300):
-        m = random_cd_member(rng, rng.randrange(1, 13))
-        seq = reduce_to_identity(m)
-        assert apply_steps(m, seq) == gf2.identity(m.rows)
+        g, c, d = random_cd_member(rng, rng.randrange(1, 13))
+        seq = reduce_to_identity(g, c, d)
+        assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(g.n)
         indices = seq.vertex_indices()
         assert len(set(indices)) == len(indices)
+
+
+def test_reduce_singular_raises():
+    for n in range(1, 4):
+        for g, c, d, invertible in cd_triples(n):
+            if not invertible:
+                with pytest.raises(DecompositionError):
+                    reduce_to_identity(g, c, d)
+
+
+def test_reduce_length_mismatch():
+    g = Graph.path(3)
+    with pytest.raises(ValueError):
+        reduce_to_identity(g, BitVec.ones(2), BitVec.ones(3))
+    with pytest.raises(ValueError):
+        reduce_to_identity(g, BitVec.ones(3), BitVec.ones(4))
 
 
 def test_apply_sequence_basics():

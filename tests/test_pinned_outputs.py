@@ -1,9 +1,11 @@
 """Pinned SHA-256 digests of seeded outputs.
 
 Each digest covers the text a command or constructor produces for a fixed,
-seeded input set. They were recorded from the implementation before the GF(2)
-elimination kernel was shared, so any refactor that changes a single output
-bit (a different pivot, a different null-space basis, a different witness or
+seeded input set. The reduce, random_stabilizer, equiv and stabilizer_errors
+digests were recorded before the GF(2) elimination kernel was shared; the
+decompose digest was recorded while the decomposition still stepped the
+matrix C.adj + D. Any refactor that changes a single output bit (a different
+pivot, a different null-space basis, a different witness, step sequence or
 error message) fails here.
 """
 
@@ -12,11 +14,11 @@ import random
 
 import pytest
 
-from stabgraph import clifford, equivalence, gf2, graphs, reduction, stabilizer
-from stabgraph.gf2 import BitMatrix
+from stabgraph import clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
+from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.stabilizer import StabilizerError, StabilizerGenMatrix, random_stabilizer
 
-from conftest import random_invertible, random_valid_clifford
+from conftest import random_graph, random_in_domain_op, random_invertible, random_valid_clifford
 
 
 def _digest(chunks):
@@ -67,6 +69,35 @@ def equiv_witnesses():
             yield type(result).__name__
 
 
+def _op_with_untouched(rng, g, untouched):
+    """An in-domain operation leaving exactly ``untouched`` qubits at (c_i, d_i) = (0, 1)."""
+    n = g.n
+    while True:
+        skip = set(rng.sample(range(n), untouched))
+        cbits = dbits = 0
+        for i in range(n):
+            ci, di = (0, 1) if i in skip else rng.choice(((1, 0), (1, 1)))
+            cbits |= ci << i
+            dbits |= di << i
+        try:
+            return clifford.complete_from_cd(g, BitVec(n, cbits), BitVec(n, dbits))
+        except gf2.SingularError:
+            continue
+
+
+def decompose_outputs():
+    rng = random.Random(4104)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 17))
+        yield decomposition.format_sequence(
+            decomposition.decompose_action(random_in_domain_op(rng, g), g)
+        )
+    for untouched in range(0, 57, 8):
+        g = random_graph(rng, 64)
+        q = _op_with_untouched(rng, g, untouched)
+        yield decomposition.format_sequence(decomposition.decompose_action(q, g))
+
+
 def stabilizer_verdicts():
     rng = random.Random(4103)
     for t in range(500):
@@ -100,6 +131,10 @@ PINNED = {
     "stabilizer_errors": (
         stabilizer_verdicts,
         "d14107e6cde1a0f6f95d16778672f7f9aee01927442631cab6d01b5192262cad",
+    ),
+    "decompose": (
+        decompose_outputs,
+        "dd658765d2b3ff1623c70bf9eeec8fa7cf1ec34dc8477b95f6e002d659a0d0d2",
     ),
 }
 
