@@ -4,9 +4,9 @@ Commands map one-to-one onto library operations; all artifacts are plain
 text (graphs, stabilizers, clifford operations, step sequences, matrices)
 so fixtures diff cleanly and every writer round-trips through its reader.
 
-Exit codes: 0 success, 1 inequivalent (equiv), 2 indeterminate (equiv),
-64 usage error, 65 parse error, 70 operation failure (singular input,
-domain violation, cap exceeded) or internal error.
+Exit codes: 0 success, 1 inequivalent (equiv), 2 indeterminate (equiv: a
+block went over --cap), 64 usage error, 65 parse error, 70 operation failure
+(singular input, domain violation, cap exceeded) or internal error.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def _cmd_equiv(args):
     if isinstance(result, equivalence.Inequivalent):
         _say(args, "inequivalent")
         return EXIT_INEQUIVALENT
-    _say(args, f"indeterminate (searched {result.searched} of 2^{result.space_dim})")
+    _say(args, f"indeterminate (cap hit after {result.searched}, block of 2^{result.space_dim})")
     return EXIT_INDETERMINATE
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2, graphs
-from .errors import InternalError, ParseError
+from .errors import MAX_QUBITS, InternalError, ParseError
 from .gf2 import BitMatrix, BitVec
 
 
@@ -266,8 +266,8 @@ def parse_clifford(text):
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("expected qubit count", line=1) from None
-    if n < 1:
-        raise ParseError("qubit count must be >= 1", line=1)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ParseError(f"qubit count must be in 1..{MAX_QUBITS}", line=1)
     if len(lines) - 1 < n:
         raise ParseError(f"expected {n} qubit lines, found {len(lines) - 1}", line=len(lines))
     blocks = []

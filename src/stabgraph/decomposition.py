@@ -114,7 +114,8 @@ def reduce_to_identity(g, c, d):
     to j, via the three-step pattern. Singles always come before triples. A
     step budget of 3n and a distinct-index check guard the claimed
     termination behavior; the sequence is still returned if the indices
-    repeat, with the anomaly logged.
+    repeat, with the anomaly logged. Returns the sequence and the graph the
+    walk ends on (g with the sequence applied).
     """
     n = g.n
     if c.n != n or d.n != n:
@@ -155,7 +156,7 @@ def reduce_to_identity(g, c, d):
     indices = seq.vertex_indices()
     if len(set(indices)) != len(indices):
         log.warning("repeated vertex indices in reduction sequence: %s", indices)
-    return seq
+    return seq, g
 
 
 def apply_sequence(g, seq):
@@ -170,13 +171,13 @@ def decompose_action(q, g):
 
     Only the lower blocks (c, d) of the operation enter the computation; the
     upper blocks are implied by the uniqueness of the in-domain completion.
-    The result is checked against the direct graph action before returning.
+    The walk's final graph is checked against the direct graph action.
     """
     report = clifford.graph_action(q, g)
     if not report.in_domain():
         raise NotInDomainError(report)
-    seq = reduce_to_identity(g, q.c, q.d)
-    if apply_sequence(g, seq) != report.image:
+    seq, walked = reduce_to_identity(g, q.c, q.d)
+    if walked != report.image:
         raise InternalError("decomposed sequence does not reproduce the graph action")
     return seq
 

@@ -3,15 +3,18 @@
 Two generator matrices S, S' describe locally Clifford equivalent states
 exactly when some block-diagonal symplectic Q makes the subspace spanned by
 Q.S symplectically orthogonal to (hence equal to) the span of S'. That
-orthogonality is linear in the 4n diagonal entries of Q, so candidates are
-found by solving an n^2 x 4n homogeneous system and then searching its
-solution space for a vector meeting the n per-qubit invertibility
-constraints a_i d_i + b_i c_i = 1.
+orthogonality is linear in the 4n diagonal entries of Q: an n^2 x 4n
+homogeneous system, built and solved by columns. Its solutions are searched
+for one meeting the per-qubit constraints a_i d_i + b_i c_i = 1. Qubit i's
+constraint reads only qubit i's coordinates, so the null-space basis splits
+into blocks with disjoint qubit supports, each searched on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 
 from . import clifford, gf2, stabilizer
 from .errors import InternalError
@@ -29,85 +32,95 @@ class Equivalent:
 
 @dataclass(frozen=True)
 class Inequivalent:
-    """The full solution space was exhausted; no valid witness exists."""
+    """No vector of the solution space meets the constraints; no witness exists."""
 
 
 @dataclass(frozen=True)
 class Indeterminate:
-    """The search cap was hit before the solution space was exhausted."""
+    """The cap ran out after ``searched`` candidates, in a block of dimension ``space_dim``."""
 
     searched: int
     space_dim: int
 
 
 def build_linear_system(sa, sb):
-    """The n^2 x 4n system whose solutions are the orthogonality-compatible diagonals.
+    """The homogeneous system by columns: one n^2-bit row per unknown.
 
-    Row (a, b) states that generator a of the first matrix, pushed through the
-    unknown operation, commutes with generator b of the second. Unknowns are
-    ordered (A_1..A_n, B_1..B_n, C_1..C_n, D_1..D_n); the coefficient of A_i
-    is z_{a,i} x'_{b,i}, of B_i is x_{a,i} x'_{b,i}, of C_i is z_{a,i}
-    z'_{b,i}, and of D_i is x_{a,i} z'_{b,i}.
+    Equation (a, b), at bit a*n + b, states that generator a of the first
+    matrix, pushed through the unknown operation, commutes with generator b
+    of the second. Unknowns are ordered (A_1..A_n, B_1..B_n, C_1..C_n,
+    D_1..D_n); the coefficient of A_i is z_{a,i} x'_{b,i}, of B_i is
+    x_{a,i} x'_{b,i}, of C_i is z_{a,i} z'_{b,i}, and of D_i is x_{a,i}
+    z'_{b,i}: a Kronecker product of row i (Z) or n + i (X) of each matrix.
     """
     n = sa.n
     if sb.n != n:
         raise ValueError("qubit count mismatch")
-    mask = (1 << n) - 1
-    gens_b = gf2.transpose(sb.s).row_ints
-    rows = []
-    for ga in gf2.transpose(sa.s).row_ints:
-        za, xa = ga & mask, ga >> n
-        for gb in gens_b:
-            zb, xb = gb & mask, gb >> n
-            rows.append(
-                (za & xb) | (xa & xb) << n | (za & zb) << (2 * n) | (xa & zb) << (3 * n)
-            )
-    return BitMatrix(n * n, 4 * n, rows)
+    # bit a moved to bit a*n; times an n-bit row this is the Kronecker product
+    spread = [int(("0" * (n - 1)).join(format(r, f"0{n}b")), 2) for r in sa.s.row_ints]
+    za, xa = spread[:n], spread[n:]
+    zb, xb = sb.s.row_ints[:n], sb.s.row_ints[n:]
+    pairs = ((za, xb), (xa, xb), (za, zb), (xa, zb))
+    return BitMatrix(4 * n, n * n, [u * v for us, vs in pairs for u, v in zip(us, vs)])
+
+
+def _blocks(basis, n):
+    """(qubit support, vectors in basis order) for each block of the basis.
+
+    A vector's qubit support is the OR of its four n-bit fields; vectors
+    whose supports overlap, directly or through others, share a block.
+    """
+    supports = [(v | v >> n | v >> 2 * n | v >> 3 * n) & ((1 << n) - 1) for v in basis]
+    merged = []
+    for s in supports:
+        for m in merged:
+            s |= m if m & s else 0
+        merged = [m for m in merged if not m & s] + [s]
+    return [(m, [v for v, s in zip(basis, supports) if s & m]) for m in merged]
 
 
 def test_equivalence(sa, sb, search_cap=DEFAULT_SEARCH_CAP):
     """Decide equivalence of two stabilizer states.
 
-    The null space of the linear system is enumerated lexicographically over
-    basis coefficients (all-zero skipped: it never meets the constraints) and
-    the first candidate passing all per-qubit constraints is verified and
-    returned. Exhausting the whole space proves inequivalence; hitting the
-    cap first yields Indeterminate. Deterministic for fixed inputs and cap.
+    A qubit outside every block, or a block with no valid vector, proves
+    inequivalence. Each block, smallest first, is enumerated
+    lexicographically over its coefficients (first vector most significant,
+    all-zero skipped); the XOR of the blocks' first valid vectors is the
+    lexicographically first valid vector of the whole space, and is verified
+    before it is returned. ``search_cap`` bounds the candidates over all
+    blocks. Deterministic for fixed inputs and cap.
     """
     n = sa.n
     if sb.n != n:
         raise ValueError("qubit count mismatch")
-    basis = gf2.solve_homogeneous(build_linear_system(sa, sb))
-    dim = len(basis)
-    total = (1 << dim) - 1
-    limit = total if total <= search_cap else search_cap
-    basis_bits = [v.bits for v in basis]
+    basis = [v.bits for v in gf2.solve_homogeneous(build_linear_system(sa, sb))]
+    blocks = sorted(_blocks(basis, n), key=lambda block: len(block[1]))
     mask = (1 << n) - 1
-    for t in range(1, limit + 1):
-        x = 0
-        bits = t
-        while bits:
-            low = bits & -bits
-            # bit j of the counter is coefficient dim - j, so ascending
-            # counters enumerate coefficient tuples lexicographically
-            x ^= basis_bits[dim - low.bit_length()]
-            bits ^= low
-        av = x & mask
-        bv = (x >> n) & mask
-        cv = (x >> (2 * n)) & mask
-        dv = (x >> (3 * n)) & mask
-        if ((av & dv) ^ (bv & cv)) != mask:
-            continue
-        q = clifford.LocalCliffordOp(
-            BitVec(n, av), BitVec(n, bv), BitVec(n, cv), BitVec(n, dv)
-        )
-        image = stabilizer.StabilizerGenMatrix._trusted(clifford.apply_to_stabilizer(q, sa))
-        if not stabilizer.same_subspace(image, sb):
-            raise InternalError("solver candidate passed constraints but moved the subspace")
-        return Equivalent(q)
-    if limit == total:
+    if sum(support for support, _ in blocks) != mask:
         return Inequivalent()
-    return Indeterminate(searched=limit, space_dim=dim)
+    x = searched = 0
+    for support, vectors in blocks:
+        total = (1 << len(vectors)) - 1
+        limit = min(total, search_cap - searched)
+        # counter bit j is the coefficient of vectors[-1 - j]; from t - 1 to t
+        # the bits 0..j flip, for the lowest set bit j of t
+        flips = list(accumulate(reversed(vectors), xor))
+        y = 0
+        for t in range(1, limit + 1):
+            y ^= flips[(t & -t).bit_length() - 1]
+            if ((y & y >> 3 * n) ^ (y >> n & y >> 2 * n)) & support == support:
+                break
+        else:
+            if limit == total:
+                return Inequivalent()
+            return Indeterminate(searched=searched + limit, space_dim=len(vectors))
+        searched += t
+        x ^= y
+    q = clifford.LocalCliffordOp(*(BitVec(n, x >> (f * n) & mask) for f in range(4)))
+    image = stabilizer.StabilizerGenMatrix._trusted(clifford.apply_to_stabilizer(q, sa))
+    if not stabilizer.same_subspace(image, sb):
+        raise InternalError("solver candidate passed constraints but moved the subspace")
+    return Equivalent(q)
 
 
 def test_equivalence_graphs(g, h, search_cap=DEFAULT_SEARCH_CAP):

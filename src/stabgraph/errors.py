@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+MAX_QUBITS = 1 << 16  # the largest vertex or qubit count a parser accepts
+
 
 class ParseError(ValueError):
     """A text artifact (graph, stabilizer, clifford, sequence, matrix) failed to parse.

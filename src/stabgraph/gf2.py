@@ -10,7 +10,7 @@ All values are immutable and hashable; every operation returns a new value.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import MAX_QUBITS, ParseError
 
 
 class SingularError(Exception):
@@ -221,16 +221,6 @@ def mat_mul(a, b):
     return BitMatrix(a.rows, b.cols, out)
 
 
-def mat_vec(m, v):
-    """Matrix-vector product m.v over GF(2)."""
-    if m.cols != v.n:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for i, row in enumerate(m.row_ints):
-        acc |= ((row & v.bits).bit_count() & 1) << i
-    return BitVec(m.rows, acc)
-
-
 def transpose(m):
     out = [0] * m.cols
     for i, row in enumerate(m.row_ints):
@@ -270,11 +260,6 @@ def is_symmetric(m):
     return m.is_square() and m == transpose(m)
 
 
-def diag_from_vec(v):
-    """Diagonal matrix with the coordinates of ``v`` on the diagonal."""
-    return BitMatrix(v.n, v.n, [((v.bits >> i) & 1) << i for i in range(v.n)])
-
-
 def hstack(a, b):
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
@@ -295,16 +280,24 @@ def eliminate(rows, columns):
     lowest-index row not yet used as a pivot that has the bit set; it is XORed
     into every other row that has the bit set. Rows are never reordered, so
     callers can carry bookkeeping bits above the eliminated ones. Returns the
-    ``(column, row index)`` pivots in column order.
+    ``(column, row index)`` pivots in column order. ``unused`` covers the bits
+    of every unused row (XORing unused rows sets no new bit), so a column
+    outside it is skipped without a scan; a scan that finds no pivot renews it.
     """
     pivots = []
     used = [False] * len(rows)
+    unused = -1
     for col in columns:
         if len(pivots) == len(rows):
             break
         bit = 1 << col
+        if not unused & bit:
+            continue
         pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
         if pivot is None:
+            unused = 0
+            for r, u in zip(rows, used):
+                unused |= 0 if u else r
             continue
         used[pivot] = True
         pivots.append((col, pivot))
@@ -335,38 +328,25 @@ def try_invert(m):
     return BitMatrix(n, n, [work[i] >> n for _, i in pivots])
 
 
-def invert(m):
-    """Inverse of a square matrix; raises SingularError when rank < n."""
-    inv = try_invert(m)
-    if inv is None:
-        raise SingularError(f"{m.rows}x{m.cols} matrix is singular")
-    return inv
-
-
 def is_invertible(m):
     return m.is_square() and try_invert(m) is not None
 
 
-def solve_homogeneous(m):
-    """Basis of the null space {x : m.x = 0}, in reduced echelon order.
+def solve_homogeneous(mt):
+    """Basis of the null space {x : m.x = 0}, given the system by columns.
 
-    One basis vector per free column, ordered by ascending free-column index;
-    each has a 1 at its free column and the matching echelon entries at the
-    pivot columns. This is the unique reduced basis of the null space.
+    Row j of ``mt`` is column j of m. After eliminating [mt | I], the upper
+    bits of the non-pivot rows span the null space; eliminating those over
+    descending coordinates gives the unique reduced basis: per free column of
+    m (one dependent on those before it), ascending, the vector with its
+    highest 1 there and 0 at the other free columns.
     """
-    rows = list(m.row_ints)
-    pivots = eliminate(rows, range(m.cols))
-    pivot_cols = {col for col, _ in pivots}
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        bits = 1 << free
-        for col, i in pivots:
-            if (rows[i] >> free) & 1:
-                bits |= 1 << col
-        basis.append(BitVec(m.cols, bits))
-    return basis
+    width = mt.cols
+    rows = [r | 1 << (width + j) for j, r in enumerate(mt.row_ints)]
+    pivot_rows = {i for _, i in eliminate(rows, range(width))}
+    null = [r >> width for i, r in enumerate(rows) if i not in pivot_rows]
+    pivots = eliminate(null, range(mt.rows - 1, -1, -1))
+    return [BitVec(mt.rows, null[i]) for _, i in reversed(pivots)]
 
 
 def format_matrix(m):
@@ -389,8 +369,8 @@ def parse_matrix(text):
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("expected two integers in header", line=1) from None
-    if rows < 0 or cols < 0:
-        raise ParseError("dimensions must be >= 0", line=1)
+    if not (0 <= rows <= 2 * MAX_QUBITS and 0 <= cols <= 2 * MAX_QUBITS):  # 2n x n at most
+        raise ParseError(f"dimensions must be in 0..{2 * MAX_QUBITS}", line=1)
     if len(lines) - 1 < rows:
         raise ParseError(f"expected {rows} data rows, found {len(lines) - 1}", line=len(lines))
     ints = []

@@ -8,7 +8,7 @@ every transformation returns a new graph.
 from __future__ import annotations
 
 from . import gf2
-from .errors import ParseError
+from .errors import MAX_QUBITS, ParseError
 from .gf2 import BitMatrix
 
 
@@ -180,8 +180,8 @@ def parse_edge_list(text):
                 n = int(line)
             except ValueError:
                 raise ParseError("expected vertex count", line=lineno) from None
-            if n < 1:
-                raise ParseError("vertex count must be >= 1", line=lineno)
+            if not 1 <= n <= MAX_QUBITS:
+                raise ParseError(f"vertex count must be in 1..{MAX_QUBITS}", line=lineno)
             rows = [0] * n
             continue
         parts = line.split()

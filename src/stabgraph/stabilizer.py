@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from . import gf2
-from .errors import ParseError
+from .errors import MAX_QUBITS, ParseError
 from .gf2 import BitMatrix, BitVec
 
 
@@ -234,6 +234,8 @@ def parse_stabilizer(text):
     stripped = [ln for ln in text.splitlines() if ln.strip()]
     if stripped and len(stripped[0].split()) == 2 and _all_ints(stripped[0].split()):
         m = gf2.parse_matrix(text)
+        if m.cols < 1:
+            raise ParseError("qubit count must be >= 1", line=1)
         try:
             return StabilizerGenMatrix(m)
         except StabilizerError as exc:
@@ -243,6 +245,8 @@ def parse_stabilizer(text):
         line = raw.strip()
         if not line:
             continue
+        if len(line) - (line[0] in "+-") > MAX_QUBITS:
+            raise ParseError(f"qubit count must be <= {MAX_QUBITS}", line=lineno)
         try:
             paulis.append(PauliString.from_text(line))
         except ParseError as exc:

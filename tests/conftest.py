@@ -1,12 +1,13 @@
-"""Shared random-instance generators, naive list-of-lists GF(2) oracles and
-the matrix reference for the decomposition walk.
+"""Shared random-instance generators, naive list-of-lists GF(2) oracles, the
+matrix reference for the decomposition walk and the reference equivalence
+solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
 sharing any code with them.
 """
 
-from stabgraph import clifford, gf2, graphs
+from stabgraph import clifford, equivalence, gf2, graphs, stabilizer
 
 
 def rows_of(m):
@@ -47,6 +48,29 @@ def naive_rank(rows):
                 work[i] = [(x + y) % 2 for x, y in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def mat_vec(m, v):
+    """Matrix-vector product m.v over GF(2)."""
+    if m.cols != v.n:
+        raise ValueError("dimension mismatch")
+    acc = 0
+    for i, row in enumerate(m.row_ints):
+        acc |= ((row & v.bits).bit_count() & 1) << i
+    return gf2.BitVec(m.rows, acc)
+
+
+def diag_from_vec(v):
+    """Diagonal matrix with the coordinates of ``v`` on the diagonal."""
+    return gf2.BitMatrix(v.n, v.n, [((v.bits >> i) & 1) << i for i in range(v.n)])
+
+
+def invert(m):
+    """Inverse of a square matrix; raises SingularError when rank < n."""
+    inv = gf2.try_invert(m)
+    if inv is None:
+        raise gf2.SingularError(f"{m.rows}x{m.cols} matrix is singular")
+    return inv
 
 
 def cd_step(m, i):
@@ -148,3 +172,84 @@ def _all_blocks():
                     if (a & d) ^ (b & c):
                         out.append((a, b, c, d))
     return out
+
+
+def reference_linear_system(sa, sb):
+    """The n^2 x 4n equivalence system by rows, row (a, b) at index a*n + b.
+
+    The layout ``equivalence.build_linear_system`` returns transposed: the
+    coefficient of A_i is z_{a,i} x'_{b,i}, of B_i is x_{a,i} x'_{b,i}, of
+    C_i is z_{a,i} z'_{b,i}, and of D_i is x_{a,i} z'_{b,i}.
+    """
+    n = sa.n
+    mask = (1 << n) - 1
+    gens_b = gf2.transpose(sb.s).row_ints
+    rows = []
+    for ga in gf2.transpose(sa.s).row_ints:
+        za, xa = ga & mask, ga >> n
+        for gb in gens_b:
+            zb, xb = gb & mask, gb >> n
+            rows.append(
+                (za & xb) | (xa & xb) << n | (za & zb) << (2 * n) | (xa & zb) << (3 * n)
+            )
+    return gf2.BitMatrix(n * n, 4 * n, rows)
+
+
+def reference_null_space(m):
+    """Reduced null-space basis of m by row elimination, free columns ascending.
+
+    Its own Gauss-Jordan loop, sharing no code with ``gf2.eliminate``.
+    """
+    rows = list(m.row_ints)
+    pivots = []
+    for col in range(m.cols):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i] >> col & 1), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        for i in range(len(rows)):
+            if i != top and rows[i] >> col & 1:
+                rows[i] ^= rows[top]
+        pivots.append(col)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for k, col in enumerate(pivots):
+            if rows[k] >> free & 1:
+                bits |= 1 << col
+        basis.append(bits)
+    return basis
+
+
+def reference_equivalence(sa, sb, search_cap=equivalence.DEFAULT_SEARCH_CAP):
+    """The solver as one global lexicographic search over the whole null space.
+
+    Counts up through the 2^dim - 1 nonzero coefficient tuples, the first
+    basis vector most significant, and returns the first vector meeting
+    every constraint a_i d_i + b_i c_i = 1, verified; Inequivalent when the
+    whole space fails, Indeterminate when ``search_cap`` runs out first.
+    """
+    n = sa.n
+    basis = reference_null_space(reference_linear_system(sa, sb))
+    dim = len(basis)
+    total = (1 << dim) - 1
+    limit = min(total, search_cap)
+    mask = (1 << n) - 1
+    for t in range(1, limit + 1):
+        x = 0
+        for j in range(dim):
+            if t >> (dim - 1 - j) & 1:
+                x ^= basis[j]
+        a, b, c, d = (x >> (k * n) & mask for k in range(4))
+        if (a & d) ^ (b & c) != mask:
+            continue
+        q = clifford.LocalCliffordOp(*(gf2.BitVec(n, v) for v in (a, b, c, d)))
+        moved = stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, sa))
+        assert stabilizer.same_subspace(moved, sb)
+        return equivalence.Equivalent(q)
+    if limit == total:
+        return equivalence.Inequivalent()
+    return equivalence.Indeterminate(searched=limit, space_dim=dim)

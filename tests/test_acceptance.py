@@ -107,7 +107,7 @@ def test_05_cd_reduction_to_identity():
         def check(g, c, d):
             n = g.n
             m = clifford.cd_matrix(g.adj, c, d)
-            seq = reduce_to_identity(g, c, d)
+            seq, _ = reduce_to_identity(g, c, d)
             for v in seq.expand():
                 m = cd_step(m, v)
             assert m == gf2.identity(n)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_graph
 from stabgraph import cli, clifford, gf2, graphs, stabilizer
+from stabgraph.errors import MAX_QUBITS
 from stabgraph.graphs import Graph
 
 
@@ -96,6 +97,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("canon", "huge.graph", "1000000000000\n"),
+        ("decompose", "huge.lc", "1000000000000\n"),
+        ("reduce", "huge.stab", "2000000000000 1000000000000\n"),
+        ("reduce", "long.stab", "X" * (MAX_QUBITS + 1) + "\n"),
+        ("reduce", "empty.stab", "0 0\n"),
+    ],
+    ids=["graph", "clifford", "matrix", "pauli", "zero-qubits"],
+)
+def test_counts_out_of_range_are_parse_errors(tmp_path, capsys, command, name, text):
+    # a header is checked against MAX_QUBITS before anything sized by it is allocated
+    path = write(tmp_path, name, text)
+    argv = [command, path]
+    if command == "decompose":
+        argv.append(graph_file(tmp_path, "g.graph", Graph.path(3)))
+    assert cli.run(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: parse: {path}: line 1: ")
 
 
 def test_missing_file(tmp_path, capsys):
@@ -211,6 +233,15 @@ def test_equiv_inequivalent(tmp_path, capsys):
     edge = graph_file(tmp_path, "edge.graph", Graph.from_edges(2, [(1, 2)]))
     empty = graph_file(tmp_path, "empty.graph", Graph.empty(2))
     assert cli.run(["equiv", edge, empty]) == cli.EXIT_INEQUIVALENT
+    assert capsys.readouterr().out.splitlines()[0] == "inequivalent"
+
+
+def test_equiv_product_states_decided_block_by_block(tmp_path, capsys):
+    # the solution space has dimension 25, too large to search as a whole; it
+    # splits into one block per qubit, and qubit 1's block has no valid vector
+    empty = graph_file(tmp_path, "empty.graph", Graph.empty(9))
+    edge = graph_file(tmp_path, "edge.graph", Graph.from_edges(9, [(1, 2)]))
+    assert cli.run(["equiv", empty, edge]) == cli.EXIT_INEQUIVALENT
     assert capsys.readouterr().out.splitlines()[0] == "inequivalent"
 
 

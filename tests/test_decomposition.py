@@ -129,7 +129,7 @@ def test_factor_cd_form_accepts_singular_members():
 
 
 def test_reduce_identity_empty_sequence():
-    assert reduce_to_identity(Graph.empty(3), BitVec.zeros(3), BitVec.ones(3)).steps == ()
+    assert reduce_to_identity(Graph.empty(3), BitVec.zeros(3), BitVec.ones(3))[0].steps == ()
 
 
 def test_reduce_single_step_case():
@@ -137,7 +137,7 @@ def test_reduce_single_step_case():
     edge = Graph.from_edges(2, [(1, 2)])
     c, d = BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1])
     assert clifford.cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
-    seq = reduce_to_identity(edge, c, d)
+    seq, _ = reduce_to_identity(edge, c, d)
     assert seq.steps == (Single(1),)
 
 
@@ -145,7 +145,7 @@ def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = Graph.from_edges(2, [(1, 2)])
     assert clifford.cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2)) == edge.adj
-    seq = reduce_to_identity(edge, BitVec.ones(2), BitVec.zeros(2))
+    seq, _ = reduce_to_identity(edge, BitVec.ones(2), BitVec.zeros(2))
     assert seq.steps == (Triple(1, 2),)
     m = edge.adj
     for v in (1, 2, 1):
@@ -162,7 +162,8 @@ def apply_steps(m, seq):
 def test_reduce_exhaustive_small():
     for n in range(1, 4):
         for g, c, d in cd_members(n):
-            seq = reduce_to_identity(g, c, d)
+            seq, walked = reduce_to_identity(g, c, d)
+            assert walked == apply_sequence(g, seq)
             assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(n)
             kinds = [isinstance(s, Triple) for s in seq.steps]
             assert kinds == sorted(kinds)  # singles strictly before triples
@@ -174,7 +175,8 @@ def test_reduce_random_members():
     rng = random.Random(61)
     for _ in range(300):
         g, c, d = random_cd_member(rng, rng.randrange(1, 13))
-        seq = reduce_to_identity(g, c, d)
+        seq, walked = reduce_to_identity(g, c, d)
+        assert walked == apply_sequence(g, seq)
         assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(g.n)
         indices = seq.vertex_indices()
         assert len(set(indices)) == len(indices)

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph
-from stabgraph import clifford, gf2, graphs, orbit, stabilizer
+from conftest import (
+    all_graphs,
+    random_graph,
+    random_invertible,
+    random_valid_clifford,
+    reference_equivalence,
+)
+from stabgraph import clifford, equivalence, gf2, graphs, orbit, stabilizer
 from stabgraph.decomposition import LCSequence, Single, apply_sequence
 from stabgraph.equivalence import (
     Equivalent,
@@ -26,14 +32,14 @@ def pauli_stab(*texts):
 
 
 def test_system_single_qubit_z_z():
-    sys = build_linear_system(pauli_stab("Z"), pauli_stab("Z"))
+    sys = gf2.transpose(build_linear_system(pauli_stab("Z"), pauli_stab("Z")))
     # unknowns ordered (A, B, C, D); the only equation is C = 0
     assert sys.rows == 1 and sys.cols == 4
     assert sys.row_ints == (0b0100,)
 
 
 def test_system_single_qubit_z_x():
-    sys = build_linear_system(pauli_stab("Z"), pauli_stab("X"))
+    sys = gf2.transpose(build_linear_system(pauli_stab("Z"), pauli_stab("X")))
     assert sys.row_ints == (0b0001,)  # A = 0
 
 
@@ -61,7 +67,7 @@ def test_system_rows_match_naive_oracle():
         n = rng.randrange(1, 5)
         sa = stabilizer.random_stabilizer(n, rng.randrange(1000))
         sb = stabilizer.random_stabilizer(n, rng.randrange(1000))
-        sys = build_linear_system(sa, sb)
+        sys = gf2.transpose(build_linear_system(sa, sb))
         for _ in range(10):
             bits = rng.getrandbits(4 * n)
             vec = BitVec(4 * n, bits)
@@ -194,3 +200,77 @@ def test_stabilizer_level_equivalence():
 def test_qubit_count_mismatch():
     with pytest.raises(ValueError):
         decide(pauli_stab("Z"), pauli_stab("ZZ", "XX"))
+
+
+def _same_verdict(got, want):
+    """Bit-identical verdicts: the same type and, when equivalent, the same witness."""
+    return type(got) is type(want) and (not isinstance(got, Equivalent) or got.q == want.q)
+
+
+def _check_against_reference(sa, sb):
+    assert _same_verdict(decide(sa, sb), reference_equivalence(sa, sb))
+    for cap in (1, 3, 50):
+        got = decide(sa, sb, search_cap=cap)
+        want = reference_equivalence(sa, sb, search_cap=cap)
+        if not isinstance(want, Indeterminate):
+            assert _same_verdict(got, want), cap
+        elif not isinstance(got, Indeterminate):
+            # deciding where the reference ran out is allowed, deciding wrongly is not
+            assert _same_verdict(got, reference_equivalence(sa, sb)), cap
+
+
+def test_matches_reference_on_all_4_vertex_pairs():
+    states = [stabilizer.from_graph(g) for g in all_graphs(4)]
+    for sa in states:
+        for sb in states:
+            _check_against_reference(sa, sb)
+
+
+def test_matches_reference_on_seeded_stabilizer_pairs():
+    rng = random.Random(76)
+    for k in range(500):
+        n = rng.randrange(1, 9)
+        sa = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        if k % 2:
+            sb = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        else:
+            moved = clifford.apply_to_stabilizer(random_valid_clifford(rng, n), sa)
+            sb = stabilizer.basis_change(
+                stabilizer.StabilizerGenMatrix(moved), random_invertible(rng, n)
+            )
+        _check_against_reference(sa, sb)
+
+
+def _support(v, n):
+    return (v | v >> n | v >> 2 * n | v >> 3 * n) & ((1 << n) - 1)
+
+
+def test_blocks_are_the_components_of_overlapping_supports():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        basis = []
+        for _ in range(rng.randrange(7)):
+            u = rng.getrandbits(n)
+            v = rng.getrandbits(4 * n) & (u | u << n | u << 2 * n | u << 3 * n)
+            if v:
+                basis.append(v)
+        blocks = equivalence._blocks(basis, n)
+        assert sorted(v for _, vs in blocks for v in vs) == sorted(basis)
+        for k, (support, vectors) in enumerate(blocks):
+            # basis order inside the block, disjoint from every other block
+            assert [v for v in basis if v in vectors] == vectors
+            union = 0
+            for v in vectors:
+                union |= _support(v, n)
+            assert support == union
+            assert not any(support & other for j, (other, _) in enumerate(blocks) if j != k)
+            # and connected: growing from the first vector reaches them all
+            reached, grown = _support(vectors[0], n), True
+            while grown:
+                grown = False
+                for v in vectors:
+                    if _support(v, n) & reached and _support(v, n) & ~reached:
+                        reached |= _support(v, n)
+                        grown = True
+            assert reached == support

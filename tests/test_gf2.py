@@ -5,6 +5,9 @@ import random
 import pytest
 
 from conftest import (
+    diag_from_vec,
+    invert,
+    mat_vec,
     naive_mat_mul,
     naive_rank,
     random_bitmatrix,
@@ -66,9 +69,9 @@ def test_mat_mul_dimension_mismatch():
 
 
 def test_invert_identity_and_permutation():
-    assert gf2.invert(gf2.identity(4)) == gf2.identity(4)
+    assert invert(gf2.identity(4)) == gf2.identity(4)
     swap = BitMatrix.from_rows([[0, 1], [1, 0]])
-    assert gf2.invert(swap) == swap
+    assert invert(swap) == swap
 
 
 def test_single_vertex_shear_is_self_inverse():
@@ -87,7 +90,7 @@ def test_single_vertex_shear_is_self_inverse():
         m_rows[i] ^= rows[i]
         m = BitMatrix(n, n, m_rows)
         assert gf2.mat_mul(m, m) == gf2.identity(n)
-        assert gf2.invert(m) == m
+        assert invert(m) == m
 
 
 def test_invert_random_roundtrip():
@@ -95,19 +98,19 @@ def test_invert_random_roundtrip():
     for _ in range(500):
         n = rng.randrange(1, 13)
         m = random_invertible(rng, n)
-        assert gf2.mat_mul(gf2.invert(m), m) == gf2.identity(n)
+        assert gf2.mat_mul(invert(m), m) == gf2.identity(n)
 
 
 def test_invert_wide_matrices():
     # rows wider than one machine word
     rng = random.Random(9)
     m = random_invertible(rng, 100)
-    assert gf2.mat_mul(gf2.invert(m), m) == gf2.identity(100)
+    assert gf2.mat_mul(invert(m), m) == gf2.identity(100)
 
 
 def test_invert_singular():
     with pytest.raises(SingularError):
-        gf2.invert(BitMatrix.zeros(3, 3))
+        invert(BitMatrix.zeros(3, 3))
     assert gf2.try_invert(BitMatrix.from_rows([[1, 1], [1, 1]])) is None
 
 
@@ -125,20 +128,20 @@ def test_rank_matches_naive_oracle():
 
 
 def test_solve_homogeneous_trivial():
-    assert gf2.solve_homogeneous(gf2.identity(4)) == []
-    basis = gf2.solve_homogeneous(BitMatrix.zeros(3, 3))
+    assert gf2.solve_homogeneous(gf2.transpose(gf2.identity(4))) == []
+    basis = gf2.solve_homogeneous(gf2.transpose(BitMatrix.zeros(3, 3)))
     assert len(basis) == 3
 
 
 def test_solve_homogeneous_single_row():
     m = BitMatrix.from_rows([[1, 1, 0]])
-    basis = gf2.solve_homogeneous(m)
+    basis = gf2.solve_homogeneous(gf2.transpose(m))
     assert len(basis) == 2
     # oracle: enumerate all 8 vectors and compare kernels
     kernel = set()
     for bits in range(8):
         v = BitVec(3, bits)
-        if gf2.mat_vec(m, v).bits == 0:
+        if mat_vec(m, v).bits == 0:
             kernel.add(bits)
     spanned = set()
     for coeff in range(4):
@@ -154,15 +157,15 @@ def test_solve_homogeneous_properties():
     rng = random.Random(6)
     for _ in range(200):
         m = random_bitmatrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-        basis = gf2.solve_homogeneous(m)
+        basis = gf2.solve_homogeneous(gf2.transpose(m))
         assert len(basis) == m.cols - gf2.rank(m)
         for b in basis:
-            assert gf2.mat_vec(m, b).bits == 0
+            assert mat_vec(m, b).bits == 0
 
 
 def test_solve_homogeneous_deterministic_order():
     m = BitMatrix.from_rows([[1, 0, 1, 1]])
-    basis = gf2.solve_homogeneous(m)
+    basis = gf2.solve_homogeneous(gf2.transpose(m))
     # free columns ascending, each with the matching pivot-column fill
     assert [b.to01() for b in basis] == ["0100", "1010", "1001"]
 
@@ -253,13 +256,13 @@ def test_try_invert_matches_brute_force():
 
 def test_null_basis_is_the_reduced_basis():
     for m in _random_matrices(34, 300):
-        basis = gf2.solve_homogeneous(m)
+        basis = gf2.solve_homogeneous(gf2.transpose(m))
         assert len(basis) == m.cols - _brute_rank(m)
         free = [b.bits.bit_length() - 1 for b in basis]
         assert free == sorted(set(range(m.cols)) - set(_first_independent_columns(m)))
         free_mask = sum(1 << f for f in free)
         for f, b in zip(free, basis):
-            assert gf2.mat_vec(m, b).bits == 0
+            assert mat_vec(m, b).bits == 0
             assert b.bits & free_mask == 1 << f
 
 
@@ -274,7 +277,7 @@ def test_helpers():
     assert gf2.column(sq, 1) == BitVec.from_bits([1, 1])
     assert gf2.is_symmetric(gf2.all_ones_offdiag(4))
     assert not gf2.is_symmetric(sq)
-    assert gf2.diag_from_vec(BitVec.from_bits([1, 0, 1])) == BitMatrix.from_rows(
+    assert diag_from_vec(BitVec.from_bits([1, 0, 1])) == BitMatrix.from_rows(
         [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
 
@@ -292,13 +295,13 @@ def test_symplectic_form():
     z1 = BitVec.from_bits([1, 0, 0, 0])
     z2 = BitVec.from_bits([0, 1, 0, 0])
     x1 = BitVec.from_bits([0, 0, 1, 0])
-    assert z1.dot(gf2.mat_vec(p, x1)) == 1
-    assert z1.dot(gf2.mat_vec(p, z2)) == 0
+    assert z1.dot(mat_vec(p, x1)) == 1
+    assert z1.dot(mat_vec(p, z2)) == 0
     assert gf2.is_symmetric(p)
     assert gf2.mat_mul(p, p) == gf2.identity(4)
     for u in (z1, z2, x1):
         for v in (z1, z2, x1):
-            assert u.dot(gf2.mat_vec(p, v)) == v.dot(gf2.mat_vec(p, u))
+            assert u.dot(mat_vec(p, v)) == v.dot(mat_vec(p, u))
 
 
 def test_matrix_text_roundtrip():
