@@ -39,7 +39,7 @@ from .graphs import (
     local_complement,
     neighborhood,
 )
-from .orbit import CapExceededError, Orbit, canonical_form, enumerate_orbit, same_orbit
+from .orbit import CapExceededError, Orbit, enumerate_orbit
 from .reduction import ReductionWitness, to_graph_state, verify_witness
 from .stabilizer import (
     PauliString,
@@ -75,7 +75,6 @@ __all__ = [
     "Triple",
     "apply_sequence",
     "basis_change",
-    "canonical_form",
     "complement",
     "complete_from_cd",
     "compose",
@@ -90,7 +89,6 @@ __all__ = [
     "neighborhood",
     "random_stabilizer",
     "reduce_to_identity",
-    "same_orbit",
     "same_subspace",
     "test_equivalence",
     "test_equivalence_graphs",

@@ -50,64 +50,61 @@ def _build_parser():
     p.add_argument("--out-graph", help="output graph file (default: <stem>.graph)")
     p.add_argument("--out-clifford", help="output witness operation file (default: <stem>.lc)")
     p.add_argument("--out-basis", help="output basis-change matrix file (default: <stem>.basis)")
-    _flags(p, "seed", "verify", "quiet")
+    _command(p, _cmd_reduce, "verify", "quiet")
 
     p = sub.add_parser("decompose", help="turn a graph action into complementation steps")
     p.add_argument("clifford", help="local Clifford operation file")
     p.add_argument("graph", help="graph file")
     p.add_argument("--out", help="output sequence file (default: <graph stem>.lcs)")
-    _flags(p, "verify", "quiet")
+    _command(p, _cmd_decompose, "verify", "quiet")
 
     p = sub.add_parser("apply", help="apply a complementation sequence to a graph")
     p.add_argument("graph", help="graph file")
     p.add_argument("sequence", help="sequence file")
     p.add_argument("--out", help="output graph file (default: <graph stem>.out.graph)")
-    _flags(p, "verify", "quiet")
+    _command(p, _cmd_apply, "verify", "quiet")
 
     p = sub.add_parser("orbit", help="enumerate the orbit under local complementation")
     p.add_argument("graph", help="graph file")
     p.add_argument("--members", help="write every member to this file")
     p.add_argument("--dot", help="write every member as DOT to this file")
-    _flags(p, "cap", "verify", "quiet")
+    _command(p, _cmd_orbit, "cap", "verify", "quiet", cap=orbit.DEFAULT_MEMBER_CAP)
 
     p = sub.add_parser("canon", help="print the canonical orbit representative")
     p.add_argument("graph", help="graph file")
     p.add_argument("--out", help="write the representative to a file instead")
-    _flags(p, "cap", "quiet")
+    _command(p, _cmd_canon, "cap", "quiet", cap=orbit.DEFAULT_MEMBER_CAP)
 
     p = sub.add_parser("equiv", help="decide local Clifford equivalence of two states")
     p.add_argument("first", help="graph or stabilizer file")
     p.add_argument("second", help="graph or stabilizer file")
     p.add_argument("--witness", default="witness.lc", help="witness output (default: witness.lc)")
-    _flags(p, "cap", "seed", "verify", "quiet")
+    _command(p, _cmd_equiv, "cap", "verify", "quiet", cap=equivalence.DEFAULT_SEARCH_CAP)
 
     p = sub.add_parser("export-dot", help="write a graph in DOT format")
     p.add_argument("graph", help="graph file")
     p.add_argument("--out", help="output file (default: stdout)")
-    _flags(p, "quiet")
+    _command(p, _cmd_export_dot, "quiet")
 
     p = sub.add_parser("oracle-check", help="dense statevector self-checks for a graph")
     p.add_argument("graph", help="graph file")
-    _flags(p, "seed", "quiet")
+    _command(p, _cmd_oracle_check, "quiet")
 
     return parser
 
 
 _FLAGS = {
-    "cap": dict(type=int, default=None, help="orbit member cap / search cap"),
-    "seed": dict(type=int, default=0, help="seed for the oracle's projector construction"),
+    "cap": dict(type=int, help="orbit member cap / search cap"),
     "verify": dict(action="store_true", help="cross-check the result (see README)"),
     "quiet": dict(action="store_true", help="suppress non-error output"),
 }
 
 
-def _flags(p, *names):
-    """Add the shared flags a command reads, and no others."""
+def _command(p, handler, *names, **defaults):
+    """Give a command its handler and the shared flags it reads, and no others."""
     for name in names:
         p.add_argument(f"--{name}", **_FLAGS[name])
-
-
-_PARSER = _build_parser()
+    p.set_defaults(handler=handler, **defaults)
 
 
 def run(argv):
@@ -118,7 +115,7 @@ def run(argv):
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -138,20 +135,6 @@ def run(argv):
         message = str(exc).replace("\n", " ")
         print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_FAILURE
-
-
-def _dispatch(args):
-    handler = {
-        "reduce": _cmd_reduce,
-        "decompose": _cmd_decompose,
-        "apply": _cmd_apply,
-        "orbit": _cmd_orbit,
-        "canon": _cmd_canon,
-        "equiv": _cmd_equiv,
-        "export-dot": _cmd_export_dot,
-        "oracle-check": _cmd_oracle_check,
-    }[args.command]
-    return handler(args)
 
 
 def _say(args, message):
@@ -206,21 +189,31 @@ def _cmd_reduce(args):
     _say(args, f"witness operation -> {clifford_path}")
     _say(args, f"basis change -> {basis_path}")
     if args.verify:
-        _verify_reduction(args, stab, witness)
+        msg = "witness does not map onto the graph state"
+        _verify_lifted(args, stab, [witness.q], lambda: stabilizer.from_graph(witness.graph), msg)
     return EXIT_OK
 
 
-def _verify_reduction(args, stab, witness):
+def _verify_lifted(args, start, ops, target, failure):
+    """Lift ``ops`` in order onto the dense state of ``start``; ``target()`` must stabilize it.
+
+    ``start`` is a graph (built by the circuit construction) or a stabilizer
+    (built by projectors). Beyond the oracle's qubit limit the check is
+    skipped before any state, operation or target is built.
+    """
     from . import oracle
 
-    if stab.n > oracle.ORACLE_QUBIT_LIMIT:
+    if start.n > oracle.ORACLE_QUBIT_LIMIT:
         _say(args, "oracle check skipped: too many qubits")
         return
-    state = oracle.stabilized_state(stab, seed=args.seed)
-    moved = oracle.apply_lifted(state, oracle.lift_local_clifford(witness.q))
-    target = stabilizer.from_graph(witness.graph)
-    if not oracle.stabilized_up_to_signs(moved, target):
-        raise CommandError("oracle check failed: witness does not map onto the graph state")
+    if isinstance(start, graphs.Graph):
+        state = oracle.build_graph_state(start)
+    else:
+        state = oracle.stabilized_state(start)
+    for q in ops:
+        state = oracle.apply_lifted(state, oracle.lift_local_clifford(q))
+    if not oracle.stabilized_up_to_signs(state, target()):
+        raise CommandError(f"oracle check failed: {failure}")
     _say(args, "oracle check: ok")
 
 
@@ -232,26 +225,20 @@ def _cmd_decompose(args):
     _write(out, decomposition.format_sequence(seq))
     _say(args, f"{len(seq)} steps -> {out}")
     if args.verify:
-        _verify_decomposition(args, q, g, seq)
+
+        def target():
+            return stabilizer.from_graph(clifford.graph_action(q, g).image)
+
+        msg = "lifted sequence misses the target state"
+        _verify_lifted(args, g, _step_ops(g, seq), target, msg)
     return EXIT_OK
 
 
-def _verify_decomposition(args, q, g, seq):
-    from . import oracle
-
-    if g.n > oracle.ORACLE_QUBIT_LIMIT:
-        _say(args, "oracle check skipped: too many qubits")
-        return
-    state = oracle.build_graph_state(g)
-    cur = g
+def _step_ops(g, seq):
+    """The local Clifford operation of each complementation in ``seq``, walked from g."""
     for v in seq.expand():
-        step_q = clifford.local_complement_op(cur, v)
-        state = oracle.apply_lifted(state, oracle.lift_local_clifford(step_q))
-        cur = graphs.local_complement(cur, v)
-    target = stabilizer.from_graph(clifford.graph_action(q, g).image)
-    if not oracle.stabilized_up_to_signs(state, target):
-        raise CommandError("oracle check failed: lifted sequence misses the target state")
-    _say(args, "oracle check: ok")
+        yield clifford.local_complement_op(g, v)
+        g = graphs.local_complement(g, v)
 
 
 def _cmd_apply(args):
@@ -273,8 +260,7 @@ def _cmd_apply(args):
 
 def _cmd_orbit(args):
     g = _load(graphs.parse_edge_list, args.graph)
-    cap = args.cap if args.cap is not None else orbit.DEFAULT_MEMBER_CAP
-    result = orbit.enumerate_orbit(g, member_cap=cap)
+    result = orbit.enumerate_orbit(g, member_cap=args.cap)
     count = len(result.members)
     _say(args, f"{count} member{'s' if count != 1 else ''}")
     _say(args, "canonical representative:")
@@ -297,8 +283,7 @@ def _cmd_orbit(args):
 
 def _cmd_canon(args):
     g = _load(graphs.parse_edge_list, args.graph)
-    cap = args.cap if args.cap is not None else orbit.DEFAULT_MEMBER_CAP
-    rep = orbit.canonical_form(g, member_cap=cap)
+    rep = orbit.enumerate_orbit(g, member_cap=args.cap).canonical
     text = graphs.format_edge_list(rep)
     if args.out:
         _write(args.out, text)
@@ -311,33 +296,20 @@ def _cmd_canon(args):
 def _cmd_equiv(args):
     first = _load(_parse_state, args.first)
     second = _load(_parse_state, args.second)
-    cap = args.cap if args.cap is not None else equivalence.DEFAULT_SEARCH_CAP
-    result = equivalence.test_equivalence(first, second, search_cap=cap)
+    result = equivalence.test_equivalence(first, second, search_cap=args.cap)
     if isinstance(result, equivalence.Equivalent):
         _write(args.witness, clifford.format_clifford(result.q))
         _say(args, "equivalent")
         _say(args, f"witness -> {args.witness}")
         if args.verify:
-            _verify_equivalence(args, first, second, result.q)
+            msg = "witness does not connect the states"
+            _verify_lifted(args, first, [result.q], lambda: second, msg)
         return EXIT_OK
     if isinstance(result, equivalence.Inequivalent):
         _say(args, "inequivalent")
         return EXIT_INEQUIVALENT
     _say(args, f"indeterminate (cap hit after {result.searched}, block of 2^{result.space_dim})")
     return EXIT_INDETERMINATE
-
-
-def _verify_equivalence(args, first, second, q):
-    from . import oracle
-
-    if first.n > oracle.ORACLE_QUBIT_LIMIT:
-        _say(args, "oracle check skipped: too many qubits")
-        return
-    state = oracle.stabilized_state(first, seed=args.seed)
-    moved = oracle.apply_lifted(state, oracle.lift_local_clifford(q))
-    if not oracle.stabilized_up_to_signs(moved, second):
-        raise CommandError("oracle check failed: witness does not connect the states")
-    _say(args, "oracle check: ok")
 
 
 def _cmd_export_dot(args):
@@ -359,12 +331,15 @@ def _cmd_oracle_check(args):
     err = oracle.defining_equation_error(state, g)
     _say(args, f"defining equations satisfied (max deviation {err:.2e})")
     stab = stabilizer.from_graph(g)
-    projected = oracle.stabilized_state(stab, seed=args.seed)
+    projected = oracle.stabilized_state(stab)
     overlap = abs(state.inner(projected))
     if abs(overlap - 1.0) > oracle.ATOL:
         raise CommandError("projector state disagrees with the circuit construction")
     _say(args, "projector construction agrees with the circuit construction")
     return EXIT_OK
+
+
+_PARSER = _build_parser()
 
 
 def main():

@@ -211,39 +211,22 @@ def complete_from_cd(g, c, d):
     """The unique operation with lower diagonals (c, d) that keeps g in-domain.
 
     Requires C.adj + D invertible. Per qubit there are exactly two (a_i, b_i)
-    choices keeping the 2x2 block invertible, and they differ by (c_i, d_i);
-    switching between them flips diagonal entry i of the image, so exactly one
-    choice yields the required zero diagonal. The first valid candidate in the
-    order (0,1) < (1,0) < (1,1) is tried and flipped when its diagonal entry
-    is 1; uniqueness makes the order irrelevant to the result.
+    choices keeping the 2x2 block invertible, and they differ by (c_i, d_i).
+    Switching between them adds row i of C.adj + D to row i of A.adj + B, so
+    it flips only entry (i, i) of the image. The start (a, b) = (d & ~c, c)
+    is valid on every qubit; it is switched where its image diagonal is 1.
     """
     if c.n != g.n or d.n != g.n:
         raise ValueError("diagonal length mismatch")
     n = g.n
-    denom = cd_matrix(g.adj, c, d)
-    denom_inv = gf2.try_invert(denom)
+    denom_inv = gf2.try_invert(cd_matrix(g.adj, c, d))
     if denom_inv is None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    inv_cols = gf2.transpose(denom_inv).row_ints
-    abits = 0
-    bbits = 0
-    for i in range(n):
-        ci = (c.bits >> i) & 1
-        di = (d.bits >> i) & 1
-        ai, bi = next(
-            (cand_a, cand_b)
-            for cand_a, cand_b in ((0, 1), (1, 0), (1, 1))
-            if (cand_a & di) ^ (cand_b & ci)
-        )
-        row = (g.adj.row_ints[i] if ai else 0) ^ ((1 << i) if bi else 0)
-        if (row & inv_cols[i]).bit_count() & 1:
-            ai ^= ci
-            bi ^= di
-        abits |= ai << i
-        bbits |= bi << i
-    q = LocalCliffordOp(BitVec(n, abits), BitVec(n, bbits), c, d)
-    report = graph_action(q, g)
-    if not report.in_domain():
+    a, b = BitVec(n, d.bits & ~c.bits), c
+    flip = gf2.diagonal(gf2.mat_mul(cd_matrix(g.adj, a, b), denom_inv)).bits
+    q = LocalCliffordOp(BitVec(n, a.bits ^ flip & c.bits), BitVec(n, b.bits ^ flip & d.bits), c, d)
+    image = gf2.mat_mul(cd_matrix(g.adj, q.a, q.b), denom_inv)
+    if gf2.diagonal(image).bits != 0 or not gf2.is_symmetric(image):
         raise InternalError("completion failed to place the graph in the domain")
     return q
 

@@ -148,10 +148,10 @@ class BitMatrix:
         return cls(rows, cols, [0] * rows)
 
     @classmethod
-    def from_rows(cls, rows_of_bits, cols=None):
+    def from_rows(cls, rows_of_bits):
         """Build from an iterable of rows, each an iterable of 0/1 values."""
         ints = []
-        width = cols
+        width = None
         for row in rows_of_bits:
             v = BitVec.from_bits(row)
             if width is None:
@@ -232,15 +232,6 @@ def transpose(m):
     return BitMatrix(m.cols, m.rows, out)
 
 
-def column(m, j):
-    if not 0 <= j < m.cols:
-        raise IndexError(j)
-    acc = 0
-    for i, row in enumerate(m.row_ints):
-        acc |= ((row >> j) & 1) << i
-    return BitVec(m.rows, acc)
-
-
 def diagonal(m):
     if not m.is_square():
         raise ValueError("diagonal of a non-square matrix")
@@ -273,16 +264,17 @@ def vstack(a, b):
     return BitMatrix(a.rows + b.rows, a.cols, a.row_ints + b.row_ints)
 
 
-def eliminate(rows, columns):
+def eliminate(rows, columns, stop_at_gap=False):
     """Gauss-Jordan elimination in place on a list of packed int rows.
 
     For each bit position in ``columns``, in order, the pivot is the
     lowest-index row not yet used as a pivot that has the bit set; it is XORed
     into every other row that has the bit set. Rows are never reordered, so
     callers can carry bookkeeping bits above the eliminated ones. Returns the
-    ``(column, row index)`` pivots in column order. ``unused`` covers the bits
-    of every unused row (XORing unused rows sets no new bit), so a column
-    outside it is skipped without a scan; a scan that finds no pivot renews it.
+    ``(column, row index)`` pivots in column order; with ``stop_at_gap`` it
+    returns at the first column with no pivot. ``unused`` covers the bits of
+    every unused row (XORing unused rows sets no new bit), so a column outside
+    it is skipped without a scan; a scan that finds no pivot renews it.
     """
     pivots = []
     used = [False] * len(rows)
@@ -291,13 +283,16 @@ def eliminate(rows, columns):
         if len(pivots) == len(rows):
             break
         bit = 1 << col
-        if not unused & bit:
-            continue
-        pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
+        pivot = None
+        if unused & bit:
+            pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
+            if pivot is None:
+                unused = 0
+                for r, u in zip(rows, used):
+                    unused |= 0 if u else r
         if pivot is None:
-            unused = 0
-            for r, u in zip(rows, used):
-                unused |= 0 if u else r
+            if stop_at_gap:
+                break
             continue
         used[pivot] = True
         pivots.append((col, pivot))
@@ -315,21 +310,18 @@ def rank(m):
 def try_invert(m):
     """Inverse of a square matrix, or None when singular.
 
-    Eliminates [m | I], packed one int per row; the pivot row for column i
-    then carries row i of the inverse above bit n.
+    Eliminates [m | I], packed one int per row, up to the first column with
+    no pivot; the pivot row for column i then carries row i of the inverse
+    above bit n.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
     work = [r | 1 << (n + i) for i, r in enumerate(m.row_ints)]
-    pivots = eliminate(work, range(n))
+    pivots = eliminate(work, range(n), stop_at_gap=True)
     if len(pivots) < n:
         return None
     return BitMatrix(n, n, [work[i] >> n for _, i in pivots])
-
-
-def is_invertible(m):
-    return m.is_square() and try_invert(m) is not None
 
 
 def solve_homogeneous(mt):

@@ -27,7 +27,6 @@ class CapExceededError(RuntimeError):
 class Orbit:
     """A complete orbit: members, its lexicographic minimum, and replayable transcripts."""
 
-    seed: graphs.Graph
     members: frozenset
     canonical: graphs.Graph
     transcripts: dict = field(compare=False)
@@ -43,7 +42,7 @@ def _lex_key(g):
 def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
     """BFS closure of the graph under all single-vertex complementations.
 
-    Every member gets a shortest-move transcript from the seed (replaying it
+    Every member gets a shortest-move transcript from ``g`` (replaying it
     with :func:`decomposition.apply_sequence` reproduces the member). Raises
     CapExceededError rather than growing past ``member_cap`` members.
     """
@@ -61,21 +60,5 @@ def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
             transcripts[nxt] = LCSequence(base + (Single(i),))
             frontier.append(nxt)
     canonical = min(transcripts, key=_lex_key)
-    return Orbit(
-        seed=g,
-        members=frozenset(transcripts),
-        canonical=canonical,
-        transcripts=transcripts,
-    )
+    return Orbit(members=frozenset(transcripts), canonical=canonical, transcripts=transcripts)
 
-
-def canonical_form(g, member_cap=DEFAULT_MEMBER_CAP):
-    """Lexicographically smallest member of the orbit; orbit-invariant and idempotent."""
-    return enumerate_orbit(g, member_cap=member_cap).canonical
-
-
-def same_orbit(g, h, member_cap=DEFAULT_MEMBER_CAP):
-    """True iff the two graphs share an orbit (equal canonical forms)."""
-    if g.n != h.n:
-        raise ValueError("vertex count mismatch")
-    return canonical_form(g, member_cap) == canonical_form(h, member_cap)

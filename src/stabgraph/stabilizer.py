@@ -132,14 +132,14 @@ class StabilizerGenMatrix:
     def x_block(self):
         return BitMatrix(self.n, self.n, self.s.row_ints[self.n :])
 
-    def generator(self, j):
-        """Column j (0-based) as a PauliString."""
-        col = gf2.column(self.s, j)
-        mask = (1 << self.n) - 1
-        return PauliString(BitVec(self.n, col.bits & mask), BitVec(self.n, col.bits >> self.n))
-
     def to_pauli_strings(self):
-        return [self.generator(j) for j in range(self.n)]
+        """The generators (columns) as PauliStrings, column 0 first."""
+        n = self.n
+        mask = (1 << n) - 1
+        return [
+            PauliString(BitVec(n, col & mask), BitVec(n, col >> n))
+            for col in gf2.transpose(self.s).row_ints
+        ]
 
     def __eq__(self, other):
         return isinstance(other, StabilizerGenMatrix) and self.s == other.s
@@ -179,7 +179,7 @@ def from_graph(g):
 
 def basis_change(stab, r):
     """Right-multiply by an invertible matrix: new generators for the same subspace."""
-    if not gf2.is_invertible(r):
+    if not r.is_square() or gf2.try_invert(r) is None:
         raise gf2.SingularError("basis change matrix must be invertible")
     return StabilizerGenMatrix._trusted(gf2.mat_mul(stab.s, r))
 
@@ -194,24 +194,21 @@ def same_subspace(a, b):
 _TRANSVECTIONS_PER_QUBIT = 8
 
 
-def random_stabilizer(n, seed, transvections=None):
+def random_stabilizer(n, seed):
     """Random stabilizer generator matrix, deterministic in the seed.
 
-    Starts from the X-only matrix [0; I] and applies random symplectic
-    transvections x -> x + <v, x> v to all columns (8n of them by default;
-    zero transvections returns [0; I] itself). Transvections preserve the
+    Starts from the X-only matrix [0; I] and applies 8n random symplectic
+    transvections x -> x + <v, x> v to all columns. Transvections preserve the
     symplectic form, so self-orthogonality and full rank hold by
     construction; empirically the X-block rank of the output ranges over
     0..n across seeds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if transvections is None:
-        transvections = _TRANSVECTIONS_PER_QUBIT * n
     rng = random.Random(seed)
     mask = (1 << n) - 1
     cols = [1 << (n + j) for j in range(n)]
-    for _ in range(transvections):
+    for _ in range(_TRANSVECTIONS_PER_QUBIT * n):
         v = 0
         while v == 0:
             v = rng.getrandbits(2 * n)

@@ -1,6 +1,6 @@
 """Shared random-instance generators, naive list-of-lists GF(2) oracles, the
-matrix reference for the decomposition walk and the reference equivalence
-solver.
+matrix reference for the decomposition walk, the reference completion and
+the reference equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
@@ -105,7 +105,7 @@ def random_bitmatrix(rng, rows, cols):
 def random_invertible(rng, n):
     while True:
         m = random_bitmatrix(rng, n, n)
-        if gf2.is_invertible(m):
+        if gf2.try_invert(m) is not None:
             return m
 
 
@@ -153,6 +153,39 @@ def random_in_domain_op(rng, g):
             return clifford.complete_from_cd(g, gf2.BitVec(n, cbits), gf2.BitVec(n, dbits))
         except gf2.SingularError:
             continue
+
+
+def reference_completion(g, c, d):
+    """The in-domain operation with lower diagonals (c, d), qubit by qubit.
+
+    Per qubit, the first of (0, 1), (1, 0), (1, 1) that keeps the 2x2 block
+    invertible is taken and switched by (c_i, d_i) when its image diagonal
+    entry is 1; the result is checked with a full :func:`clifford.graph_action`.
+    Raises SingularError when C.adj + D is singular.
+    """
+    n = g.n
+    denom_inv = gf2.try_invert(clifford.cd_matrix(g.adj, c, d))
+    if denom_inv is None:
+        raise gf2.SingularError("lower blocks do not give an invertible denominator")
+    inv_cols = gf2.transpose(denom_inv).row_ints
+    abits = bbits = 0
+    for i in range(n):
+        ci = (c.bits >> i) & 1
+        di = (d.bits >> i) & 1
+        ai, bi = next(
+            (cand_a, cand_b)
+            for cand_a, cand_b in ((0, 1), (1, 0), (1, 1))
+            if (cand_a & di) ^ (cand_b & ci)
+        )
+        row = (g.adj.row_ints[i] if ai else 0) ^ ((1 << i) if bi else 0)
+        if (row & inv_cols[i]).bit_count() & 1:
+            ai ^= ci
+            bi ^= di
+        abits |= ai << i
+        bbits |= bi << i
+    q = clifford.LocalCliffordOp(gf2.BitVec(n, abits), gf2.BitVec(n, bbits), c, d)
+    assert clifford.graph_action(q, g).in_domain()
+    return q
 
 
 def random_valid_clifford(rng, n):

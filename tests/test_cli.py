@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import random_graph
-from stabgraph import cli, clifford, gf2, graphs, stabilizer
+from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
 from stabgraph.errors import MAX_QUBITS
 from stabgraph.graphs import Graph
 
@@ -41,14 +41,14 @@ POSITIONALS = {
     "oracle-check": 1,
 }
 KEPT_FLAGS = {
-    "reduce": {"seed", "verify", "quiet"},
+    "reduce": {"verify", "quiet"},
     "decompose": {"verify", "quiet"},
     "apply": {"verify", "quiet"},
     "orbit": {"cap", "verify", "quiet"},
     "canon": {"cap", "quiet"},
-    "equiv": {"cap", "seed", "verify", "quiet"},
+    "equiv": {"cap", "verify", "quiet"},
     "export-dot": {"quiet"},
-    "oracle-check": {"seed", "quiet"},
+    "oracle-check": {"quiet"},
 }
 FLAG_ARGV = {
     "cap": ["--cap", "3"],
@@ -56,7 +56,7 @@ FLAG_ARGV = {
     "verify": ["--verify"],
     "quiet": ["--quiet"],
 }
-FLAG_VALUE = {"cap": 3, "seed": 5, "verify": True, "quiet": True}
+FLAG_VALUE = {"cap": 3, "verify": True, "quiet": True}
 
 
 @pytest.mark.parametrize("command", sorted(POSITIONALS))
@@ -208,6 +208,68 @@ def test_apply_verify_catches_wrong_edge_toggling(tmp_path, capsys, monkeypatch)
     assert "error: failed: symplectic replay" in capsys.readouterr().err
 
 
+def _verify_inputs(tmp_path, command, g):
+    """argv for ``command --verify`` on inputs built from g."""
+    gpath = graph_file(tmp_path, "g.graph", g)
+    if command == "reduce":
+        stab = stabilizer.format_stabilizer(stabilizer.from_graph(g))
+        return ["reduce", write(tmp_path, "g.stab", stab), "--verify"]
+    if command == "decompose":
+        qpath = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+        return ["decompose", qpath, gpath, "--verify"]
+    return ["equiv", gpath, gpath, "--witness", str(tmp_path / "w.lc"), "--verify"]
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("reduce", "witness does not map onto the graph state"),
+        ("decompose", "lifted sequence misses the target state"),
+        ("equiv", "witness does not connect the states"),
+    ],
+)
+def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, failure):
+    g = Graph.path(4)
+    wrong = clifford.LocalCliffordOp.hadamard_all(4)
+    if command == "reduce":
+        right = reduction.to_graph_state
+        monkeypatch.setattr(
+            reduction, "to_graph_state", lambda s: reduction.ReductionWitness(g, wrong, right(s).r)
+        )
+    elif command == "decompose":
+        # complementing at 3 instead of 2 reaches another graph
+        wrong_seq = decomposition.LCSequence((decomposition.Single(3),))
+        monkeypatch.setattr(decomposition, "decompose_action", lambda q, h: wrong_seq)
+    else:
+        monkeypatch.setattr(
+            equivalence, "test_equivalence", lambda a, b, search_cap: equivalence.Equivalent(wrong)
+        )
+    assert cli.run(_verify_inputs(tmp_path, command, g)) == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: failed: oracle check failed: {failure}\n"
+    assert "oracle check: ok" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["reduce", "decompose", "equiv"])
+def test_verify_skips_large_inputs_before_building_states(tmp_path, capsys, monkeypatch, command):
+    from stabgraph import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense oracle work above the qubit limit")
+
+    argv = _verify_inputs(tmp_path, command, Graph.path(oracle.ORACLE_QUBIT_LIMIT + 1))
+    for name in ("build_graph_state", "stabilized_state", "lift_local_clifford"):
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(clifford, "local_complement_op", refuse)
+    actions = []
+    graph_action = clifford.graph_action
+    monkeypatch.setattr(clifford, "graph_action", lambda q, g: actions.append(q) or graph_action(q, g))
+    assert cli.run(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "oracle check skipped: too many qubits"
+    # decompose_action's own graph action only: the check's target is never built
+    assert len(actions) == (command == "decompose")
+
+
 def test_decompose_domain_failure(tmp_path, capsys):
     gpath = graph_file(tmp_path, "empty3.graph", Graph.empty(3))
     qpath = write(
@@ -304,8 +366,6 @@ def test_seeded_runs_are_byte_identical(tmp_path):
                 [
                     "reduce",
                     stab_path,
-                    "--seed",
-                    "3",
                     "--quiet",
                     "--out-graph",
                     out_graph,

@@ -9,6 +9,7 @@ from conftest import (
     random_graph,
     random_in_domain_op,
     random_valid_clifford,
+    reference_completion,
     symplectic_form_matrix,
 )
 from stabgraph import clifford, gf2, graphs, stabilizer
@@ -238,6 +239,58 @@ def test_complete_from_cd_unique_among_all_sign_choices():
 def test_complete_from_cd_singular():
     with pytest.raises(gf2.SingularError):
         complete_from_cd(Graph.empty(2), BitVec.ones(2), BitVec.zeros(2))
+
+
+def _same_completion(g, c, d):
+    """complete_from_cd and the reference agree: the same operation, or both singular."""
+    try:
+        want = reference_completion(g, c, d)
+    except gf2.SingularError:
+        with pytest.raises(gf2.SingularError):
+            complete_from_cd(g, c, d)
+        return False
+    assert complete_from_cd(g, c, d) == want
+    return True
+
+
+def test_complete_from_cd_matches_reference_exhaustive_n3():
+    for n in range(1, 4):
+        for g in all_graphs(n):
+            for cbits in range(1 << n):
+                for dbits in range(1 << n):
+                    _same_completion(g, BitVec(n, cbits), BitVec(n, dbits))
+
+
+def test_complete_from_cd_matches_reference_seeded_to_n64():
+    rng = random.Random(40)
+    pairs = [(0, 1), (1, 0), (1, 1)]  # a (0, 0) pair always makes C.adj + D singular
+    completed = 0
+    for _ in range(300):
+        n = rng.randrange(1, 65)
+        g = random_graph(rng, n)
+        cd = [pairs[rng.randrange(3)] for _ in range(n)]
+        c = BitVec.from_bits(ci for ci, _ in cd)
+        d = BitVec.from_bits(di for _, di in cd)
+        completed += _same_completion(g, c, d)
+    assert completed >= 100
+
+
+def test_complete_from_cd_inverts_once(monkeypatch):
+    calls = []
+    try_invert = gf2.try_invert
+
+    def counting(m):
+        calls.append(m)
+        return try_invert(m)
+
+    monkeypatch.setattr(gf2, "try_invert", counting)
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_graph(rng, rng.randrange(1, 12))
+        q = random_in_domain_op(rng, g)
+        calls.clear()
+        assert complete_from_cd(g, q.c, q.d) == q
+        assert len(calls) == 1
 
 
 def test_clifford_text_roundtrip():

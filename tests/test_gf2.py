@@ -114,6 +114,30 @@ def test_invert_singular():
     assert gf2.try_invert(BitMatrix.from_rows([[1, 1], [1, 1]])) is None
 
 
+def test_try_invert_stops_at_the_first_pivotless_column(monkeypatch):
+    # zeroing column j of an invertible matrix leaves columns 0..j-1 with
+    # pivots and column j with none: elimination must end there
+    returned = []
+    eliminate = gf2.eliminate
+
+    def recording(rows, columns, **kwargs):
+        pivots = eliminate(rows, columns, **kwargs)
+        returned.append(pivots)
+        return pivots
+
+    monkeypatch.setattr(gf2, "eliminate", recording)
+    rng = random.Random(10)
+    for j in (0, 1, 17, 63):
+        m = random_invertible(rng, 64)
+        singular = BitMatrix(64, 64, [r & ~(1 << j) for r in m.row_ints])
+        returned.clear()
+        assert gf2.try_invert(singular) is None
+        assert [col for col, _ in returned[-1]] == list(range(j))
+        # rank keeps eliminating past the gap
+        assert gf2.rank(singular) == 63
+        assert len(returned[-1]) == 63
+
+
 def test_rank_examples():
     assert gf2.rank(BitMatrix.zeros(4, 4)) == 0
     assert gf2.rank(gf2.identity(5)) == 5
@@ -274,7 +298,6 @@ def test_helpers():
     assert gf2.diagonal(gf2.identity(2)) == BitVec.from_bits([1, 1])
     sq = BitMatrix.from_rows([[1, 1], [0, 1]])
     assert gf2.set_diagonal_zero(sq) == BitMatrix.from_rows([[0, 1], [0, 0]])
-    assert gf2.column(sq, 1) == BitVec.from_bits([1, 1])
     assert gf2.is_symmetric(gf2.all_ones_offdiag(4))
     assert not gf2.is_symmetric(sq)
     assert diag_from_vec(BitVec.from_bits([1, 0, 1])) == BitMatrix.from_rows(
