@@ -26,7 +26,6 @@ from .decomposition import (
 )
 from .equivalence import (
     Equivalent,
-    Indeterminate,
     Inequivalent,
     test_equivalence,
     test_equivalence_graphs,
@@ -60,7 +59,6 @@ __all__ = [
     "Equivalent",
     "Graph",
     "GraphDomainReport",
-    "Indeterminate",
     "Inequivalent",
     "InvalidCliffordError",
     "LCSequence",

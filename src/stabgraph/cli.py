@@ -4,9 +4,9 @@ Commands map one-to-one onto library operations; all artifacts are plain
 text (graphs, stabilizers, clifford operations, step sequences, matrices)
 so fixtures diff cleanly and every writer round-trips through its reader.
 
-Exit codes: 0 success, 1 inequivalent (equiv), 2 indeterminate (equiv: a
-block went over --cap), 64 usage error, 65 parse error, 70 operation failure
-(singular input, domain violation, cap exceeded) or internal error.
+Exit codes: 0 success, 1 inequivalent (equiv), 64 usage error, 65 parse
+error, 70 operation failure (singular input, domain violation, orbit member
+cap exceeded) or internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import ParseError
 
 EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
-EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_FAILURE = 70
@@ -79,7 +78,7 @@ def _build_parser():
     p.add_argument("first", help="graph or stabilizer file")
     p.add_argument("second", help="graph or stabilizer file")
     p.add_argument("--witness", default="witness.lc", help="witness output (default: witness.lc)")
-    _command(p, _cmd_equiv, "cap", "verify", "quiet", cap=equivalence.DEFAULT_SEARCH_CAP)
+    _command(p, _cmd_equiv, "verify", "quiet")
 
     p = sub.add_parser("export-dot", help="write a graph in DOT format")
     p.add_argument("graph", help="graph file")
@@ -94,7 +93,7 @@ def _build_parser():
 
 
 _FLAGS = {
-    "cap": dict(type=int, help="orbit member cap / search cap"),
+    "cap": dict(type=int, help="orbit member cap"),
     "verify": dict(action="store_true", help="cross-check the result (see README)"),
     "quiet": dict(action="store_true", help="suppress non-error output"),
 }
@@ -265,7 +264,7 @@ def _cmd_orbit(args):
     _say(args, f"{count} member{'s' if count != 1 else ''}")
     _say(args, "canonical representative:")
     _say(args, graphs.format_edge_list(result.canonical).rstrip("\n"))
-    ordered = sorted(result.members, key=orbit._lex_key)
+    ordered = sorted(result.members, key=orbit._lex_key) if args.members or args.dot else ()
     if args.members:
         blocks = [graphs.format_edge_list(m) for m in ordered]
         _write(args.members, "# orbit members\n" + "".join(b + "--\n" for b in blocks))
@@ -296,7 +295,7 @@ def _cmd_canon(args):
 def _cmd_equiv(args):
     first = _load(_parse_state, args.first)
     second = _load(_parse_state, args.second)
-    result = equivalence.test_equivalence(first, second, search_cap=args.cap)
+    result = equivalence.test_equivalence(first, second)
     if isinstance(result, equivalence.Equivalent):
         _write(args.witness, clifford.format_clifford(result.q))
         _say(args, "equivalent")
@@ -305,11 +304,8 @@ def _cmd_equiv(args):
             msg = "witness does not connect the states"
             _verify_lifted(args, first, [result.q], lambda: second, msg)
         return EXIT_OK
-    if isinstance(result, equivalence.Inequivalent):
-        _say(args, "inequivalent")
-        return EXIT_INEQUIVALENT
-    _say(args, f"indeterminate (cap hit after {result.searched}, block of 2^{result.space_dim})")
-    return EXIT_INDETERMINATE
+    _say(args, "inequivalent")
+    return EXIT_INEQUIVALENT
 
 
 def _cmd_export_dot(args):

@@ -13,14 +13,13 @@ into blocks with disjoint qubit supports, each searched on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import combinations
 from operator import xor
 
 from . import clifford, gf2, stabilizer
 from .errors import InternalError
 from .gf2 import BitMatrix, BitVec
-
-DEFAULT_SEARCH_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -33,14 +32,6 @@ class Equivalent:
 @dataclass(frozen=True)
 class Inequivalent:
     """No vector of the solution space meets the constraints; no witness exists."""
-
-
-@dataclass(frozen=True)
-class Indeterminate:
-    """The cap ran out after ``searched`` candidates, in a block of dimension ``space_dim``."""
-
-    searched: int
-    space_dim: int
 
 
 def build_linear_system(sa, sb):
@@ -79,16 +70,32 @@ def _blocks(basis, n):
     return [(m, [v for v, s in zip(basis, supports) if s & m]) for m in merged]
 
 
-def test_equivalence(sa, sb, search_cap=DEFAULT_SEARCH_CAP):
-    """Decide equivalence of two stabilizer states.
+def _candidates(vectors):
+    """Every nonzero combination of up to 4 vectors, else each vector and pairwise sum.
 
-    A qubit outside every block, or a block with no valid vector, proves
-    inequivalence. Each block, smallest first, is enumerated
-    lexicographically over its coefficients (first vector most significant,
-    all-zero skipped); the XOR of the blocks' first valid vectors is the
-    lexicographically first valid vector of the whole space, and is verified
-    before it is returned. ``search_cap`` bounds the candidates over all
-    blocks. Deterministic for fixed inputs and cap.
+    In lexicographic order of the coefficients, first vector most significant.
+    """
+    d = len(vectors)
+    subsets = (c for r in range(1, (d if d <= 4 else 2) + 1) for c in combinations(range(d), r))
+    for c in sorted(subsets, key=lambda c: sum(1 << d - 1 - i for i in c)):
+        yield reduce(xor, (vectors[i] for i in c))
+
+
+def test_equivalence(sa, sb):
+    """Decide equivalence of two stabilizer states in polynomial time.
+
+    Bouchet's theorem (Combinatorica 11, 1991; for graph states Van den Nest,
+    Dehaene and De Moor, quant-ph/0405023, PRA 70, 034302): if two connected
+    graphs have a solution space of dimension > 4, a valid vector exists iff,
+    for any basis, a basis vector or a sum of two is valid. Blocks inherit it:
+    LC-equivalent states have the same components, over which the system is a
+    direct sum, so a block lies inside one component, and a component's
+    weight-<=2 solution restricts to a nonzero weight-<=2 combination in each
+    of its blocks. Stabilizer inputs reach graph states through a per-qubit
+    linear bijection of the solution space that keeps invertibility and
+    supports. A qubit outside every block, or a block with no valid candidate,
+    proves inequivalence; the XOR of each block's first valid candidate
+    (smallest block first) is verified before it is returned.
     """
     n = sa.n
     if sb.n != n:
@@ -98,24 +105,14 @@ def test_equivalence(sa, sb, search_cap=DEFAULT_SEARCH_CAP):
     mask = (1 << n) - 1
     if sum(support for support, _ in blocks) != mask:
         return Inequivalent()
-    x = searched = 0
+    x = 0
     for support, vectors in blocks:
-        total = (1 << len(vectors)) - 1
-        limit = min(total, search_cap - searched)
-        # counter bit j is the coefficient of vectors[-1 - j]; from t - 1 to t
-        # the bits 0..j flip, for the lowest set bit j of t
-        flips = list(accumulate(reversed(vectors), xor))
-        y = 0
-        for t in range(1, limit + 1):
-            y ^= flips[(t & -t).bit_length() - 1]
+        for y in _candidates(vectors):
             if ((y & y >> 3 * n) ^ (y >> n & y >> 2 * n)) & support == support:
+                x ^= y
                 break
         else:
-            if limit == total:
-                return Inequivalent()
-            return Indeterminate(searched=searched + limit, space_dim=len(vectors))
-        searched += t
-        x ^= y
+            return Inequivalent()
     q = clifford.LocalCliffordOp(*(BitVec(n, x >> (f * n) & mask) for f in range(4)))
     image = stabilizer.StabilizerGenMatrix._trusted(clifford.apply_to_stabilizer(q, sa))
     if not stabilizer.same_subspace(image, sb):
@@ -123,8 +120,6 @@ def test_equivalence(sa, sb, search_cap=DEFAULT_SEARCH_CAP):
     return Equivalent(q)
 
 
-def test_equivalence_graphs(g, h, search_cap=DEFAULT_SEARCH_CAP):
+def test_equivalence_graphs(g, h):
     """Equivalence of two graph states, via their standard generator matrices."""
-    return test_equivalence(
-        stabilizer.from_graph(g), stabilizer.from_graph(h), search_cap=search_cap
-    )
+    return test_equivalence(stabilizer.from_graph(g), stabilizer.from_graph(h))

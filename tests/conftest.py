@@ -1,6 +1,6 @@
 """Shared random-instance generators, naive list-of-lists GF(2) oracles, the
 matrix reference for the decomposition walk, the reference completion and
-the reference equivalence solver.
+the exhaustive reference equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
@@ -257,21 +257,19 @@ def reference_null_space(m):
     return basis
 
 
-def reference_equivalence(sa, sb, search_cap=equivalence.DEFAULT_SEARCH_CAP):
-    """The solver as one global lexicographic search over the whole null space.
+def reference_equivalence(sa, sb):
+    """The solver as one exhaustive lexicographic search over the whole null space.
 
-    Counts up through the 2^dim - 1 nonzero coefficient tuples, the first
+    Counts up through all 2^dim - 1 nonzero coefficient tuples, the first
     basis vector most significant, and returns the first vector meeting
     every constraint a_i d_i + b_i c_i = 1, verified; Inequivalent when the
-    whole space fails, Indeterminate when ``search_cap`` runs out first.
+    whole space fails. Exponential in the dimension, so keep it small.
     """
     n = sa.n
     basis = reference_null_space(reference_linear_system(sa, sb))
     dim = len(basis)
-    total = (1 << dim) - 1
-    limit = min(total, search_cap)
     mask = (1 << n) - 1
-    for t in range(1, limit + 1):
+    for t in range(1, 1 << dim):
         x = 0
         for j in range(dim):
             if t >> (dim - 1 - j) & 1:
@@ -283,6 +281,4 @@ def reference_equivalence(sa, sb, search_cap=equivalence.DEFAULT_SEARCH_CAP):
         moved = stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, sa))
         assert stabilizer.same_subspace(moved, sb)
         return equivalence.Equivalent(q)
-    if limit == total:
-        return equivalence.Inequivalent()
-    return equivalence.Indeterminate(searched=limit, space_dim=dim)
+    return equivalence.Inequivalent()

@@ -30,6 +30,76 @@ def test_usage_errors(capsys):
     assert "error: usage:" in capsys.readouterr().err
 
 
+def _ghz_walk():
+    """Graph.star(32) after a seeded 64-move local complementation walk."""
+    g = Graph.star(32)
+    rng = random.Random(3)
+    for _ in range(64):
+        g = graphs.local_complement(g, rng.randrange(1, 33))
+    return g
+
+
+def _contract_argv(tmp_path, row):
+    k3 = graph_file(tmp_path, "k3.graph", Graph.complete(3))
+    star = graph_file(tmp_path, "star32.graph", Graph.star(32))
+    walk = graph_file(tmp_path, "walk32.graph", _ghz_walk())
+    empty9 = graph_file(tmp_path, "empty9.graph", Graph.empty(9))
+    edge9 = graph_file(tmp_path, "edge9.graph", Graph.from_edges(9, [(1, 2)]))
+    empty3 = graph_file(tmp_path, "empty3.graph", Graph.empty(3))
+    hadamards = clifford.format_clifford(clifford.LocalCliffordOp.hadamard_all(3))
+    hadamards = write(tmp_path, "h.lc", hadamards)
+    huge = write(tmp_path, "huge.graph", "1000000000000\n")
+    witness = ["--witness", str(tmp_path / "w.lc")]
+    return {
+        "canon": ["canon", k3],
+        "equiv-ghz-32": ["equiv", star, walk, *witness],
+        "equiv-empty-vs-edge-9": ["equiv", empty9, edge9, *witness],
+        "no-command": [],
+        "equiv-cap": ["equiv", star, walk, *witness, "--cap", "5"],
+        "graph-header-too-large": ["canon", huge],
+        "missing-file": ["equiv", str(tmp_path / "nope.graph"), k3],
+        "orbit-over-cap": ["orbit", k3, "--cap", "2"],
+        "decompose-out-of-domain": ["decompose", hadamards, empty3],
+    }[row]
+
+
+EXIT_CONTRACT = [
+    ("canon", cli.EXIT_OK),
+    ("equiv-ghz-32", cli.EXIT_OK),
+    ("equiv-empty-vs-edge-9", cli.EXIT_INEQUIVALENT),
+    ("no-command", cli.EXIT_USAGE),
+    ("equiv-cap", cli.EXIT_USAGE),
+    ("graph-header-too-large", cli.EXIT_PARSE),
+    ("missing-file", cli.EXIT_PARSE),
+    ("orbit-over-cap", cli.EXIT_FAILURE),
+    ("decompose-out-of-domain", cli.EXIT_FAILURE),
+]
+
+
+def test_exit_code_contract_covers_every_code():
+    assert {code for _, code in EXIT_CONTRACT} == {0, 1, 64, 65, 70}
+    assert not hasattr(cli, "EXIT_INDETERMINATE")
+
+
+@pytest.mark.parametrize("row, code", EXIT_CONTRACT, ids=[row for row, _ in EXIT_CONTRACT])
+def test_exit_code_contract(tmp_path, capsys, row, code):
+    got = cli.run(_contract_argv(tmp_path, row))
+    assert got != 2
+    assert got == code
+    assert bool(capsys.readouterr().err) == (code >= cli.EXIT_USAGE)
+
+
+def test_equiv_decides_the_32_qubit_ghz_pair_with_a_witness(tmp_path, capsys):
+    first, second = stabilizer.from_graph(Graph.star(32)), stabilizer.from_graph(_ghz_walk())
+    witness = tmp_path / "w.lc"
+    argv = ["equiv", graph_file(tmp_path, "a.graph", Graph.star(32))]
+    argv += [graph_file(tmp_path, "b.graph", _ghz_walk()), "--witness", str(witness)]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "equivalent"
+    moved = clifford.apply_to_stabilizer(clifford.parse_clifford(witness.read_text()), first)
+    assert stabilizer.same_subspace(stabilizer.StabilizerGenMatrix(moved), second)
+
+
 POSITIONALS = {
     "reduce": 1,
     "decompose": 2,
@@ -46,7 +116,7 @@ KEPT_FLAGS = {
     "apply": {"verify", "quiet"},
     "orbit": {"cap", "verify", "quiet"},
     "canon": {"cap", "quiet"},
-    "equiv": {"cap", "verify", "quiet"},
+    "equiv": {"verify", "quiet"},
     "export-dot": {"quiet"},
     "oracle-check": {"quiet"},
 }
@@ -241,9 +311,7 @@ def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, f
         wrong_seq = decomposition.LCSequence((decomposition.Single(3),))
         monkeypatch.setattr(decomposition, "decompose_action", lambda q, h: wrong_seq)
     else:
-        monkeypatch.setattr(
-            equivalence, "test_equivalence", lambda a, b, search_cap: equivalence.Equivalent(wrong)
-        )
+        monkeypatch.setattr(equivalence, "test_equivalence", lambda a, b: equivalence.Equivalent(wrong))
     assert cli.run(_verify_inputs(tmp_path, command, g)) == cli.EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.err == f"error: failed: oracle check failed: {failure}\n"
@@ -305,13 +373,6 @@ def test_equiv_product_states_decided_block_by_block(tmp_path, capsys):
     edge = graph_file(tmp_path, "edge.graph", Graph.from_edges(9, [(1, 2)]))
     assert cli.run(["equiv", empty, edge]) == cli.EXIT_INEQUIVALENT
     assert capsys.readouterr().out.splitlines()[0] == "inequivalent"
-
-
-def test_equiv_indeterminate(tmp_path, capsys):
-    edge = graph_file(tmp_path, "edge.graph", Graph.from_edges(2, [(1, 2)]))
-    empty = graph_file(tmp_path, "empty.graph", Graph.empty(2))
-    assert cli.run(["equiv", edge, empty, "--cap", "1"]) == cli.EXIT_INDETERMINATE
-    assert "indeterminate" in capsys.readouterr().out
 
 
 def test_equiv_mixed_inputs(tmp_path, capsys):
