@@ -184,7 +184,8 @@ def _cmd_reduce(args):
     _write(graph_path, graphs.format_edge_list(witness.graph))
     _write(clifford_path, clifford.format_clifford(witness.q))
     _write(basis_path, gf2.format_matrix(witness.r))
-    _say(args, f"graph with {len(witness.graph.edges())} edges -> {graph_path}")
+    edges = sum(r.bit_count() for r in witness.graph.adj.row_ints) // 2
+    _say(args, f"graph with {edges} edges -> {graph_path}")
     _say(args, f"witness operation -> {clifford_path}")
     _say(args, f"basis change -> {basis_path}")
     if args.verify:
@@ -246,7 +247,8 @@ def _cmd_apply(args):
     result = decomposition.apply_sequence(g, seq)
     out = args.out or _stem(args.graph) + ".out.graph"
     _write(out, graphs.format_edge_list(result))
-    _say(args, f"result graph with {len(result.edges())} edges -> {out}")
+    edges = sum(r.bit_count() for r in result.adj.row_ints) // 2
+    _say(args, f"result graph with {edges} edges -> {out}")
     if args.verify:
         check = g
         for v in seq.expand():

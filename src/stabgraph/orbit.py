@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import graphs
 from .decomposition import LCSequence, Single
@@ -25,11 +26,15 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Orbit:
-    """A complete orbit: members, its lexicographic minimum, and replayable transcripts."""
+    """A complete orbit: members, replayable transcripts, and its lexicographic minimum."""
 
     members: frozenset
-    canonical: graphs.Graph
     transcripts: dict = field(compare=False)
+
+    @cached_property
+    def canonical(self):
+        """The member with the least :func:`_lex_key`, computed on first read."""
+        return min(self.members, key=_lex_key)
 
 
 def _lex_key(g):
@@ -59,6 +64,5 @@ def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
                 raise CapExceededError(member_cap)
             transcripts[nxt] = LCSequence(base + (Single(i),))
             frontier.append(nxt)
-    canonical = min(transcripts, key=_lex_key)
-    return Orbit(members=frozenset(transcripts), canonical=canonical, transcripts=transcripts)
+    return Orbit(members=frozenset(transcripts), transcripts=transcripts)
 

@@ -3,7 +3,10 @@
 Any valid generator matrix S can be transformed into [adj; I] for a simple
 graph by a local Clifford operation Q (row side) together with a basis change
 R (column side): Q.S.R = [adj; I]. The witness (graph, Q, R) is returned
-explicitly and can be re-verified bit-exactly.
+explicitly and can be re-verified bit-exactly. :func:`to_graph_state` follows
+the paper's proof (Van den Nest, Dehaene, De Moor, quant-ph/0308151) on the
+2n x n rows of S in four steps: independent X rows, Hadamards on the other
+qubits, R = X^-1 and M = Z.R, phase gates on the diagonal of M.
 
 No qubit permutation is ever applied: permutations are not local operations
 on fixed qubits, so instead of reordering rows the algorithm picks an
@@ -31,61 +34,44 @@ class ReductionWitness:
 def to_graph_state(stab):
     """Transform a stabilizer generator matrix into graph-state standard form.
 
-    Deterministic (lowest-index pivoting throughout) and total: every valid
-    stabilizer reduces. Each generator (a column of S) is one packed int:
-    Z part in bits 0..n-1, X part in bits n..2n-1, and its column of the
-    accumulated right factor R carried from bit 2n up. Steps:
+    Deterministic and total: every valid stabilizer reduces. The steps follow
+    the proof that every stabilizer state is LC-equivalent to a graph state
+    (Van den Nest, Dehaene, De Moor, quant-ph/0308151), on the rows of S:
 
-    1. Gauss-Jordan elimination on the X parts of the generators; its pivot
-       columns are the lowest-index rows of the X block that are linearly
-       independent, k of them for an X block of rank k,
-    2. Z/X swap (Hadamard) on every qubit outside the pivot rows, done as a
-       bit swap in each generator, which makes the whole X block invertible,
-    3. a second elimination on the X parts; taken in pivot-column order,
-       generator j then has X part e_j, so the generators form [M; I] with
-       M symmetric, and their carried bits are the columns of R,
+    1. Gauss-Jordan elimination on the rows of the X block; its pivot rows
+       are the lowest-index rows of X that are linearly independent, k of
+       them for an X block of rank k,
+    2. Z/X swap (Hadamard) on every qubit outside the pivot rows, which makes
+       the whole X block invertible,
+    3. R = X^-1 and M = Z.R, so that S.R = [M; I] with M symmetric,
     4. the shear [[1, 1], [0, 1]] on each qubit where M has a diagonal 1,
        which clears the diagonal without touching anything else.
     """
     n = stab.n
-    full = (1 << n) - 1
-    gens = [g | 1 << (2 * n + j) for j, g in enumerate(gf2.transpose(stab.s).row_ints)]
 
-    # Step 1: eliminate on the X parts of the generators (bits n..2n-1).
-    pivots = gf2.eliminate(gens, range(n, 2 * n))
+    # Step 1: the lowest-index linearly independent rows of X.
+    pivots = gf2.eliminate(list(stab.s.row_ints[n:]), range(n))
+    keep = BitVec(n, sum(1 << i for _, i in pivots))
 
-    # Step 2: Hadamard outside the pivot rows.
-    swap_mask = full ^ sum(1 << (col - n) for col, _ in pivots)
-    for j, g in enumerate(gens):
-        flip = (g ^ g >> n) & swap_mask
-        gens[j] = g ^ flip ^ flip << n
-    q_h = clifford.LocalCliffordOp(
-        BitVec(n, full ^ swap_mask),
-        BitVec(n, swap_mask),
-        BitVec(n, swap_mask),
-        BitVec(n, full ^ swap_mask),
-    )
+    # Step 2: Hadamard on every other qubit swaps its Z and X rows.
+    swap = BitVec.ones(n) ^ keep
+    q_h = clifford.LocalCliffordOp(keep, swap, swap, keep)
+    rows = clifford.apply_to_stabilizer(q_h, stab).row_ints
 
-    # Step 3: normalize the X block to the identity.
-    pivots = gf2.eliminate(gens, range(n, 2 * n))
-    if len(pivots) < n:
+    # Step 3: R = X^-1 and M = Z.R.
+    r = gf2.try_invert(BitMatrix(n, n, rows[n:]))
+    if r is None:
         raise InternalError("X block is singular after the Hadamard step")
-    gens = [gens[i] for _, i in pivots]
-    if any((g >> n) & full != 1 << j for j, g in enumerate(gens)):
-        raise InternalError("X block failed to normalize to the identity")
-    r = gf2.transpose(BitMatrix(n, n, [g >> (2 * n) for g in gens]))
+    m = gf2.mat_mul(BitMatrix(n, n, rows[:n]), r)
 
-    # Step 4: clear the diagonal of the Z block. Generator j holds column j
-    # of M, which is also row j exactly when M is symmetric.
-    m = BitMatrix(n, n, [g & full for g in gens])
+    # Step 4: clear the diagonal of M.
     if not gf2.is_symmetric(m):
         raise InternalError("Z block of the standard form is not symmetric")
     diag = gf2.diagonal(m)
     q_shear = clifford.LocalCliffordOp(BitVec.ones(n), diag, BitVec.zeros(n), BitVec.ones(n))
 
     graph = graphs.Graph._trusted(gf2.set_diagonal_zero(m))
-    q = clifford.compose(q_shear, q_h)
-    witness = ReductionWitness(graph=graph, q=q, r=r)
+    witness = ReductionWitness(graph=graph, q=clifford.compose(q_shear, q_h), r=r)
     if not verify_witness(stab, witness):
         raise InternalError("reduction bookkeeping produced a bad witness")
     return witness

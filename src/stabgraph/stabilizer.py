@@ -215,7 +215,7 @@ def random_stabilizer(n, seed):
         # <v, c> pairs the Z half of v with the X half of c and vice versa
         swapped = (v >> n) | (v & mask) << n
         cols = [c ^ v if (swapped & c).bit_count() & 1 else c for c in cols]
-    return StabilizerGenMatrix(gf2.transpose(BitMatrix(n, 2 * n, cols)))
+    return StabilizerGenMatrix._trusted(gf2.transpose(BitMatrix(n, 2 * n, cols)))
 
 
 def format_stabilizer(stab):

@@ -33,5 +33,5 @@ def test_trusted_outputs_pass_public_validation():
         g = random_graph(rng, rng.randrange(1, 13))
         for x in trusted_graphs(rng, g):
             assert Graph(x.adj) == x
-        s = stabilizer.from_graph(g)
-        assert StabilizerGenMatrix(s.s) == s
+        for s in (stabilizer.from_graph(g), stabilizer.random_stabilizer(g.n, rng.getrandbits(32))):
+            assert StabilizerGenMatrix(s.s) == s

@@ -263,6 +263,31 @@ def test_eliminate_properties():
         assert _span([r & low for r in rows]) == _span(m.row_ints)
 
 
+def test_eliminate_pivot_rows_are_the_lowest_index_independent_rows():
+    # reduction.to_graph_state relies on this to pick its Hadamard-free qubits
+    rng = random.Random(35)
+    for trial in range(400):
+        rows_n = rng.randrange(1, 14)
+        cols = rows_n if trial % 2 else rng.randrange(1, 14)
+        rows = [rng.getrandbits(cols) for _ in range(rows_n)]
+        for i in range(1, rows_n):
+            if rng.random() < 0.4:  # planted dependent row: a sum of earlier rows
+                rows[i] = 0
+                for k in rng.sample(range(i), rng.randrange(1, i + 1)):
+                    rows[i] ^= rows[k]
+        # greedy reference: keep a row iff it is independent of the rows kept before it
+        basis = {}
+        greedy = []
+        for i, r in enumerate(rows):
+            while r and r.bit_length() in basis:
+                r ^= basis[r.bit_length()]
+            if r:
+                basis[r.bit_length()] = r
+                greedy.append(i)
+        pivots = gf2.eliminate(list(rows), range(cols))
+        assert sorted(i for _, i in pivots) == greedy
+
+
 def test_rank_matches_brute_force():
     for m in _random_matrices(32, 300):
         assert gf2.rank(m) == _brute_rank(m)
