@@ -3,7 +3,7 @@
 Graph states, local complementation orbits, reduction of stabilizers to
 graph-state standard form, decomposition of local Clifford actions into
 complementation sequences, and an equivalence solver, all over bit-packed
-GF(2) linear algebra with an independent dense statevector oracle.
+GF(2) linear algebra.
 """
 
 from .clifford import (

@@ -4,9 +4,12 @@ Commands map one-to-one onto library operations; all artifacts are plain
 text (graphs, stabilizers, clifford operations, step sequences, matrices)
 so fixtures diff cleanly and every writer round-trips through its reader.
 
+``--verify`` re-reads the files a command just wrote and checks them with
+exact GF(2) relations, at any size.
+
 Exit codes: 0 success, 1 inequivalent (equiv), 64 usage error, 65 parse
 error, 70 operation failure (singular input, domain violation, orbit member
-cap exceeded) or internal error.
+cap exceeded, failed check) or internal error.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from pathlib import Path
 
 from . import clifford, decomposition, equivalence, gf2, graphs, orbit, reduction, stabilizer
 from .errors import ParseError
-
-# ``oracle`` loads numpy, so only the functions that run oracle checks import it.
 
 EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
@@ -85,16 +86,12 @@ def _build_parser():
     p.add_argument("--out", help="output file (default: stdout)")
     _command(p, _cmd_export_dot, "quiet")
 
-    p = sub.add_parser("oracle-check", help="dense statevector self-checks for a graph")
-    p.add_argument("graph", help="graph file")
-    _command(p, _cmd_oracle_check, "quiet")
-
     return parser
 
 
 _FLAGS = {
     "cap": dict(type=int, help="orbit member cap"),
-    "verify": dict(action="store_true", help="cross-check the result (see README)"),
+    "verify": dict(action="store_true", help="re-read the written files and check them exactly"),
     "quiet": dict(action="store_true", help="suppress non-error output"),
 }
 
@@ -170,6 +167,27 @@ def _parse_state(text):
     return stabilizer.parse_stabilizer(text)
 
 
+def _reread(parse, path):
+    """Read back a file this command wrote; one that does not parse fails the check."""
+    try:
+        return _load(parse, path)
+    except ParseError as exc:
+        raise CommandError(f"check failed: {exc}") from exc
+
+
+def _check(args, ok, failure):
+    if not ok:
+        raise CommandError(f"check failed: {failure}")
+    _say(args, "check: ok")
+
+
+def _replay(g, seq):
+    """Fold ``seq`` over g through the symplectic graph action of each step's operation."""
+    for v in seq.expand():
+        g = clifford.graph_action(clifford.local_complement_op(g, v), g).image
+    return g
+
+
 def _stem(path):
     return str(Path(path).with_suffix(""))
 
@@ -189,32 +207,14 @@ def _cmd_reduce(args):
     _say(args, f"witness operation -> {clifford_path}")
     _say(args, f"basis change -> {basis_path}")
     if args.verify:
-        msg = "witness does not map onto the graph state"
-        _verify_lifted(args, stab, [witness.q], lambda: stabilizer.from_graph(witness.graph), msg)
+        written = reduction.ReductionWitness(
+            _reread(graphs.parse_edge_list, graph_path),
+            _reread(clifford.parse_clifford, clifford_path),
+            _reread(gf2.parse_matrix, basis_path),
+        )
+        ok = reduction.verify_witness(stab, written)
+        _check(args, ok, "witness does not map onto the graph state")
     return EXIT_OK
-
-
-def _verify_lifted(args, start, ops, target, failure):
-    """Lift ``ops`` in order onto the dense state of ``start``; ``target()`` must stabilize it.
-
-    ``start`` is a graph (built by the circuit construction) or a stabilizer
-    (built by projectors). Beyond the oracle's qubit limit the check is
-    skipped before any state, operation or target is built.
-    """
-    from . import oracle
-
-    if start.n > oracle.ORACLE_QUBIT_LIMIT:
-        _say(args, "oracle check skipped: too many qubits")
-        return
-    if isinstance(start, graphs.Graph):
-        state = oracle.build_graph_state(start)
-    else:
-        state = oracle.stabilized_state(start)
-    for q in ops:
-        state = oracle.apply_lifted(state, oracle.lift_local_clifford(q))
-    if not oracle.stabilized_up_to_signs(state, target()):
-        raise CommandError(f"oracle check failed: {failure}")
-    _say(args, "oracle check: ok")
 
 
 def _cmd_decompose(args):
@@ -225,20 +225,10 @@ def _cmd_decompose(args):
     _write(out, decomposition.format_sequence(seq))
     _say(args, f"{len(seq)} steps -> {out}")
     if args.verify:
-
-        def target():
-            return stabilizer.from_graph(clifford.graph_action(q, g).image)
-
-        msg = "lifted sequence misses the target state"
-        _verify_lifted(args, g, _step_ops(g, seq), target, msg)
+        written = _reread(decomposition.parse_sequence, out)
+        ok = _replay(g, written) == clifford.graph_action(q, g).image
+        _check(args, ok, "sequence misses the image of the graph action")
     return EXIT_OK
-
-
-def _step_ops(g, seq):
-    """The local Clifford operation of each complementation in ``seq``, walked from g."""
-    for v in seq.expand():
-        yield clifford.local_complement_op(g, v)
-        g = graphs.local_complement(g, v)
 
 
 def _cmd_apply(args):
@@ -250,12 +240,8 @@ def _cmd_apply(args):
     edges = sum(r.bit_count() for r in result.adj.row_ints) // 2
     _say(args, f"result graph with {edges} edges -> {out}")
     if args.verify:
-        check = g
-        for v in seq.expand():
-            check = clifford.graph_action(clifford.local_complement_op(check, v), check).image
-        if check != result:
-            raise CommandError("symplectic replay disagrees with edge toggling")
-        _say(args, "symplectic replay: ok")
+        ok = _replay(g, seq) == _reread(graphs.parse_edge_list, out)
+        _check(args, ok, "symplectic replay disagrees with edge toggling")
     return EXIT_OK
 
 
@@ -264,8 +250,9 @@ def _cmd_orbit(args):
     result = orbit.enumerate_orbit(g, member_cap=args.cap)
     count = len(result.members)
     _say(args, f"{count} member{'s' if count != 1 else ''}")
-    _say(args, "canonical representative:")
-    _say(args, graphs.format_edge_list(result.canonical).rstrip("\n"))
+    if not args.quiet:
+        print("canonical representative:")
+        print(graphs.format_edge_list(result.canonical).rstrip("\n"))
     ordered = sorted(result.members, key=orbit._lex_key) if args.members or args.dot else ()
     if args.members:
         blocks = [graphs.format_edge_list(m) for m in ordered]
@@ -275,10 +262,9 @@ def _cmd_orbit(args):
         _write(args.dot, "".join(graphs.to_dot(m) for m in ordered))
         _say(args, f"DOT bundle -> {args.dot}")
     if args.verify:
-        for member, seq in result.transcripts.items():
-            if decomposition.apply_sequence(g, seq) != member:
-                raise CommandError("transcript replay mismatch")
-        _say(args, "transcript replay: ok")
+        replays = result.transcripts.items()
+        ok = all(decomposition.apply_sequence(g, seq) == m for m, seq in replays)
+        _check(args, ok, "transcript replay mismatch")
     return EXIT_OK
 
 
@@ -303,8 +289,10 @@ def _cmd_equiv(args):
         _say(args, "equivalent")
         _say(args, f"witness -> {args.witness}")
         if args.verify:
-            msg = "witness does not connect the states"
-            _verify_lifted(args, first, [result.q], lambda: second, msg)
+            written = _reread(clifford.parse_clifford, args.witness)
+            moved = clifford.apply_to_stabilizer(written, first)
+            ok = stabilizer.same_subspace(stabilizer.StabilizerGenMatrix(moved), second)
+            _check(args, ok, "witness does not connect the states")
         return EXIT_OK
     _say(args, "inequivalent")
     return EXIT_INEQUIVALENT
@@ -318,22 +306,6 @@ def _cmd_export_dot(args):
         _say(args, f"DOT -> {args.out}")
     else:
         _say(args, text.rstrip("\n"))
-    return EXIT_OK
-
-
-def _cmd_oracle_check(args):
-    from . import oracle
-
-    g = _load(graphs.parse_edge_list, args.graph)
-    state = oracle.build_graph_state(g)
-    err = oracle.defining_equation_error(state, g)
-    _say(args, f"defining equations satisfied (max deviation {err:.2e})")
-    stab = stabilizer.from_graph(g)
-    projected = oracle.stabilized_state(stab)
-    overlap = abs(state.inner(projected))
-    if abs(overlap - 1.0) > oracle.ATOL:
-        raise CommandError("projector state disagrees with the circuit construction")
-    _say(args, "projector construction agrees with the circuit construction")
     return EXIT_OK
 
 

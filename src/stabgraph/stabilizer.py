@@ -3,8 +3,8 @@
 A generator matrix is a full-rank 2n x n matrix over GF(2) whose columns
 encode n independent, pairwise commuting Pauli operators: the top n rows hold
 the Z bits, the bottom n rows the X bits. Overall phases are not tracked at
-all in this representation; the dense oracle compensates by checking
-stabilization only up to per-generator signs.
+all in this representation: a generator matrix fixes its stabilizer state
+only up to per-generator signs.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InternalError
-from .stabilizer import PauliString
+from stabgraph.errors import InternalError
+from stabgraph.stabilizer import PauliString
 
 ORACLE_QUBIT_LIMIT = 12
 ATOL = 1e-9
@@ -170,7 +170,7 @@ def build_graph_state(g):
 
 def _graph_generator(g, j):
     """The stabilizer generator at vertex j, built directly from the adjacency bits."""
-    from .gf2 import BitVec
+    from stabgraph.gf2 import BitVec
 
     n = g.n
     return PauliString(BitVec(n, g.adj.row_ints[j - 1]), BitVec(n, 1 << (j - 1)))

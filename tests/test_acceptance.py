@@ -9,9 +9,10 @@ import random
 import time
 from contextlib import contextmanager
 
+import dense_oracle as oracle
 from conftest import all_graphs, cd_step, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs
-from stabgraph import oracle, orbit, reduction, stabilizer
+from stabgraph import orbit, reduction, stabilizer
 from stabgraph.decomposition import Triple, apply_sequence, reduce_to_identity
 from stabgraph.gf2 import BitVec
 from stabgraph.graphs import Graph, local_complement

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, artifacts, round-trips, error reporting."""
 
+import json
 import os
 import random
 import subprocess
@@ -7,8 +8,16 @@ import sys
 
 import pytest
 
-from conftest import random_graph
-from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
+from conftest import random_graph, random_in_domain_op
+from dense_oracle import (
+    apply_lifted,
+    build_graph_state,
+    lift_local_clifford,
+    stabilized_state,
+    stabilized_up_to_signs,
+)
+from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, orbit, reduction
+from stabgraph import stabilizer
 from stabgraph.errors import MAX_QUBITS
 from stabgraph.graphs import Graph
 
@@ -60,6 +69,7 @@ def _contract_argv(tmp_path, row):
         "missing-file": ["equiv", str(tmp_path / "nope.graph"), k3],
         "orbit-over-cap": ["orbit", k3, "--cap", "2"],
         "decompose-out-of-domain": ["decompose", hadamards, empty3],
+        "oracle-check-removed": ["oracle-check", k3],
     }[row]
 
 
@@ -73,6 +83,7 @@ EXIT_CONTRACT = [
     ("missing-file", cli.EXIT_PARSE),
     ("orbit-over-cap", cli.EXIT_FAILURE),
     ("decompose-out-of-domain", cli.EXIT_FAILURE),
+    ("oracle-check-removed", cli.EXIT_USAGE),
 ]
 
 
@@ -108,7 +119,6 @@ POSITIONALS = {
     "canon": 1,
     "equiv": 2,
     "export-dot": 1,
-    "oracle-check": 1,
 }
 KEPT_FLAGS = {
     "reduce": {"verify", "quiet"},
@@ -118,7 +128,6 @@ KEPT_FLAGS = {
     "canon": {"cap", "quiet"},
     "equiv": {"verify", "quiet"},
     "export-dot": {"quiet"},
-    "oracle-check": {"quiet"},
 }
 FLAG_ARGV = {
     "cap": ["--cap", "3"],
@@ -153,12 +162,41 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, e
     assert err.count("\n") == 1
 
 
-def test_cli_import_does_not_load_numpy():
+# blocks numpy, then runs each command line given as JSON and prints the exit codes
+NO_NUMPY_PROBE = """
+import json, sys
+sys.modules["numpy"] = None
+import stabgraph, stabgraph.cli
+print(json.dumps([stabgraph.cli.run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_cli_import_does_not_load_numpy(tmp_path):
+    g = Graph.path(4)
+    gpath = graph_file(tmp_path, "g.graph", g)
+    stab = write(tmp_path, "g.stab", stabilizer.format_stabilizer(stabilizer.from_graph(g)))
+    op = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+    steps = write(tmp_path, "steps.lcs", "g 2\n")
+    argvs = {
+        "reduce": ["reduce", stab],
+        "decompose": ["decompose", op, gpath],
+        "apply": ["apply", gpath, steps],
+        "orbit": ["orbit", gpath],
+        "canon": ["canon", gpath],
+        "equiv": ["equiv", stab, gpath, "--witness", str(tmp_path / "w.lc")],
+        "export-dot": ["export-dot", gpath],
+    }
+    assert sorted(argvs) == sorted(POSITIONALS)
+    for command, argv in argvs.items():
+        argv += ["--verify", "--quiet"] if "verify" in KEPT_FLAGS[command] else ["--quiet"]
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "import sys, stabgraph.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    probe = [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(list(argvs.values()))]
+    out = subprocess.run(probe, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    codes = dict(zip(argvs, json.loads(out.stdout)))
+    assert all(code in (cli.EXIT_OK, cli.EXIT_INEQUIVALENT) for code in codes.values()), codes
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -211,9 +249,23 @@ def test_orbit_command(tmp_path, capsys):
     assert cli.run(["orbit", k3, "--members", members, "--dot", dot, "--verify"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "4 members" in out
-    assert "transcript replay: ok" in out
+    assert "check: ok" in out
     assert (tmp_path / "members.txt").read_text().count("--") == 4
     assert (tmp_path / "members.dot").read_text().count("graph G {") == 4
+
+
+def test_orbit_quiet_never_reads_the_canonical_representative(tmp_path, capsys, monkeypatch):
+    path = graph_file(tmp_path, "path4.graph", Graph.path(4))
+    assert cli.run(["orbit", path]) == cli.EXIT_OK
+    out = "11 members\ncanonical representative:\n4\n1 3\n1 4\n2 3\n2 4\n"
+    assert capsys.readouterr().out == out
+
+    def refuse(g):
+        raise AssertionError("orbit --quiet computed the canonical representative")
+
+    monkeypatch.setattr(orbit, "_lex_key", refuse)
+    assert cli.run(["orbit", path, "--quiet", "--verify"]) == cli.EXIT_OK
+    assert capsys.readouterr() == ("", "")
 
 
 def test_orbit_cap(tmp_path, capsys):
@@ -236,7 +288,7 @@ def test_reduce_command(tmp_path, capsys):
     stab_path = write(tmp_path, "zeros3.stab", "ZII\nIZI\nIIZ\n")
     assert cli.run(["reduce", stab_path, "--verify"]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "oracle check: ok" in out
+    assert out.splitlines()[-1] == "check: ok"
     g = graphs.parse_edge_list((tmp_path / "zeros3.graph").read_text())
     assert g == Graph.empty(3)
     q = clifford.parse_clifford((tmp_path / "zeros3.lc").read_text())
@@ -260,11 +312,11 @@ def test_decompose_and_apply_roundtrip(tmp_path, capsys):
     qpath = write(tmp_path, "op.lc", clifford.format_clifford(q))
     seq_path = str(tmp_path / "steps.lcs")
     assert cli.run(["decompose", qpath, gpath, "--out", seq_path, "--verify"]) == cli.EXIT_OK
-    assert "oracle check: ok" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == "check: ok"
 
     out_path = str(tmp_path / "applied.graph")
     assert cli.run(["apply", gpath, seq_path, "--out", out_path, "--verify"]) == cli.EXIT_OK
-    assert "symplectic replay: ok" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == "check: ok"
     applied = graphs.parse_edge_list((tmp_path / "applied.graph").read_text())
     assert applied == graphs.local_complement(g, 2)
 
@@ -275,7 +327,7 @@ def test_apply_verify_catches_wrong_edge_toggling(tmp_path, capsys, monkeypatch)
     seq_path = write(tmp_path, "steps.lcs", "g 2\n")
     monkeypatch.setattr(graphs, "local_complement", lambda g, i: g)
     assert cli.run(["apply", gpath, seq_path, "--verify", "--quiet"]) == cli.EXIT_FAILURE
-    assert "error: failed: symplectic replay" in capsys.readouterr().err
+    assert "error: failed: check failed: symplectic replay" in capsys.readouterr().err
 
 
 def _verify_inputs(tmp_path, command, g):
@@ -287,20 +339,19 @@ def _verify_inputs(tmp_path, command, g):
     if command == "decompose":
         qpath = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
         return ["decompose", qpath, gpath, "--verify"]
+    if command == "apply":
+        return ["apply", gpath, write(tmp_path, "steps.lcs", "g 2\n"), "--verify"]
     return ["equiv", gpath, gpath, "--witness", str(tmp_path / "w.lc"), "--verify"]
 
 
-@pytest.mark.parametrize(
-    "command, failure",
-    [
-        ("reduce", "witness does not map onto the graph state"),
-        ("decompose", "lifted sequence misses the target state"),
-        ("equiv", "witness does not connect the states"),
-    ],
-)
-def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, failure):
-    g = Graph.path(4)
-    wrong = clifford.LocalCliffordOp.hadamard_all(4)
+def _swap_zx(q):
+    """q followed by a Hadamard on every qubit: its Z and X rows swapped."""
+    return clifford.LocalCliffordOp(q.c, q.d, q.a, q.b)
+
+
+def _break_result(monkeypatch, command, g):
+    """Make the library hand ``command`` a wrong witness, sequence or graph."""
+    wrong = clifford.LocalCliffordOp.hadamard_all(g.n)
     if command == "reduce":
         right = reduction.to_graph_state
         monkeypatch.setattr(
@@ -310,32 +361,91 @@ def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, f
         # complementing at 3 instead of 2 reaches another graph
         wrong_seq = decomposition.LCSequence((decomposition.Single(3),))
         monkeypatch.setattr(decomposition, "decompose_action", lambda q, h: wrong_seq)
+    elif command == "apply":
+        monkeypatch.setattr(graphs, "local_complement", lambda h, i: h)
     else:
         monkeypatch.setattr(equivalence, "test_equivalence", lambda a, b: equivalence.Equivalent(wrong))
-    assert cli.run(_verify_inputs(tmp_path, command, g)) == cli.EXIT_FAILURE
+
+
+def _break_writer(monkeypatch, command):
+    """Make the writer of ``command``'s checked output write other, well-formed bits."""
+    module, name, alter = {
+        "reduce": (clifford, "format_clifford", _swap_zx),
+        "decompose": (
+            decomposition,
+            "format_sequence",
+            lambda seq: decomposition.LCSequence(seq.steps + (decomposition.Single(2),)),
+        ),
+        "apply": (graphs, "format_edge_list", graphs.complement),
+        "equiv": (clifford, "format_clifford", _swap_zx),
+    }[command]
+    right = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda value: right(alter(value)))
+
+
+@pytest.mark.parametrize("fault", ["result", "writer"])
+@pytest.mark.parametrize("n", [4, 13, 64])
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("reduce", "witness does not map onto the graph state"),
+        ("decompose", "sequence misses the image of the graph action"),
+        ("apply", "symplectic replay disagrees with edge toggling"),
+        ("equiv", "witness does not connect the states"),
+    ],
+    ids=["reduce", "decompose", "apply", "equiv"],
+)
+def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, failure, n, fault):
+    g = Graph.path(n)
+    argv = _verify_inputs(tmp_path, command, g)
+    if fault == "result":
+        _break_result(monkeypatch, command, g)
+    else:
+        _break_writer(monkeypatch, command)
+    assert cli.run(argv) == cli.EXIT_FAILURE
     captured = capsys.readouterr()
-    assert captured.err == f"error: failed: oracle check failed: {failure}\n"
-    assert "oracle check: ok" not in captured.out
+    assert captured.err == f"error: failed: check failed: {failure}\n"
+    assert "check: ok" not in captured.out
 
 
-@pytest.mark.parametrize("command", ["reduce", "decompose", "equiv"])
-def test_verify_skips_large_inputs_before_building_states(tmp_path, capsys, monkeypatch, command):
-    from stabgraph import oracle
+def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
+    """reduce, decompose and equiv outputs, read back from their files, lifted onto statevectors."""
+    rng = random.Random(77)
+    witness = str(tmp_path / "w.lc")
+    for trial in range(16):
+        n = 1 + trial % 8
+        s = stabilizer.random_stabilizer(n, 300 + trial)
+        stab_path = write(tmp_path, "s.stab", stabilizer.format_stabilizer(s))
+        assert cli.run(["reduce", stab_path, "--quiet"]) == cli.EXIT_OK
+        reduced = graphs.parse_edge_list((tmp_path / "s.graph").read_text())
+        q = clifford.parse_clifford((tmp_path / "s.lc").read_text())
+        moved = apply_lifted(stabilized_state(s, seed=trial), lift_local_clifford(q))
+        assert stabilized_up_to_signs(moved, stabilizer.from_graph(reduced))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense oracle work above the qubit limit")
+        g = random_graph(rng, n)
+        op = random_in_domain_op(rng, g)
+        gpath = graph_file(tmp_path, "g.graph", g)
+        qpath = write(tmp_path, "op.lc", clifford.format_clifford(op))
+        seq_path = str(tmp_path / "g.lcs")
+        assert cli.run(["decompose", qpath, gpath, "--out", seq_path, "--quiet"]) == cli.EXIT_OK
+        seq = decomposition.parse_sequence((tmp_path / "g.lcs").read_text())
+        image = clifford.graph_action(op, g).image
+        state, cur = build_graph_state(g), g
+        for v in seq.expand():
+            state = apply_lifted(state, lift_local_clifford(clifford.local_complement_op(cur, v)))
+            cur = graphs.local_complement(cur, v)
+        assert stabilized_up_to_signs(state, stabilizer.from_graph(image))
 
-    argv = _verify_inputs(tmp_path, command, Graph.path(oracle.ORACLE_QUBIT_LIMIT + 1))
-    for name in ("build_graph_state", "stabilized_state", "lift_local_clifford"):
-        monkeypatch.setattr(oracle, name, refuse)
-    monkeypatch.setattr(clifford, "local_complement_op", refuse)
-    actions = []
-    graph_action = clifford.graph_action
-    monkeypatch.setattr(clifford, "graph_action", lambda q, g: actions.append(q) or graph_action(q, g))
-    assert cli.run(argv) == cli.EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == "oracle check skipped: too many qubits"
-    # decompose_action's own graph action only: the check's target is never built
-    assert len(actions) == (command == "decompose")
+        ipath = graph_file(tmp_path, "image.graph", image)
+        pairs = [
+            (gpath, ipath, build_graph_state(g), image),
+            (stab_path, str(tmp_path / "s.graph"), stabilized_state(s, seed=trial), reduced),
+        ]
+        for first, second, state, target in pairs:
+            assert cli.run(["equiv", first, second, "--witness", witness, "--quiet"]) == cli.EXIT_OK
+            q = clifford.parse_clifford((tmp_path / "w.lc").read_text())
+            moved = apply_lifted(state, lift_local_clifford(q))
+            assert stabilized_up_to_signs(moved, stabilizer.from_graph(target))
 
 
 def test_decompose_domain_failure(tmp_path, capsys):
@@ -354,7 +464,7 @@ def test_equiv_graphs(tmp_path, capsys):
     assert cli.run(["equiv", p3, k3, "--witness", witness, "--verify"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "equivalent"
-    assert "oracle check: ok" in out
+    assert out.splitlines()[-1] == "check: ok"
     q = clifford.parse_clifford((tmp_path / "w.lc").read_text())
     assert q.n == 3
 
@@ -392,13 +502,6 @@ def test_export_dot(tmp_path, capsys):
     out = str(tmp_path / "g.dot")
     assert cli.run(["export-dot", gpath, "--out", out, "--quiet"]) == cli.EXIT_OK
     assert (tmp_path / "g.dot").read_text() == graphs.to_dot(Graph.from_edges(3, [(1, 2)]))
-
-
-def test_oracle_check(tmp_path, capsys):
-    gpath = graph_file(tmp_path, "p3.graph", Graph.path(3))
-    assert cli.run(["oracle-check", gpath]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "defining equations satisfied" in out
 
 
 def test_inputs_not_mutated(tmp_path):

@@ -6,10 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from conftest import random_graph, random_in_domain_op
-from stabgraph import clifford, decomposition, graphs, oracle, reduction, stabilizer
-from stabgraph.graphs import Graph
-from stabgraph.oracle import (
+from dense_oracle import (
     StateVector,
     TooLargeError,
     apply_lifted,
@@ -22,6 +21,8 @@ from stabgraph.oracle import (
     stabilized_state,
     stabilized_up_to_signs,
 )
+from stabgraph import clifford, decomposition, graphs, reduction, stabilizer
+from stabgraph.graphs import Graph
 from stabgraph.stabilizer import PauliString
 
 

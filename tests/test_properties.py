@@ -1,16 +1,23 @@
-"""Property tests for the five text formats.
+"""Property tests for the five text formats and the CLI exit-code contract.
 
 For every format, parsing the formatted text gives back the value, and any
 text at all parses to a value or raises ParseError, never anything else.
-Examples are derived from the test source (``derandomize=True``), so runs
-are deterministic.
+Commands run on such texts exit with a code the contract gives them and
+never report an internal error. Examples are derived from the test source
+(``derandomize=True``), so runs are deterministic.
 """
+
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabgraph import clifford, decomposition, gf2, graphs, stabilizer
+from stabgraph import cli, clifford, decomposition, gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -136,3 +143,46 @@ def test_any_text_parses_or_raises_parse_error(name, data):
     except ParseError:
         return
     assert isinstance(value, kind)
+
+
+def state_texts():
+    """Files that equiv and reduce read: valid states, edited state text, or bare format text."""
+    return st.one_of(
+        graph_values().map(graphs.format_edge_list),
+        stabilizer_values().map(stabilizer.format_stabilizer),
+        stabilizer_values().map(_stabilizer_matrix_text),
+        edited_texts(graph_values(), graphs.format_edge_list),
+        edited_texts(stabilizer_values(), stabilizer.format_stabilizer),
+        st.text(FORMAT_ALPHABET, max_size=200),
+    )
+
+
+def run_on_files(command, texts, *flags):
+    """Run ``command`` on ``texts`` written to fresh files; returns (exit code, stderr).
+
+    ``{tmp}`` in a flag names the directory of those files.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"in{k}.txt") for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text)
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = cli.run([command, *paths, *(f.format(tmp=tmp) for f in flags)])
+    return code, err.getvalue()
+
+
+@SETTINGS
+@given(first=state_texts(), second=state_texts())
+def test_equiv_exit_codes(first, second):
+    code, err = run_on_files("equiv", [first, second], "--witness", "{tmp}/w.lc", "--verify")
+    assert "error: internal:" not in err
+    mismatch = code == cli.EXIT_FAILURE and err == "error: invalid: qubit count mismatch\n"
+    assert code in (cli.EXIT_OK, cli.EXIT_INEQUIVALENT, cli.EXIT_PARSE) or mismatch, err
+
+
+@SETTINGS
+@given(text=state_texts())
+def test_reduce_exit_codes(text):
+    code, err = run_on_files("reduce", [text], "--verify")
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE), err
