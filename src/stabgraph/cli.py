@@ -157,13 +157,13 @@ def _load(parse, path):
 
 
 def _parse_state(text):
-    """Graph or stabilizer text, sniffed by the first meaningful line; returns the stabilizer."""
+    """Graph or stabilizer text, sniffed by the first meaningful line."""
     first = next(
         (ln.split("#", 1)[0].strip() for ln in text.splitlines() if ln.split("#", 1)[0].strip()),
         "",
     )
     if len(first.split()) == 1 and first.isdigit():
-        return stabilizer.from_graph(graphs.parse_edge_list(text))
+        return graphs.parse_edge_list(text)
     return stabilizer.parse_stabilizer(text)
 
 
@@ -281,8 +281,10 @@ def _cmd_canon(args):
 
 
 def _cmd_equiv(args):
-    first = _load(_parse_state, args.first)
-    second = _load(_parse_state, args.second)
+    states = [_load(_parse_state, path) for path in (args.first, args.second)]
+    if states[0].n != states[1].n:  # before a graph header can size a 2n x n matrix
+        raise ValueError("qubit count mismatch")
+    first, second = (stabilizer.from_graph(s) if isinstance(s, graphs.Graph) else s for s in states)
     result = equivalence.test_equivalence(first, second)
     if isinstance(result, equivalence.Equivalent):
         _write(args.witness, clifford.format_clifford(result.q))

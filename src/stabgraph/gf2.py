@@ -10,7 +10,13 @@ All values are immutable and hashable; every operation returns a new value.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, count
+from operator import or_, xor
+
 from .errors import MAX_QUBITS, ParseError
+
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # digits to falsy/truthy bytes
 
 
 class SingularError(Exception):
@@ -108,7 +114,8 @@ class BitVec:
         return out
 
     def to01(self):
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        # the leading 1 pads to exactly n digits (n = 0 included); reversed it is dropped
+        return format(self.bits | 1 << self.n, "b")[:0:-1]
 
     def __eq__(self, other):
         return (
@@ -204,31 +211,26 @@ def mat_mul(a, b):
     """Exact GF(2) product a.b.
 
     Row i of the result is the XOR of the rows of ``b`` selected by the set
-    bits of row i of ``a``.
+    bits of row i of ``a``, read as binary digits against b's rows reversed.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} columns vs {b.rows} rows")
-    brows = b.row_ints
-    out = []
-    for ra in a.row_ints:
-        acc = 0
-        bits = ra
-        while bits:
-            low = bits & -bits
-            acc ^= brows[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
+    brows = b.row_ints[::-1]
+    spec = f"0{b.rows}b"
+    out = [
+        reduce(xor, compress(brows, format(ra, spec).encode().translate(_SELECTORS)), 0)
+        for ra in a.row_ints
+    ]
     return BitMatrix(a.rows, b.cols, out)
 
 
 def transpose(m):
-    out = [0] * m.cols
-    for i, row in enumerate(m.row_ints):
-        bits = row
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] |= 1 << i
-            bits ^= low
+    if not (m.rows and m.cols):  # format(0, "00b") is "0", one digit too many
+        return BitMatrix(m.cols, m.rows, [0] * m.cols)
+    spec = f"0{m.cols}b"
+    digits = [format(r, spec) for r in reversed(m.row_ints)]
+    out = [int("".join(col), 2) for col in zip(*digits)]
+    out.reverse()
     return BitMatrix(m.cols, m.rows, out)
 
 
@@ -269,36 +271,40 @@ def eliminate(rows, columns, stop_at_gap=False):
 
     For each bit position in ``columns``, in order, the pivot is the
     lowest-index row not yet used as a pivot that has the bit set; it is XORed
-    into every other row that has the bit set. Rows are never reordered, so
-    callers can carry bookkeeping bits above the eliminated ones. Returns the
-    ``(column, row index)`` pivots in column order; with ``stop_at_gap`` it
-    returns at the first column with no pivot. ``unused`` covers the bits of
-    every unused row (XORing unused rows sets no new bit), so a column outside
-    it is skipped without a scan; a scan that finds no pivot renews it.
+    into every unused row that has the bit set, and at the end the pivot rows
+    into each other, last first: the same rows as XORing each pivot into all
+    others. Rows are never reordered, so callers can carry bookkeeping bits
+    above the eliminated ones. Returns the ``(column, row index)`` pivots in
+    column order; with ``stop_at_gap`` it returns at the first column with no
+    pivot. ``unused`` covers the bits of every unused row (XORing them sets no
+    new bit), so a column outside it is skipped without a scan.
     """
-    pivots = []
-    used = [False] * len(rows)
+    pivots, pivot_rows = [], []
+    free, live = list(range(len(rows))), list(rows)
     unused = -1
     for col in columns:
-        if len(pivots) == len(rows):
+        if not live:
             break
         bit = 1 << col
-        pivot = None
+        k = None
         if unused & bit:
-            pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
-            if pivot is None:
-                unused = 0
-                for r, u in zip(rows, used):
-                    unused |= 0 if u else r
-        if pivot is None:
+            k = next(compress(count(), map(bit.__and__, live)), None)
+            if k is None:
+                unused = reduce(or_, live, 0)
+        if k is None:
             if stop_at_gap:
                 break
             continue
-        used[pivot] = True
-        pivots.append((col, pivot))
-        prow = rows[pivot]
-        rows[:] = [r ^ prow if r & bit else r for r in rows]
-        rows[pivot] = prow
+        prow = live.pop(k)
+        pivots.append((col, free.pop(k)))
+        pivot_rows.append(prow)
+        live = [r ^ prow if r & bit else r for r in live]
+    # a pivot row has no earlier pivot column set, nor, once reduced, a later one
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, bit = pivot_rows[k], 1 << pivots[k][0]
+        pivot_rows[:k] = [r ^ prow if r & bit else r for r in pivot_rows[:k]]
+    for i, r in zip(free + [i for _, i in pivots], live + pivot_rows):
+        rows[i] = r
     return pivots
 
 
@@ -370,13 +376,11 @@ def parse_matrix(text):
         line = lines[1 + i].strip()
         if len(line) != cols:
             raise ParseError(f"expected {cols} bits, found {len(line)}", line=2 + i)
-        acc = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                acc |= 1 << j
-            elif ch != "0":
-                raise ParseError(f"invalid character {ch!r}", line=2 + i, column=j + 1)
-        ints.append(acc)
+        # int(s, 2) would also take "_", "0b", signs, spaces and non-ASCII digits
+        if line.count("0") + line.count("1") != cols:
+            j = next(j for j, ch in enumerate(line) if ch not in "01")
+            raise ParseError(f"invalid character {line[j]!r}", line=2 + i, column=j + 1)
+        ints.append(int(line[::-1] or "0", 2))
     for extra in range(1 + rows, len(lines)):
         if lines[extra].strip():
             raise ParseError("trailing content after matrix rows", line=extra + 1)

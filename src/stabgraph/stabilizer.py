@@ -36,8 +36,9 @@ class WrongCountError(StabilizerError):
         super().__init__(f"need exactly {n} generators on {n} qubits, got {count}")
 
 
-_PAULI_TO_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-_ZX_TO_PAULI = {v: k for k, v in _PAULI_TO_ZX.items()}
+_Z_DIGITS = str.maketrans("IXZY", "0011")
+_X_DIGITS = str.maketrans("IXZY", "0101")
+_ZX_TO_PAULI = {"00": "I", "01": "X", "10": "Z", "11": "Y"}
 
 
 class PauliString:
@@ -61,23 +62,16 @@ class PauliString:
         body = text.strip()
         if body[:1] in ("+", "-"):
             body = body[1:]
-        zbits = 0
-        xbits = 0
-        for i, ch in enumerate(body):
-            try:
-                zb, xb = _PAULI_TO_ZX[ch]
-            except KeyError:
-                raise ParseError(f"invalid Pauli letter {ch!r}", column=i + 1) from None
-            zbits |= zb << i
-            xbits |= xb << i
-        n = len(body)
-        return cls(BitVec(n, zbits), BitVec(n, xbits))
+        # int(s, 2) would also take "_", "0b", signs, spaces and non-ASCII digits
+        if sum(map(body.count, "IXYZ")) != len(body):
+            i = next(i for i, ch in enumerate(body) if ch not in "IXYZ")
+            raise ParseError(f"invalid Pauli letter {body[i]!r}", column=i + 1)
+        z, x = (int(body[::-1].translate(d) or "0", 2) for d in (_Z_DIGITS, _X_DIGITS))
+        return cls(BitVec(len(body), z), BitVec(len(body), x))
 
     def to_text(self):
-        return "".join(
-            _ZX_TO_PAULI[((self.z.bits >> i) & 1, (self.x.bits >> i) & 1)]
-            for i in range(self.n)
-        )
+        pairs = map(str.__add__, self.z.to01(), self.x.to01())
+        return "".join(map(_ZX_TO_PAULI.__getitem__, pairs))
 
     def commutes_with(self, other):
         """True iff the symplectic inner product of the encodings is zero."""

@@ -1,6 +1,7 @@
 """Shared random-instance generators, naive list-of-lists GF(2) oracles, the
-matrix reference for the decomposition walk, the reference completion and
-the exhaustive reference equivalence solver.
+per-bit loop references for the packed kernels and text codecs, the matrix
+reference for the decomposition walk, the reference completion and the
+exhaustive reference equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
@@ -8,6 +9,7 @@ sharing any code with them.
 """
 
 from stabgraph import clifford, equivalence, gf2, graphs, stabilizer
+from stabgraph.errors import MAX_QUBITS, ParseError
 
 
 def rows_of(m):
@@ -48,6 +50,126 @@ def naive_rank(rows):
                 work[i] = [(x + y) % 2 for x, y in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def reference_mat_mul(a, b):
+    """Row i of a.b as the XOR of the rows of b at the set bits of row i of a, bit by bit."""
+    out = []
+    for ra in a.row_ints:
+        acc = 0
+        bits = ra
+        while bits:
+            low = bits & -bits
+            acc ^= b.row_ints[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return gf2.BitMatrix(a.rows, b.cols, out)
+
+
+def reference_transpose(m):
+    """Transpose by scattering each set bit of each row."""
+    out = [0] * m.cols
+    for i, row in enumerate(m.row_ints):
+        bits = row
+        while bits:
+            low = bits & -bits
+            out[low.bit_length() - 1] |= 1 << i
+            bits ^= low
+    return gf2.BitMatrix(m.cols, m.rows, out)
+
+
+def reference_eliminate(rows, columns, stop_at_gap=False):
+    """``gf2.eliminate`` with each pivot XORed into every other row at once."""
+    pivots = []
+    used = [False] * len(rows)
+    unused = -1
+    for col in columns:
+        if len(pivots) == len(rows):
+            break
+        bit = 1 << col
+        pivot = None
+        if unused & bit:
+            pivot = next((i for i, r in enumerate(rows) if r & bit and not used[i]), None)
+            if pivot is None:
+                unused = 0
+                for r, u in zip(rows, used):
+                    unused |= 0 if u else r
+        if pivot is None:
+            if stop_at_gap:
+                break
+            continue
+        used[pivot] = True
+        pivots.append((col, pivot))
+        prow = rows[pivot]
+        rows[:] = [r ^ prow if r & bit else r for r in rows]
+        rows[pivot] = prow
+    return pivots
+
+
+def reference_to01(v):
+    return "".join("1" if (v.bits >> i) & 1 else "0" for i in range(v.n))
+
+
+def reference_parse_matrix(text):
+    """``gf2.parse_matrix`` reading each row character by character."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty matrix text", line=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ParseError("expected header 'rows cols'", line=1)
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError("expected two integers in header", line=1) from None
+    if not (0 <= rows <= 2 * MAX_QUBITS and 0 <= cols <= 2 * MAX_QUBITS):
+        raise ParseError(f"dimensions must be in 0..{2 * MAX_QUBITS}", line=1)
+    if len(lines) - 1 < rows:
+        raise ParseError(f"expected {rows} data rows, found {len(lines) - 1}", line=len(lines))
+    ints = []
+    for i in range(rows):
+        line = lines[1 + i].strip()
+        if len(line) != cols:
+            raise ParseError(f"expected {cols} bits, found {len(line)}", line=2 + i)
+        acc = 0
+        for j, ch in enumerate(line):
+            if ch == "1":
+                acc |= 1 << j
+            elif ch != "0":
+                raise ParseError(f"invalid character {ch!r}", line=2 + i, column=j + 1)
+        ints.append(acc)
+    for extra in range(1 + rows, len(lines)):
+        if lines[extra].strip():
+            raise ParseError("trailing content after matrix rows", line=extra + 1)
+    return gf2.BitMatrix(rows, cols, ints)
+
+
+_PAULI_TO_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
+_ZX_TO_PAULI = {v: k for k, v in _PAULI_TO_ZX.items()}
+
+
+def reference_pauli_from_text(text):
+    """``PauliString.from_text`` reading one letter at a time."""
+    body = text.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    zbits = 0
+    xbits = 0
+    for i, ch in enumerate(body):
+        try:
+            zb, xb = _PAULI_TO_ZX[ch]
+        except KeyError:
+            raise ParseError(f"invalid Pauli letter {ch!r}", column=i + 1) from None
+        zbits |= zb << i
+        xbits |= xb << i
+    n = len(body)
+    return stabilizer.PauliString(gf2.BitVec(n, zbits), gf2.BitVec(n, xbits))
+
+
+def reference_pauli_to_text(p):
+    return "".join(
+        _ZX_TO_PAULI[((p.z.bits >> i) & 1, (p.x.bits >> i) & 1)] for i in range(p.n)
+    )
 
 
 def mat_vec(m, v):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -493,6 +494,21 @@ def test_equiv_mixed_inputs(tmp_path, capsys):
     witness = str(tmp_path / "w.lc")
     assert cli.run(["equiv", stab_path, k3, "--witness", witness]) == cli.EXIT_OK
     assert "equivalent" in capsys.readouterr().out
+
+
+def test_equiv_compares_qubit_counts_before_lifting_graphs(tmp_path, capsys):
+    # a 5-byte header must not cost a 2n x n generator matrix before the mismatch
+    header = write(tmp_path, "header.graph", "8192\n")
+    k4 = graph_file(tmp_path, "k4.graph", Graph.complete(4))
+    tracemalloc.start()
+    try:
+        code = cli.run(["equiv", header, k4, "--witness", str(tmp_path / "w.lc")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == "error: invalid: qubit count mismatch\n"
+    assert peak < 1 << 20
 
 
 def test_export_dot(tmp_path, capsys):

@@ -11,11 +11,17 @@ from conftest import (
     naive_mat_mul,
     naive_rank,
     random_bitmatrix,
+    random_graph,
     random_invertible,
+    reference_eliminate,
+    reference_mat_mul,
+    reference_parse_matrix,
+    reference_to01,
+    reference_transpose,
     rows_of,
     symplectic_form_matrix,
 )
-from stabgraph import gf2
+from stabgraph import equivalence, gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec, SingularError
 
@@ -378,3 +384,90 @@ def test_matrix_parse_errors():
     assert err.value.column == 2
     with pytest.raises(ParseError):
         gf2.parse_matrix("2 2\n101\n010\n")
+
+
+# Rows of 4400 bits are longer than the default int_max_str_digits (4300):
+# that limit leaves base 2 alone, in int(s, 2) and format(v, "b") alike.
+KERNEL_SHAPES = [(0, 6), (6, 0), (0, 0), (1, 1), (6, 6), (64, 64), (128, 64), (64, 128), (5, 4400)]
+
+
+def _kernel_inputs(rows, cols):
+    """The shape's seeded generator and a dense, a sparse and a low-rank matrix of it."""
+    rng = random.Random(rows * 10007 + cols)
+    bits = rng.getrandbits
+    sparse = [bits(cols) & bits(cols) & bits(cols) for _ in range(rows)]
+    k = min(rows, cols) // 2
+    low = reference_mat_mul(random_bitmatrix(rng, rows, k), random_bitmatrix(rng, k, cols))
+    dense = random_bitmatrix(rng, rows, cols)
+    return rng, [dense, BitMatrix(rows, cols, sparse), low]
+
+
+@pytest.mark.parametrize("rows,cols", KERNEL_SHAPES)
+def test_transpose_and_mat_mul_match_the_bit_loops(rows, cols):
+    rng, matrices = _kernel_inputs(rows, cols)
+    for m in matrices:
+        mt = reference_transpose(m)
+        assert gf2.transpose(m) == mt
+        for a, b in ((m, random_bitmatrix(rng, cols, 7)), (random_bitmatrix(rng, 3, rows), m)):
+            assert gf2.mat_mul(a, b) == reference_mat_mul(a, b)
+        assert gf2.mat_mul(m, mt) == reference_mat_mul(m, mt)
+
+
+def _assert_same_elimination(start, columns, stop_at_gap):
+    got, want = list(start), list(start)
+    assert gf2.eliminate(got, columns, stop_at_gap) == reference_eliminate(
+        want, columns, stop_at_gap
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("rows,cols", KERNEL_SHAPES)
+def test_eliminate_matches_the_bit_loop(rows, cols):
+    rng, matrices = _kernel_inputs(rows, cols)
+    for m in matrices:
+        carried = [
+            list(m.row_ints),
+            [r | 1 << (cols + i) for i, r in enumerate(m.row_ints)],
+            [r | rng.getrandbits(9) << cols for r in m.row_ints],
+        ]
+        orders = [range(cols), range(cols - 1, -1, -1), rng.sample(range(cols), cols // 2)]
+        for start in carried:
+            for columns in orders:
+                for stop_at_gap in (False, True):
+                    _assert_same_elimination(start, columns, stop_at_gap)
+
+
+@pytest.mark.parametrize("related", [False, True])
+def test_eliminate_matches_the_bit_loop_on_the_equiv_system(related):
+    # [M^T | I] as solve_homogeneous builds it at n = 48: 192 rows of 2304 + 192 bits
+    if related:  # a graph and its image under a 144-move complementation walk
+        rng = random.Random(48)
+        g = h = random_graph(rng, 48)
+        for _ in range(144):
+            h = graphs.local_complement(h, rng.randrange(1, 49))
+        sa, sb = stabilizer.from_graph(g), stabilizer.from_graph(h)
+    else:
+        sa, sb = stabilizer.random_stabilizer(48, 1), stabilizer.random_stabilizer(48, 2)
+    mt = equivalence.build_linear_system(sa, sb)
+    start = [r | 1 << (mt.cols + j) for j, r in enumerate(mt.row_ints)]
+    for columns in (range(mt.cols), range(mt.cols - 1, -1, -1)):
+        for stop_at_gap in (False, True):
+            _assert_same_elimination(start, columns, stop_at_gap)
+
+
+@pytest.mark.parametrize("rows,cols", KERNEL_SHAPES)
+def test_bit_strings_match_the_bit_loops(rows, cols):
+    _, matrices = _kernel_inputs(rows, cols)
+    for m in matrices:
+        for i in range(rows):
+            assert m.row(i).to01() == reference_to01(m.row(i))
+        text = gf2.format_matrix(m)
+        assert gf2.parse_matrix(text) == reference_parse_matrix(text) == m
+
+
+def test_matrix_rows_checked_against_the_column_count():
+    with pytest.raises(ValueError, match="beyond column count"):
+        BitMatrix(2, 3, [0b111, 0b1000])
+    with pytest.raises(ValueError, match="beyond column count"):
+        BitMatrix(2, 3, [0b111, -1])
+    assert BitMatrix(2, 0, [0, 0]).row_ints == (0, 0)

@@ -12,11 +12,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_matrix, reference_pauli_from_text
 from stabgraph import cli, clifford, decomposition, gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
 
@@ -186,3 +188,90 @@ def test_equiv_exit_codes(first, second):
 def test_reduce_exit_codes(text):
     code, err = run_on_files("reduce", [text], "--verify")
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE), err
+
+
+# Characters that int(s, 2) accepts in or around a base-2 literal besides 0 and
+# 1: separators, signs, a "0b" prefix, whitespace and non-ASCII decimal digits.
+INT_LITERAL_CHARS = "_+- \t\u00a0bB\u0660\u0661\uff10\uff11\U0001d7cf"
+
+# (parser, text, message, line, column), recorded with the per-character readers
+FOREIGN_CHARACTERS = [
+    (gf2.parse_matrix, "2 3\n011\n0_1\n", "invalid character '_'", 3, 2),
+    (gf2.parse_matrix, "2 3\n011\n+01\n", "invalid character '+'", 3, 1),
+    (gf2.parse_matrix, "2 3\n011\n-01\n", "invalid character '-'", 3, 1),
+    (gf2.parse_matrix, "2 3\n011\n0 1\n", "invalid character ' '", 3, 2),
+    (gf2.parse_matrix, "2 3\n011\n1\u00a01\n", "invalid character '\\xa0'", 3, 2),
+    (gf2.parse_matrix, "2 3\n011\n0b1\n", "invalid character 'b'", 3, 2),
+    (gf2.parse_matrix, "2 3\n011\n01_\n", "invalid character '_'", 3, 3),
+    (gf2.parse_matrix, "2 3\n011\n 0_1 \n", "invalid character '_'", 3, 2),
+    (gf2.parse_matrix, "2 3\n011\n\u0661\u0660\u0661\n", "invalid character '\u0661'", 3, 1),
+    (gf2.parse_matrix, "2 3\n011\n0\uff111\n", "invalid character '\uff11'", 3, 2),
+    (stabilizer.parse_stabilizer, "4 2\n10\n01\n00\n1_\n", "invalid character '_'", 5, 2),
+    (stabilizer.parse_stabilizer, "4 2\n10\n01\n00\n+1\n", "invalid character '+'", 5, 1),
+    (stabilizer.parse_stabilizer, "4 2\n10\n01\n00\n-1\n", "invalid character '-'", 5, 1),
+    (stabilizer.parse_stabilizer, "4 2\n10\n01\n00\n0b\n", "invalid character 'b'", 5, 2),
+    (
+        stabilizer.parse_stabilizer,
+        "4 2\n10\n01\n00\n\uff11\uff10\n",
+        "invalid character '\uff11'",
+        5,
+        1,
+    ),
+    (stabilizer.parse_stabilizer, "XZ\nX_Z\n", "invalid Pauli letter '_'", 2, 2),
+    (stabilizer.parse_stabilizer, "XZ\nX+Z\n", "invalid Pauli letter '+'", 2, 2),
+    (stabilizer.parse_stabilizer, "XZ\nXZ-\n", "invalid Pauli letter '-'", 2, 3),
+    (stabilizer.parse_stabilizer, "XZ\n+-XZ\n", "invalid Pauli letter '-'", 2, 1),
+    (stabilizer.parse_stabilizer, "XZ\nX Z\n", "invalid Pauli letter ' '", 2, 2),
+    (stabilizer.parse_stabilizer, "XZ\nX\u00a0Z\n", "invalid Pauli letter '\\xa0'", 2, 2),
+    (stabilizer.parse_stabilizer, "XZ\nX\uff11Z\n", "invalid Pauli letter '\uff11'", 2, 2),
+    (stabilizer.parse_stabilizer, "XZ\nXZ\u0661\n", "invalid Pauli letter '\u0661'", 2, 3),
+    (stabilizer.parse_stabilizer, "XZ\nxZ\n", "invalid Pauli letter 'x'", 2, 1),
+]
+
+
+@pytest.mark.parametrize("parse,text,message,line,column", FOREIGN_CHARACTERS)
+def test_characters_int_accepts_are_parse_errors(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+@st.composite
+def with_foreign_characters(draw, text, first):
+    """``text`` with one to three characters of lines ``first``.. replaced or joined by others."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(first, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[k])))
+        ch = draw(st.sampled_from(INT_LITERAL_CHARS))
+        lines[k] = lines[k][:j] + ch + lines[k][j + draw(st.integers(0, 1)) :]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_matrix_rows_read_like_the_character_loop(data):
+    m = data.draw(matrix_values().filter(lambda m: m.rows > 0))
+    text = data.draw(with_foreign_characters(gf2.format_matrix(m), first=1))
+    assert _outcome(gf2.parse_matrix, text) == _outcome(reference_parse_matrix, text)
+
+
+@pytest.mark.parametrize(
+    "fmt,first", [(stabilizer.format_stabilizer, 0), (_stabilizer_matrix_text, 1)]
+)
+@SETTINGS
+@given(data=st.data())
+def test_stabilizer_lines_read_like_the_character_loops(fmt, first, data):
+    text = data.draw(with_foreign_characters(fmt(data.draw(stabilizer_values())), first))
+    got = _outcome(stabilizer.parse_stabilizer, text)
+    with mock.patch.object(gf2, "parse_matrix", reference_parse_matrix):
+        with mock.patch.object(stabilizer.PauliString, "from_text", reference_pauli_from_text):
+            want = _outcome(stabilizer.parse_stabilizer, text)
+    assert got == want

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import mat_vec, random_invertible, symplectic_form_matrix
+from conftest import (
+    mat_vec,
+    random_invertible,
+    reference_pauli_from_text,
+    reference_pauli_to_text,
+    symplectic_form_matrix,
+)
 from stabgraph import gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
@@ -33,6 +39,16 @@ def test_pauli_encoding():
     assert pauli("-XX") == pauli("XX")  # signs dropped by design
     with pytest.raises(ParseError):
         pauli("XQ")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 4400])
+def test_pauli_codec_matches_the_letter_loop(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        text = "".join(rng.choice("IXYZ") for _ in range(n))
+        p = pauli(text)
+        assert p == reference_pauli_from_text(text) == pauli("-" + text)
+        assert p.to_text() == reference_pauli_to_text(p) == text
 
 
 def test_pauli_commutation():
