@@ -8,8 +8,8 @@ so fixtures diff cleanly and every writer round-trips through its reader.
 exact GF(2) relations, at any size.
 
 Exit codes: 0 success, 1 inequivalent (equiv), 64 usage error, 65 parse
-error, 70 operation failure (singular input, domain violation, orbit member
-cap exceeded, failed check) or internal error.
+error (also an unreadable or undecodable file), 70 operation failure (singular
+input, domain violation, member cap exceeded, failed check or write) or internal error.
 """
 
 from __future__ import annotations
@@ -89,8 +89,14 @@ def _build_parser():
     return parser
 
 
+def _cap(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 _FLAGS = {
-    "cap": dict(type=int, help="orbit member cap"),
+    "cap": dict(type=_cap, help="orbit member cap, at least 1"),
     "verify": dict(action="store_true", help="re-read the written files and check them exactly"),
     "quiet": dict(action="store_true", help="suppress non-error output"),
 }
@@ -141,12 +147,15 @@ def _say(args, message):
 def _read(path):
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(str(exc.strerror or exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        raise ParseError(str(getattr(exc, "strerror", None) or exc)) from exc
 
 
 def _write(path, text):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load(parse, path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gf2, graphs
+from . import gf2, graphs, stabilizer
 from .errors import MAX_QUBITS, InternalError, ParseError
 from .gf2 import BitMatrix, BitVec
 
@@ -153,41 +153,43 @@ def apply_to_stabilizer(q, stab):
     return BitMatrix(2 * n, n, out_z + out_x)
 
 
-def cd_matrix(adj, c, d):
-    """diag(c) . adj + diag(d): row i is c_i * adj_i + d_i * e_i."""
-    n = adj.rows
-    rows = []
-    for i in range(n):
-        row = adj.row_ints[i] if (c.bits >> i) & 1 else 0
-        if (d.bits >> i) & 1:
-            row ^= 1 << i
-        rows.append(row)
-    return BitMatrix(n, n, rows)
+def graph_form(q, stab):
+    """The paper's graph-form step: q' = shear.q and R with q'.S.R = [adj; I].
+
+    Applies q to the 2n x n matrix S, inverts its X block once (R = X^-1),
+    asserts that M = Z.R is symmetric, and shears [[1, 1], [0, 1]] the qubits
+    where M has a diagonal 1. Returns (q', graph, R, shear bits), or None
+    when the X block is singular.
+    """
+    n = stab.n
+    rows = apply_to_stabilizer(q, stab).row_ints
+    r = gf2.try_invert(BitMatrix(n, n, rows[n:]))
+    if r is None:
+        return None
+    m = gf2.mat_mul(BitMatrix(n, n, rows[:n]), r)
+    if not gf2.is_symmetric(m):
+        raise InternalError("Z block of the graph form is not symmetric")
+    shear = gf2.diagonal(m)
+    q = compose(LocalCliffordOp(BitVec.ones(n), shear, BitVec.zeros(n), BitVec.ones(n)), q)
+    return q, graphs.Graph._trusted(gf2.set_diagonal_zero(m)), r, shear.bits
 
 
 def graph_action(q, g):
     """Act on a graph; returns a GraphDomainReport rather than raising.
 
-    The image adjacency is (A.adj + B)(C.adj + D)^-1 when C.adj + D is
-    invertible; the graph is in the domain when additionally that matrix has
-    zero diagonal. Symmetry of the image is guaranteed by the symplectic
-    structure and is asserted, not imposed.
+    The image adjacency is (A.adj + B)(C.adj + D)^-1, the graph form of
+    q.[adj; I], when C.adj + D is invertible; the graph is in the domain when
+    additionally no shear is needed, i.e. that matrix has zero diagonal.
     """
     if q.n != g.n:
         raise ValueError("qubit count mismatch")
-    denom = cd_matrix(g.adj, q.c, q.d)
-    denom_inv = gf2.try_invert(denom)
-    if denom_inv is None:
+    form = graph_form(q, stabilizer.from_graph(g))
+    if form is None:
         return GraphDomainReport(invertible_cd=False, zero_diagonal=False)
-    numer = cd_matrix(g.adj, q.a, q.b)
-    image = gf2.mat_mul(numer, denom_inv)
-    if gf2.diagonal(image).bits != 0:
+    _, image, _, shear = form
+    if shear:
         return GraphDomainReport(invertible_cd=True, zero_diagonal=False)
-    if not gf2.is_symmetric(image):
-        raise InternalError("graph action produced an asymmetric adjacency matrix")
-    return GraphDomainReport(
-        invertible_cd=True, zero_diagonal=True, image=graphs.Graph._trusted(image)
-    )
+    return GraphDomainReport(invertible_cd=True, zero_diagonal=True, image=image)
 
 
 def local_complement_op(g, i):
@@ -214,19 +216,19 @@ def complete_from_cd(g, c, d):
     choices keeping the 2x2 block invertible, and they differ by (c_i, d_i).
     Switching between them adds row i of C.adj + D to row i of A.adj + B, so
     it flips only entry (i, i) of the image. The start (a, b) = (d & ~c, c)
-    is valid on every qubit; it is switched where its image diagonal is 1.
+    is valid on every qubit; its graph form switches it where needed.
     """
     if c.n != g.n or d.n != g.n:
         raise ValueError("diagonal length mismatch")
     n = g.n
-    denom_inv = gf2.try_invert(cd_matrix(g.adj, c, d))
-    if denom_inv is None:
+    if c.bits | d.bits != (1 << n) - 1:  # a (0, 0) pair is a zero row of C.adj + D
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    a, b = BitVec(n, d.bits & ~c.bits), c
-    flip = gf2.diagonal(gf2.mat_mul(cd_matrix(g.adj, a, b), denom_inv)).bits
-    q = LocalCliffordOp(BitVec(n, a.bits ^ flip & c.bits), BitVec(n, b.bits ^ flip & d.bits), c, d)
-    image = gf2.mat_mul(cd_matrix(g.adj, q.a, q.b), denom_inv)
-    if gf2.diagonal(image).bits != 0 or not gf2.is_symmetric(image):
+    s = stabilizer.from_graph(g)
+    form = graph_form(LocalCliffordOp(BitVec(n, d.bits & ~c.bits), c, c, d), s)
+    if form is None:
+        raise gf2.SingularError("lower blocks do not give an invertible denominator")
+    q, graph, r, _ = form
+    if gf2.mat_mul(BitMatrix(n, n, apply_to_stabilizer(q, s).row_ints[:n]), r) != graph.adj:
         raise InternalError("completion failed to place the graph in the domain")
     return q
 

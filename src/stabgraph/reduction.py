@@ -43,9 +43,8 @@ def to_graph_state(stab):
        them for an X block of rank k,
     2. Z/X swap (Hadamard) on every qubit outside the pivot rows, which makes
        the whole X block invertible,
-    3. R = X^-1 and M = Z.R, so that S.R = [M; I] with M symmetric,
-    4. the shear [[1, 1], [0, 1]] on each qubit where M has a diagonal 1,
-       which clears the diagonal without touching anything else.
+    3. the graph form (:func:`clifford.graph_form`): R = X^-1 and M = Z.R,
+       so that S.R = [M; I] with M symmetric, and the shears clearing diag(M).
     """
     n = stab.n
 
@@ -53,25 +52,13 @@ def to_graph_state(stab):
     pivots = gf2.eliminate(list(stab.s.row_ints[n:]), range(n))
     keep = BitVec(n, sum(1 << i for _, i in pivots))
 
-    # Step 2: Hadamard on every other qubit swaps its Z and X rows.
+    # Steps 2 and 3: Hadamards on every other qubit, then the graph form.
     swap = BitVec.ones(n) ^ keep
-    q_h = clifford.LocalCliffordOp(keep, swap, swap, keep)
-    rows = clifford.apply_to_stabilizer(q_h, stab).row_ints
-
-    # Step 3: R = X^-1 and M = Z.R.
-    r = gf2.try_invert(BitMatrix(n, n, rows[n:]))
-    if r is None:
+    form = clifford.graph_form(clifford.LocalCliffordOp(keep, swap, swap, keep), stab)
+    if form is None:
         raise InternalError("X block is singular after the Hadamard step")
-    m = gf2.mat_mul(BitMatrix(n, n, rows[:n]), r)
-
-    # Step 4: clear the diagonal of M.
-    if not gf2.is_symmetric(m):
-        raise InternalError("Z block of the standard form is not symmetric")
-    diag = gf2.diagonal(m)
-    q_shear = clifford.LocalCliffordOp(BitVec.ones(n), diag, BitVec.zeros(n), BitVec.ones(n))
-
-    graph = graphs.Graph._trusted(gf2.set_diagonal_zero(m))
-    witness = ReductionWitness(graph=graph, q=clifford.compose(q_shear, q_h), r=r)
+    q, graph, r, _ = form
+    witness = ReductionWitness(graph=graph, q=q, r=r)
     if not verify_witness(stab, witness):
         raise InternalError("reduction bookkeeping produced a bad witness")
     return witness

@@ -1,6 +1,6 @@
 """Shared random-instance generators, naive list-of-lists GF(2) oracles, the
 per-bit loop references for the packed kernels and text codecs, the matrix
-reference for the decomposition walk, the reference completion and the
+references for C.adj + D and the decomposition walk, the reference completion and the
 exhaustive reference equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
@@ -195,6 +195,22 @@ def invert(m):
     return inv
 
 
+def cd_matrix(adj, c, d):
+    """diag(c) . adj + diag(d): row i is c_i * adj_i + d_i * e_i.
+
+    The per-row form of the X block of Q.[adj; I]; the reference for the
+    denominator C.adj + D of the graph action and for the decomposition walk.
+    """
+    n = adj.rows
+    rows = []
+    for i in range(n):
+        row = adj.row_ints[i] if (c.bits >> i) & 1 else 0
+        if (d.bits >> i) & 1:
+            row ^= 1 << i
+        rows.append(row)
+    return gf2.BitMatrix(n, n, rows)
+
+
 def cd_step(m, i):
     """Step a square matrix by vertex i: m . (E_i m + m_ii E_i + I).
 
@@ -286,7 +302,7 @@ def reference_completion(g, c, d):
     Raises SingularError when C.adj + D is singular.
     """
     n = g.n
-    denom_inv = gf2.try_invert(clifford.cd_matrix(g.adj, c, d))
+    denom_inv = gf2.try_invert(cd_matrix(g.adj, c, d))
     if denom_inv is None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
     inv_cols = gf2.transpose(denom_inv).row_ints

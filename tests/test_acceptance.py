@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 import dense_oracle as oracle
-from conftest import all_graphs, cd_step, random_graph, random_in_domain_op
+from conftest import all_graphs, cd_matrix, cd_step, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs
 from stabgraph import orbit, reduction, stabilizer
 from stabgraph.decomposition import Triple, apply_sequence, reduce_to_identity
@@ -107,7 +107,7 @@ def test_05_cd_reduction_to_identity():
     with criterion(5, "cd-form-reduction", 60):
         def check(g, c, d):
             n = g.n
-            m = clifford.cd_matrix(g.adj, c, d)
+            m = cd_matrix(g.adj, c, d)
             seq, _ = reduce_to_identity(g, c, d)
             for v in seq.expand():
                 m = cd_step(m, v)
@@ -122,7 +122,7 @@ def test_05_cd_reduction_to_identity():
                 for cbits in range(1 << n):
                     for dbits in range(1 << n):
                         c, d = BitVec(n, cbits), BitVec(n, dbits)
-                        if gf2.try_invert(clifford.cd_matrix(g.adj, c, d)) is not None:
+                        if gf2.try_invert(cd_matrix(g.adj, c, d)) is not None:
                             check(g, c, d)
         rng = random.Random(202)
         checked = 0
@@ -130,7 +130,7 @@ def test_05_cd_reduction_to_identity():
             n = rng.randrange(1, 13)
             g = random_graph(rng, n)
             c, d = BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n))
-            if gf2.try_invert(clifford.cd_matrix(g.adj, c, d)) is None:
+            if gf2.try_invert(cd_matrix(g.adj, c, d)) is None:
                 continue
             check(g, c, d)
             checked += 1

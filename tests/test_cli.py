@@ -238,6 +238,49 @@ def test_missing_file(tmp_path, capsys):
         assert err.count(missing) == 1, (command, err)
 
 
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3\n1 \xff\n")
+    assert cli.run([command] + [str(bad)] * POSITIONALS[command]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {bad}: 'utf-8' codec can't decode byte 0xff "), err
+
+
+def _unwritable_argv(tmp_path, command, out):
+    g = Graph.path(3)
+    gpath = graph_file(tmp_path, "g.graph", g)
+    op = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+    return {
+        "reduce": ["reduce", write(tmp_path, "g.stab", "ZII\nIZI\nIIZ\n"), "--out-graph", out],
+        "decompose": ["decompose", op, gpath, "--out", out],
+        "apply": ["apply", gpath, write(tmp_path, "steps.lcs", "g 2\n"), "--out", out],
+        "orbit": ["orbit", gpath, "--members", out],
+        "canon": ["canon", gpath, "--out", out],
+        "equiv": ["equiv", gpath, gpath, "--witness", out],
+        "export-dot": ["export-dot", gpath, "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(POSITIONALS))
+def test_unwritable_output_is_a_failure_not_internal(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.txt")
+    assert cli.run(_unwritable_argv(tmp_path, command, out)) == cli.EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: failed: cannot write {out}: "), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["orbit", "canon"])
+@pytest.mark.parametrize("cap", ["0", "-1", "x"])
+def test_cap_below_one_is_a_usage_error(tmp_path, capsys, command, cap):
+    path = graph_file(tmp_path, "single.graph", Graph.empty(1))
+    assert cli.run([command, path, "--cap", cap]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: usage: argument --cap: expected an integer >= 1, got '{cap}'\n"
+    assert cli.run([command, path, "--cap", "1", "--quiet"]) == cli.EXIT_OK
+
+
 def test_orbit_command(tmp_path, capsys):
     path = graph_file(tmp_path, "empty4.graph", Graph.empty(4))
     assert cli.run(["orbit", path]) == cli.EXIT_OK

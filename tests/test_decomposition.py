@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_graphs, cd_step, random_graph, random_in_domain_op
+from conftest import all_graphs, cd_matrix, cd_step, random_graph, random_in_domain_op
 from stabgraph import clifford, decomposition, gf2, graphs
 from stabgraph.decomposition import (
     DecompositionError,
@@ -27,7 +27,7 @@ def cd_triples(n):
         for cbits in range(1 << n):
             for dbits in range(1 << n):
                 c, d = BitVec(n, cbits), BitVec(n, dbits)
-                yield g, c, d, gf2.try_invert(clifford.cd_matrix(g.adj, c, d)) is not None
+                yield g, c, d, gf2.try_invert(cd_matrix(g.adj, c, d)) is not None
 
 
 def cd_members(n):
@@ -39,7 +39,7 @@ def random_cd_member(rng, n):
     while True:
         g = random_graph(rng, n)
         c, d = BitVec(n, rng.getrandbits(n)), BitVec(n, rng.getrandbits(n))
-        if gf2.try_invert(clifford.cd_matrix(g.adj, c, d)) is not None:
+        if gf2.try_invert(cd_matrix(g.adj, c, d)) is not None:
             return g, c, d
 
 
@@ -74,7 +74,7 @@ def factor_cd_form(m):
         return None
     c = BitVec(n, cbits)
     d = BitVec(n, dbits)
-    if clifford.cd_matrix(adj, c, d) != m:
+    if cd_matrix(adj, c, d) != m:
         return None
     return Graph(adj), c, d
 
@@ -92,14 +92,14 @@ def test_cd_step_closure():
     rng = random.Random(60)
     for _ in range(300):
         g, c, d = random_cd_member(rng, rng.randrange(1, 8))
-        m = clifford.cd_matrix(g.adj, c, d)
+        m = cd_matrix(g.adj, c, d)
         i = rng.randrange(1, m.rows + 1)
         stepped = cd_step(m, i)
         assert gf2.try_invert(stepped) is not None
         factored = factor_cd_form(stepped)
         assert factored is not None
         g2, c2, d2 = factored
-        assert clifford.cd_matrix(g2.adj, c2, d2) == stepped
+        assert cd_matrix(g2.adj, c2, d2) == stepped
         # the step is local complementation at i on the graph and the lower
         # blocks of the operation when c_i = 1, and the identity otherwise
         if c[i - 1]:
@@ -107,7 +107,7 @@ def test_cd_step_closure():
                 clifford.complete_from_cd(g, c, d), clifford.local_complement_op(g, i)
             )
             lc = graphs.local_complement(g, i)
-            assert clifford.cd_matrix(lc.adj, q.c, q.d) == stepped
+            assert cd_matrix(lc.adj, q.c, q.d) == stepped
         else:
             assert stepped == m
 
@@ -136,7 +136,7 @@ def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
     edge = Graph.from_edges(2, [(1, 2)])
     c, d = BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1])
-    assert clifford.cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
+    assert cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
     seq, _ = reduce_to_identity(edge, c, d)
     assert seq.steps == (Single(1),)
 
@@ -144,7 +144,7 @@ def test_reduce_single_step_case():
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = Graph.from_edges(2, [(1, 2)])
-    assert clifford.cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2)) == edge.adj
+    assert cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2)) == edge.adj
     seq, _ = reduce_to_identity(edge, BitVec.ones(2), BitVec.zeros(2))
     assert seq.steps == (Triple(1, 2),)
     m = edge.adj
@@ -164,7 +164,7 @@ def test_reduce_exhaustive_small():
         for g, c, d in cd_members(n):
             seq, walked = reduce_to_identity(g, c, d)
             assert walked == apply_sequence(g, seq)
-            assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(n)
+            assert apply_steps(cd_matrix(g.adj, c, d), seq) == gf2.identity(n)
             kinds = [isinstance(s, Triple) for s in seq.steps]
             assert kinds == sorted(kinds)  # singles strictly before triples
             indices = seq.vertex_indices()
@@ -177,7 +177,7 @@ def test_reduce_random_members():
         g, c, d = random_cd_member(rng, rng.randrange(1, 13))
         seq, walked = reduce_to_identity(g, c, d)
         assert walked == apply_sequence(g, seq)
-        assert apply_steps(clifford.cd_matrix(g.adj, c, d), seq) == gf2.identity(g.n)
+        assert apply_steps(cd_matrix(g.adj, c, d), seq) == gf2.identity(g.n)
         indices = seq.vertex_indices()
         assert len(set(indices)) == len(indices)
 

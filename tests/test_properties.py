@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse_matrix, reference_pauli_from_text
@@ -55,8 +55,8 @@ def clifford_values(draw):
 
 
 @st.composite
-def sequence_values(draw):
-    vertex = st.integers(1, 10**6)
+def sequence_values(draw, max_vertex=10**6):
+    vertex = st.integers(1, max_vertex)
     step = st.one_of(
         st.builds(decomposition.Single, vertex),
         st.builds(decomposition.Triple, vertex, vertex),
@@ -159,19 +159,39 @@ def state_texts():
     )
 
 
+# an output path in the run's directory, or one whose directory does not exist
+UNWRITABLE = "{tmp}/missing/out.txt"
+OUTPUTS = st.sampled_from(["{tmp}/out.txt", UNWRITABLE])
+
+
 def run_on_files(command, texts, *flags):
     """Run ``command`` on ``texts`` written to fresh files; returns (exit code, stderr).
 
-    ``{tmp}`` in a flag names the directory of those files.
+    A text is a str, written as UTF-8, or bytes, written as they are. ``{tmp}``
+    in a flag names the directory of those files.
     """
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"in{k}.txt") for k in range(len(texts))]
         for path, text in zip(paths, texts):
-            Path(path).write_text(text)
+            data = text if isinstance(text, bytes) else text.encode()
+            Path(path).write_bytes(data)
         err = StringIO()
         with redirect_stdout(StringIO()), redirect_stderr(err):
             code = cli.run([command, *paths, *(f.format(tmp=tmp) for f in flags)])
     return code, err.getvalue()
+
+
+def assert_documented(code, err, texts, out, *codes):
+    """The exit code is one of ``codes`` and no error is internal.
+
+    Undecodable input is a parse error, and an unwritable output never reports success.
+    """
+    assert "error: internal:" not in err, err
+    assert code in codes, err
+    if any(isinstance(text, bytes) for text in texts):
+        assert code == cli.EXIT_PARSE, err
+    if out == UNWRITABLE:
+        assert code != cli.EXIT_OK, err
 
 
 @SETTINGS
@@ -188,6 +208,82 @@ def test_equiv_exit_codes(first, second):
 def test_reduce_exit_codes(text):
     code, err = run_on_files("reduce", [text], "--verify")
     assert code in (cli.EXIT_OK, cli.EXIT_PARSE), err
+
+
+@st.composite
+def undecodable(draw, texts):
+    """A drawn text as UTF-8 with one byte inserted that UTF-8 never starts a character with."""
+    data = draw(texts).encode()
+    k = draw(st.integers(0, len(data)))
+    return data[:k] + draw(st.sampled_from([b"\x80", b"\xfe", b"\xff"])) + data[k:]
+
+
+def value_texts(values, fmt):
+    """Formatted values, edited ones or bare format text, each also as undecodable bytes."""
+    texts = st.one_of(
+        values.map(fmt), edited_texts(values, fmt), st.text(FORMAT_ALPHABET, max_size=200)
+    )
+    return st.one_of(texts, undecodable(texts))
+
+
+@st.composite
+def in_domain_ops(draw, g):
+    """An operation with g in its domain, or a random one when its lower blocks are singular."""
+    blocks = draw(st.lists(st.sampled_from(INVERTIBLE_BLOCKS), min_size=g.n, max_size=g.n))
+    q = clifford.LocalCliffordOp.from_qubit_blocks(blocks)
+    try:
+        return clifford.complete_from_cd(g, q.c, q.d)
+    except gf2.SingularError:
+        return q
+
+
+# every command below fails only by a parse error (65) or an operation failure (70)
+DOCUMENTED = (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_FAILURE)
+
+
+@SETTINGS
+@given(data=st.data(), out=OUTPUTS)
+def test_decompose_exit_codes(data, out):
+    g = data.draw(graph_values())
+    op = data.draw(value_texts(in_domain_ops(g), clifford.format_clifford))
+    graph = data.draw(value_texts(st.just(g), graphs.format_edge_list))
+    code, err = run_on_files("decompose", [op, graph], "--out", out, "--verify")
+    assert_documented(code, err, [op, graph], out, *DOCUMENTED)
+
+
+@SETTINGS
+@given(data=st.data(), out=OUTPUTS)
+def test_apply_exit_codes(data, out):
+    g = data.draw(graph_values())
+    graph = data.draw(value_texts(st.just(g), graphs.format_edge_list))
+    steps = data.draw(value_texts(sequence_values(g.n + 1), decomposition.format_sequence))
+    code, err = run_on_files("apply", [graph, steps], "--out", out, "--verify")
+    assert_documented(code, err, [graph, steps], out, *DOCUMENTED)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("orbit", ["--cap", "20", "--members", "{out}", "--verify"]),
+        ("canon", ["--cap", "20", "--out", "{out}"]),
+        ("export-dot", ["--out", "{out}"]),
+    ],
+    ids=["orbit", "canon", "export-dot"],
+)
+@SETTINGS
+@given(text=value_texts(graph_values(), graphs.format_edge_list), out=OUTPUTS)
+def test_graph_command_exit_codes(command, flags, text, out):
+    if command != "export-dot" and isinstance(text, str):
+        try:
+            n = graphs.parse_edge_list(text).n
+        except ParseError:
+            n = 0
+        # orbit and canon take time quadratic in the vertex count even on a
+        # one-member orbit, which --cap does not bound: drawn headers such as
+        # "9999" are left out here
+        assume(n <= 64)
+    code, err = run_on_files(command, [text], *(f.replace("{out}", out) for f in flags))
+    assert_documented(code, err, [text], out, *DOCUMENTED)
 
 
 # Characters that int(s, 2) accepts in or around a base-2 literal besides 0 and

@@ -2,7 +2,7 @@
 
 import random
 
-from conftest import random_graph, random_invertible
+from conftest import cd_matrix, invert, random_graph, random_in_domain_op, random_invertible
 from stabgraph import clifford, gf2, graphs, reduction, stabilizer
 from stabgraph.clifford import LocalCliffordOp
 from stabgraph.gf2 import BitMatrix, BitVec
@@ -23,6 +23,35 @@ def test_standard_form_is_fixed_point():
         assert w.graph == g
         assert w.q == LocalCliffordOp.identity(g.n)
         assert w.r == gf2.identity(g.n)
+
+
+def moved(q, g):
+    """The generator matrix Q.[adj; I] of the graph state moved by q."""
+    s = clifford.apply_to_stabilizer(q, stabilizer.from_graph(g))
+    return stabilizer.StabilizerGenMatrix(s)
+
+
+def test_reducing_an_in_domain_image_is_the_graph_action():
+    # reduction and the graph action share one graph-form step: on Q.[adj; I]
+    # with g in q's domain it needs no Hadamard and no shear
+    rng = random.Random(52)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 16))
+        q = random_in_domain_op(rng, g)
+        w = to_graph_state(moved(q, g))
+        assert w.graph == clifford.graph_action(q, g).image
+        assert w.q == LocalCliffordOp.identity(g.n)
+        assert w.r == invert(cd_matrix(g.adj, q.c, q.d))
+
+
+def test_completion_is_the_start_op_then_the_reduction_shears():
+    rng = random.Random(53)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 16))
+        q = random_in_domain_op(rng, g)
+        start = LocalCliffordOp(BitVec(g.n, q.d.bits & ~q.c.bits), q.c, q.c, q.d)
+        w = to_graph_state(moved(start, g))
+        assert clifford.complete_from_cd(g, q.c, q.d) == clifford.compose(w.q, start)
 
 
 def test_z_only_becomes_empty_graph_via_hadamards():
