@@ -11,8 +11,8 @@ All values are immutable and hashable; every operation returns a new value.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count
-from operator import or_, xor
+from itertools import compress
+from operator import xor
 
 from .errors import MAX_QUBITS, ParseError
 
@@ -266,85 +266,70 @@ def vstack(a, b):
     return BitMatrix(a.rows + b.rows, a.cols, a.row_ints + b.row_ints)
 
 
-def eliminate(rows, columns, stop_at_gap=False):
-    """Gauss-Jordan elimination in place on a list of packed int rows.
+def _reduce_rows(rows, low=0):
+    """Reduce each row, in order, against the independent rows before it.
 
-    For each bit position in ``columns``, in order, the pivot is the
-    lowest-index row not yet used as a pivot that has the bit set; it is XORed
-    into every unused row that has the bit set, and at the end the pivot rows
-    into each other, last first: the same rows as XORing each pivot into all
-    others. Rows are never reordered, so callers can carry bookkeeping bits
-    above the eliminated ones. Returns the ``(column, row index)`` pivots in
-    column order; with ``stop_at_gap`` it returns at the first column with no
-    pivot. ``unused`` covers the bits of every unused row (XORing them sets no
-    new bit), so a column outside it is skipped without a scan.
+    An independent row joins a basis keyed by its highest set bit (its
+    pivot), so each step is one dict lookup and the one XOR that clears the
+    current highest bit. Bits below ``low`` are bookkeeping and never
+    pivots. Yields each row's remainder: it has a bit at ``low`` or above
+    iff the row is independent of the rows before it, and is then that
+    row's basis entry. The independent rows are thus the lowest-index ones.
     """
-    pivots, pivot_rows = [], []
-    free, live = list(range(len(rows))), list(rows)
-    unused = -1
-    for col in columns:
-        if not live:
-            break
-        bit = 1 << col
-        k = None
-        if unused & bit:
-            k = next(compress(count(), map(bit.__and__, live)), None)
-            if k is None:
-                unused = reduce(or_, live, 0)
-        if k is None:
-            if stop_at_gap:
+    basis = {}
+    for r in rows:
+        top = r.bit_length()
+        while top > low:
+            p = basis.get(top)
+            if p is None:
+                basis[top] = r
                 break
-            continue
-        prow = live.pop(k)
-        pivots.append((col, free.pop(k)))
-        pivot_rows.append(prow)
-        live = [r ^ prow if r & bit else r for r in live]
-    # a pivot row has no earlier pivot column set, nor, once reduced, a later one
-    for k in range(len(pivots) - 1, 0, -1):
-        prow, bit = pivot_rows[k], 1 << pivots[k][0]
-        pivot_rows[:k] = [r ^ prow if r & bit else r for r in pivot_rows[:k]]
-    for i, r in zip(free + [i for _, i in pivots], live + pivot_rows):
-        rows[i] = r
-    return pivots
+            r ^= p
+            top = r.bit_length()
+        yield r
 
 
 def rank(m):
-    """GF(2) row rank, by elimination on a scratch copy."""
-    return len(eliminate(list(m.row_ints), range(m.cols)))
+    """GF(2) row rank: the number of rows independent of the rows before them."""
+    return sum(1 for r in _reduce_rows(m.row_ints) if r)
 
 
 def try_invert(m):
     """Inverse of a square matrix, or None when singular.
 
-    Eliminates [m | I], packed one int per row, up to the first column with
-    no pivot; the pivot row for column i then carries row i of the inverse
-    above bit n.
+    Reduces the rows of [m | I], with I below m's bits, and returns None at
+    the first dependent row. Otherwise the n remainders, ascending, form a
+    lower unitriangular E above a block B with E = B.m, and the inverse
+    E^-1.B follows by forward substitution, row i from rows 0..i-1.
     """
     if not m.is_square():
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    work = [r | 1 << (n + i) for i, r in enumerate(m.row_ints)]
-    pivots = eliminate(work, range(n), stop_at_gap=True)
-    if len(pivots) < n:
-        return None
-    return BitMatrix(n, n, [work[i] >> n for _, i in pivots])
+    echelon = []
+    for r in _reduce_rows((r << n | 1 << i for i, r in enumerate(m.row_ints)), n):
+        if not r >> n:
+            return None
+        echelon.append(r)
+    inv, mask = [], (1 << n) - 1
+    for i, r in enumerate(sorted(echelon)):  # distinct top bits: value order is pivot order
+        below = format((r >> n) ^ (1 << i), f"0{i}b").encode().translate(_SELECTORS)
+        inv.append(reduce(xor, compress(reversed(inv), below), r & mask))
+    return BitMatrix(n, n, inv)
 
 
 def solve_homogeneous(mt):
     """Basis of the null space {x : m.x = 0}, given the system by columns.
 
-    Row j of ``mt`` is column j of m. After eliminating [mt | I], the upper
-    bits of the non-pivot rows span the null space; eliminating those over
-    descending coordinates gives the unique reduced basis: per free column of
-    m (one dependent on those before it), ascending, the vector with its
-    highest 1 there and 0 at the other free columns.
+    Row j of ``mt`` is column j of m. Reducing the rows of [mt | I], with I
+    below mt's bits, leaves each dependent row j (a free column of m: one
+    dependent on those before it) a null vector with its highest 1 at j.
+    Only independent rows are ever XORed in, so its other 1s sit at pivot
+    columns: per free column, ascending, these are the unique reduced basis,
+    with 0 at every other free column, and need no back-substitution.
     """
-    width = mt.cols
-    rows = [r | 1 << (width + j) for j, r in enumerate(mt.row_ints)]
-    pivot_rows = {i for _, i in eliminate(rows, range(width))}
-    null = [r >> width for i, r in enumerate(rows) if i not in pivot_rows]
-    pivots = eliminate(null, range(mt.rows - 1, -1, -1))
-    return [BitVec(mt.rows, null[i]) for _, i in reversed(pivots)]
+    n = mt.rows
+    rows = (r << n | 1 << j for j, r in enumerate(mt.row_ints))
+    return [BitVec(n, v) for v in _reduce_rows(rows, n) if not v >> n]
 
 
 def format_matrix(m):

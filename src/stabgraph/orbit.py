@@ -38,10 +38,13 @@ class Orbit:
 
 
 def _lex_key(g):
-    """Row-major upper-triangular adjacency bits; tuple order is lexicographic."""
-    return tuple(
-        g.adj.entry(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-    )
+    """Row-major upper-triangular adjacency bits as one '0'/'1' string.
+
+    Row i contributes its digits for columns i+1..n-1, read from its binary
+    form reversed; keys of equal length compare in lexicographic bit order.
+    """
+    spec = f"0{g.n}b"
+    return "".join(format(r, spec)[::-1][i + 1:] for i, r in enumerate(g.adj.row_ints))
 
 
 def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):

@@ -38,10 +38,10 @@ def to_graph_state(stab):
     the proof that every stabilizer state is LC-equivalent to a graph state
     (Van den Nest, Dehaene, De Moor, quant-ph/0308151), on the rows of S:
 
-    1. Gauss-Jordan elimination on the rows of the X block; its pivot rows
-       are the lowest-index rows of X that are linearly independent, k of
-       them for an X block of rank k,
-    2. Z/X swap (Hadamard) on every qubit outside the pivot rows, which makes
+    1. the lowest-index rows of the X block that are linearly independent,
+       k of them for an X block of rank k: each row is kept iff it does not
+       reduce to zero against the rows kept before it,
+    2. Z/X swap (Hadamard) on every qubit outside the kept rows, which makes
        the whole X block invertible,
     3. the graph form (:func:`clifford.graph_form`): R = X^-1 and M = Z.R,
        so that S.R = [M; I] with M symmetric, and the shears clearing diag(M).
@@ -49,8 +49,8 @@ def to_graph_state(stab):
     n = stab.n
 
     # Step 1: the lowest-index linearly independent rows of X.
-    pivots = gf2.eliminate(list(stab.s.row_ints[n:]), range(n))
-    keep = BitVec(n, sum(1 << i for _, i in pivots))
+    remainders = gf2._reduce_rows(stab.s.row_ints[n:])
+    keep = BitVec(n, sum(1 << i for i, r in enumerate(remainders) if r))
 
     # Steps 2 and 3: Hadamards on every other qubit, then the graph form.
     swap = BitVec.ones(n) ^ keep

@@ -1,7 +1,9 @@
 """Shared random-instance generators, naive list-of-lists GF(2) oracles, the
-per-bit loop references for the packed kernels and text codecs, the matrix
-references for C.adj + D and the decomposition walk, the reference completion and the
-exhaustive reference equivalence solver.
+per-bit loop references for the packed kernels and text codecs, the
+column-by-column elimination behind reference rank, inverse and null basis,
+the tuple orbit key, the matrix references for C.adj + D and the
+decomposition walk, the reference completion and the exhaustive reference
+equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
@@ -79,7 +81,15 @@ def reference_transpose(m):
 
 
 def reference_eliminate(rows, columns, stop_at_gap=False):
-    """``gf2.eliminate`` with each pivot XORed into every other row at once."""
+    """Gauss-Jordan elimination in place, column by column, on packed int rows.
+
+    For each bit position in ``columns``, in order, the pivot is the
+    lowest-index row not yet used as a pivot that has the bit set, and it is
+    XORed into every other row that has the bit set. Returns the
+    ``(column, row index)`` pivots; with ``stop_at_gap`` it returns at the
+    first column with no pivot. The pivot rows are the lowest-index
+    independent rows, whatever the column order.
+    """
     pivots = []
     used = [False] * len(rows)
     unused = -1
@@ -104,6 +114,40 @@ def reference_eliminate(rows, columns, stop_at_gap=False):
         rows[:] = [r ^ prow if r & bit else r for r in rows]
         rows[pivot] = prow
     return pivots
+
+
+def reference_rank(m):
+    return len(reference_eliminate(list(m.row_ints), range(m.cols)))
+
+
+def reference_try_invert(m):
+    """The inverse from the pivot rows of [m | I], identity above m; None at a gap."""
+    n = m.rows
+    work = [r | 1 << (n + i) for i, r in enumerate(m.row_ints)]
+    pivots = reference_eliminate(work, range(n), stop_at_gap=True)
+    if len(pivots) < n:
+        return None
+    return gf2.BitMatrix(n, n, [work[i] >> n for _, i in pivots])
+
+
+def reference_solve_homogeneous(mt):
+    """The reduced null basis of the system with columns ``mt``, by two eliminations.
+
+    The non-pivot rows of [mt | I], identity above, carry a null-space basis
+    in their upper bits; eliminating those over descending coordinates leaves
+    one vector per free column, the reduced basis in ascending order.
+    """
+    width = mt.cols
+    rows = [r | 1 << (width + j) for j, r in enumerate(mt.row_ints)]
+    pivot_rows = {i for _, i in reference_eliminate(rows, range(width))}
+    null = [r >> width for i, r in enumerate(rows) if i not in pivot_rows]
+    pivots = reference_eliminate(null, range(mt.rows - 1, -1, -1))
+    return [gf2.BitVec(mt.rows, null[i]) for _, i in reversed(pivots)]
+
+
+def reference_lex_key(g):
+    """Row-major upper-triangular adjacency entries as a tuple, one per entry."""
+    return tuple(g.adj.entry(i, j) for i in range(g.n) for j in range(i + 1, g.n))
 
 
 def reference_to01(v):
@@ -369,7 +413,8 @@ def reference_linear_system(sa, sb):
 def reference_null_space(m):
     """Reduced null-space basis of m by row elimination, free columns ascending.
 
-    Its own Gauss-Jordan loop, sharing no code with ``gf2.eliminate``.
+    Its own Gauss-Jordan loop, sharing no code with the ``gf2`` kernel or
+    ``reference_eliminate``.
     """
     rows = list(m.row_ints)
     pivots = []

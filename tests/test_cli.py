@@ -318,6 +318,17 @@ def test_orbit_cap(tmp_path, capsys):
     assert "error: cap:" in capsys.readouterr().err
 
 
+def test_canon_of_a_large_edgeless_graph_reads_no_single_entries(tmp_path, capsys, monkeypatch):
+    # the canonical key is built from whole rows, so n = 3000 stays cheap
+    def refuse(self, i, j):
+        raise AssertionError("canon read the adjacency one entry at a time")
+
+    monkeypatch.setattr(gf2.BitMatrix, "entry", refuse)
+    path = write(tmp_path, "empty.graph", "3000\n")
+    assert cli.run(["canon", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "3000\n"
+
+
 def test_canon_command(tmp_path, capsys):
     k3 = graph_file(tmp_path, "k3.graph", Graph.complete(3))
     assert cli.run(["canon", k3]) == cli.EXIT_OK

@@ -168,6 +168,16 @@ def test_reported_witness_is_deterministic():
     assert isinstance(first, Equivalent) and first.q == second.q
 
 
+def test_decides_a_256_vertex_walk_pair():
+    rng = random.Random(256)
+    g = random_graph(rng, 256)
+    h = _walk(g, rng, 3 * 256)
+    result = decide_graphs(g, h)
+    assert isinstance(result, Equivalent)
+    moved = clifford.apply_to_stabilizer(result.q, stabilizer.from_graph(g))
+    assert stabilizer.same_subspace(stabilizer.StabilizerGenMatrix(moved), stabilizer.from_graph(h))
+
+
 def test_stabilizer_level_equivalence():
     # the same subspace under a basis change must come out equivalent
     rng = random.Random(74)

@@ -16,8 +16,11 @@ from conftest import (
     reference_eliminate,
     reference_mat_mul,
     reference_parse_matrix,
+    reference_rank,
+    reference_solve_homogeneous,
     reference_to01,
     reference_transpose,
+    reference_try_invert,
     rows_of,
     symplectic_form_matrix,
 )
@@ -120,28 +123,31 @@ def test_invert_singular():
     assert gf2.try_invert(BitMatrix.from_rows([[1, 1], [1, 1]])) is None
 
 
-def test_try_invert_stops_at_the_first_pivotless_column(monkeypatch):
-    # zeroing column j of an invertible matrix leaves columns 0..j-1 with
-    # pivots and column j with none: elimination must end there
-    returned = []
-    eliminate = gf2.eliminate
+def test_try_invert_stops_at_the_first_dependent_row(monkeypatch):
+    # replacing row j of an invertible matrix by a sum of earlier rows leaves
+    # rows 0..j-1 independent and row j dependent: reduction must end there
+    yielded = []
+    reduce_rows = gf2._reduce_rows
 
-    def recording(rows, columns, **kwargs):
-        pivots = eliminate(rows, columns, **kwargs)
-        returned.append(pivots)
-        return pivots
+    def recording(rows, low=0):
+        yielded.clear()
+        for r in reduce_rows(rows, low):
+            yielded.append(r)
+            yield r
 
-    monkeypatch.setattr(gf2, "eliminate", recording)
+    monkeypatch.setattr(gf2, "_reduce_rows", recording)
     rng = random.Random(10)
     for j in (0, 1, 17, 63):
-        m = random_invertible(rng, 64)
-        singular = BitMatrix(64, 64, [r & ~(1 << j) for r in m.row_ints])
-        returned.clear()
+        rows = list(random_invertible(rng, 64).row_ints)
+        rows[j] = 0
+        for k in rng.sample(range(j), rng.randrange(j + 1)):
+            rows[j] ^= rows[k]
+        singular = BitMatrix(64, 64, rows)
         assert gf2.try_invert(singular) is None
-        assert [col for col, _ in returned[-1]] == list(range(j))
-        # rank keeps eliminating past the gap
+        assert len(yielded) == j + 1
+        # rank keeps reducing past the dependent row
         assert gf2.rank(singular) == 63
-        assert len(returned[-1]) == 63
+        assert len(yielded) == 64
 
 
 def test_rank_examples():
@@ -236,37 +242,37 @@ def _random_matrices(seed, count, square=False):
 
 
 def test_eliminate_pivot_rule_examples():
-    rows = [0b10, 0b01, 0b11]
-    assert gf2.eliminate(rows, range(2)) == [(0, 1), (1, 0)]
-    assert rows == [0b10, 0b01, 0b00]
-    # row 0 is already a pivot, so column 1 pivots on row 1 although row 0 has the bit
-    rows = [0b011, 0b010]
-    assert gf2.eliminate(rows, range(3)) == [(0, 0), (1, 1)]
-    assert rows == [0b001, 0b010]
-    # only the listed columns are eliminated
-    rows = [0b11, 0b01]
-    assert gf2.eliminate(rows, [1]) == [(1, 0)]
-    assert rows == [0b11, 0b01]
+    # each row reduces against the earlier independent rows by its highest set bit
+    assert list(gf2._reduce_rows([0b10, 0b01, 0b11])) == [0b10, 0b01, 0b00]
+    # 0b011 holds pivot 1 (its highest bit), so 0b010 reduces to 0b001 and holds pivot 0
+    assert list(gf2._reduce_rows([0b011, 0b010])) == [0b011, 0b001]
+    # bits below low are bookkeeping: a row whose remainder lies below low is dependent
+    assert list(gf2._reduce_rows([0b1_01, 0b1_10, 0b0_11], low=2)) == [0b101, 0b011, 0b011]
+    # remainders come one row at a time, so a caller can stop at any row
+    rows = iter([0b1, 0b1, 0b10])
+    assert next(gf2._reduce_rows(rows)) == 0b1
+    assert list(rows) == [0b1, 0b10]
 
 
 def test_eliminate_properties():
     for m in _random_matrices(31, 300):
-        # an identity carried above the eliminated bits records every row operation
-        rows = [r | 1 << (m.cols + i) for i, r in enumerate(m.row_ints)]
-        pivots = gf2.eliminate(rows, range(m.cols))
-        assert [c for c, _ in pivots] == list(_first_independent_columns(m))
-        assert len({i for _, i in pivots}) == len(pivots)
-        for col, i in pivots:
-            assert [(r >> col) & 1 for r in rows] == [int(k == i) for k in range(m.rows)]
-        low = (1 << m.cols) - 1
-        for r in rows:
-            combo = r >> m.cols
+        # an identity carried below the reduced bits records every row operation
+        start = [r << m.rows | 1 << i for i, r in enumerate(m.row_ints)]
+        remainders = list(gf2._reduce_rows(start, m.rows))
+        assert len(remainders) == m.rows
+        tops = [r.bit_length() for r in remainders if r >> m.rows]
+        assert len(tops) == len(set(tops)) == _brute_rank(m)
+        for i, r in enumerate(remainders):
+            combo = r & (1 << m.rows) - 1
+            # only row i and rows before it were mixed in
+            assert combo.bit_length() == i + 1
             mixed = 0
             for k, orig in enumerate(m.row_ints):
                 if (combo >> k) & 1:
                     mixed ^= orig
-            assert r & low == mixed
-        assert _span([r & low for r in rows]) == _span(m.row_ints)
+            assert r >> m.rows == mixed
+        kept = [r >> m.rows for r in remainders if r >> m.rows]
+        assert _span(kept) == _span(m.row_ints)
 
 
 def test_eliminate_pivot_rows_are_the_lowest_index_independent_rows():
@@ -290,7 +296,7 @@ def test_eliminate_pivot_rows_are_the_lowest_index_independent_rows():
             if r:
                 basis[r.bit_length()] = r
                 greedy.append(i)
-        pivots = gf2.eliminate(list(rows), range(cols))
+        pivots = [(r.bit_length() - 1, i) for i, r in enumerate(gf2._reduce_rows(rows)) if r]
         assert sorted(i for _, i in pivots) == greedy
 
 
@@ -413,33 +419,29 @@ def test_transpose_and_mat_mul_match_the_bit_loops(rows, cols):
         assert gf2.mat_mul(m, mt) == reference_mat_mul(m, mt)
 
 
-def _assert_same_elimination(start, columns, stop_at_gap):
-    got, want = list(start), list(start)
-    assert gf2.eliminate(got, columns, stop_at_gap) == reference_eliminate(
-        want, columns, stop_at_gap
-    )
-    assert got == want
+def _assert_same_elimination(m):
+    """Rank, pivot rows, null basis and inverse of m as the column-scan reference gives them."""
+    assert gf2.rank(m) == reference_rank(m)
+    kept = [i for i, r in enumerate(gf2._reduce_rows(m.row_ints)) if r]
+    assert kept == sorted(i for _, i in reference_eliminate(list(m.row_ints), range(m.cols)))
+    assert gf2.solve_homogeneous(m) == reference_solve_homogeneous(m)
+    k = min(m.rows, m.cols)
+    square = BitMatrix(k, k, [r & (1 << k) - 1 for r in m.row_ints[:k]])
+    assert gf2.try_invert(square) == reference_try_invert(square)
 
 
 @pytest.mark.parametrize("rows,cols", KERNEL_SHAPES)
 def test_eliminate_matches_the_bit_loop(rows, cols):
     rng, matrices = _kernel_inputs(rows, cols)
-    for m in matrices:
-        carried = [
-            list(m.row_ints),
-            [r | 1 << (cols + i) for i, r in enumerate(m.row_ints)],
-            [r | rng.getrandbits(9) << cols for r in m.row_ints],
-        ]
-        orders = [range(cols), range(cols - 1, -1, -1), rng.sample(range(cols), cols // 2)]
-        for start in carried:
-            for columns in orders:
-                for stop_at_gap in (False, True):
-                    _assert_same_elimination(start, columns, stop_at_gap)
+    k = min(rows, cols)
+    invertible = random_invertible(rng, k) if k else BitMatrix(0, 0, [])
+    for m in matrices + [invertible]:
+        _assert_same_elimination(m)
 
 
 @pytest.mark.parametrize("related", [False, True])
 def test_eliminate_matches_the_bit_loop_on_the_equiv_system(related):
-    # [M^T | I] as solve_homogeneous builds it at n = 48: 192 rows of 2304 + 192 bits
+    # the system solve_homogeneous reads at n = 48: 192 unknowns of 2304 bits each
     if related:  # a graph and its image under a 144-move complementation walk
         rng = random.Random(48)
         g = h = random_graph(rng, 48)
@@ -448,11 +450,17 @@ def test_eliminate_matches_the_bit_loop_on_the_equiv_system(related):
         sa, sb = stabilizer.from_graph(g), stabilizer.from_graph(h)
     else:
         sa, sb = stabilizer.random_stabilizer(48, 1), stabilizer.random_stabilizer(48, 2)
-    mt = equivalence.build_linear_system(sa, sb)
-    start = [r | 1 << (mt.cols + j) for j, r in enumerate(mt.row_ints)]
-    for columns in (range(mt.cols), range(mt.cols - 1, -1, -1)):
-        for stop_at_gap in (False, True):
-            _assert_same_elimination(start, columns, stop_at_gap)
+    _assert_same_elimination(equivalence.build_linear_system(sa, sb))
+
+
+def test_null_basis_matches_the_reference_on_stabilizer_pairs():
+    rng = random.Random(36)
+    for k in range(1000):
+        n = 1 + k % 32
+        sa = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        sb = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        mt = equivalence.build_linear_system(sa, sb)
+        assert gf2.solve_homogeneous(mt) == reference_solve_homogeneous(mt)
 
 
 @pytest.mark.parametrize("rows,cols", KERNEL_SHAPES)

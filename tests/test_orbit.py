@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph
-from stabgraph import graphs
+from conftest import all_graphs, random_graph, reference_lex_key
+from stabgraph import graphs, orbit
 from stabgraph.decomposition import apply_sequence
 from stabgraph.graphs import Graph
 from stabgraph.orbit import CapExceededError, enumerate_orbit
@@ -99,3 +99,14 @@ def test_partition_of_all_4_vertex_graphs():
         assert rep in members
         for m in members:
             assert enumerate_orbit(m).canonical == rep
+
+
+def test_lex_key_orders_like_the_entry_tuple():
+    rng = random.Random(84)
+    samples = [list(all_graphs(4))]
+    samples += [[random_graph(rng, n) for _ in range(40)] for n in range(10)]
+    for sample in samples:
+        by_string = sorted(sample, key=orbit._lex_key)
+        assert by_string == sorted(sample, key=reference_lex_key)
+        keys = [orbit._lex_key(g) for g in by_string]
+        assert len(set(keys)) == len(set(by_string))
