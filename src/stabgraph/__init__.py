@@ -31,13 +31,7 @@ from .equivalence import (
     test_equivalence_graphs,
 )
 from .gf2 import BitMatrix, BitVec, SingularError
-from .graphs import (
-    Graph,
-    complement,
-    induced_subgraph,
-    local_complement,
-    neighborhood,
-)
+from .graphs import Graph, local_complement
 from .orbit import CapExceededError, Orbit, enumerate_orbit
 from .reduction import ReductionWitness, to_graph_state, verify_witness
 from .stabilizer import (
@@ -73,7 +67,6 @@ __all__ = [
     "Triple",
     "apply_sequence",
     "basis_change",
-    "complement",
     "complete_from_cd",
     "compose",
     "decompose_action",
@@ -81,10 +74,8 @@ __all__ = [
     "from_graph",
     "from_pauli_strings",
     "graph_action",
-    "induced_subgraph",
     "local_complement",
     "local_complement_op",
-    "neighborhood",
     "random_stabilizer",
     "reduce_to_identity",
     "same_subspace",

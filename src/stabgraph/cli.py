@@ -90,7 +90,7 @@ def _build_parser():
 
 
 def _cap(text):
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isdigit() and text.isascii()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 

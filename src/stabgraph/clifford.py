@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2, graphs, stabilizer
-from .errors import MAX_QUBITS, InternalError, ParseError
+from .errors import MAX_QUBITS, InternalError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec
 
 
@@ -121,11 +121,6 @@ def compose(q2, q1):
     d = (q2.c.bits & q1.b.bits) ^ (q2.d.bits & q1.d.bits)
     n = q1.n
     return LocalCliffordOp(BitVec(n, a), BitVec(n, b), BitVec(n, c), BitVec(n, d))
-
-
-def inverse(q):
-    """Per-qubit 2x2 inverse: over GF(2), [[a, b], [c, d]]^-1 = [[d, b], [c, a]]."""
-    return LocalCliffordOp(q.d, q.b, q.c, q.a)
 
 
 def apply_to_stabilizer(q, stab):
@@ -248,7 +243,7 @@ def parse_clifford(text):
     if not lines or not lines[0].strip():
         raise ParseError("empty clifford file", line=1)
     try:
-        n = int(lines[0].strip())
+        n = _decimal(lines[0].strip())
     except ValueError:
         raise ParseError("expected qubit count", line=1) from None
     if not 1 <= n <= MAX_QUBITS:

@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass
 
 from . import clifford, graphs
-from .errors import InternalError, ParseError
+from .errors import InternalError, ParseError, _decimal
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def parse_sequence(text):
 
 def _parse_vertex(token, lineno):
     try:
-        v = int(token)
+        v = _decimal(token)
     except ValueError:
         raise ParseError(f"invalid vertex id {token!r}", line=lineno) from None
     if v < 1:

@@ -1,8 +1,19 @@
-"""Shared exception types."""
+"""Shared exception types and parser limits."""
 
 from __future__ import annotations
 
 MAX_QUBITS = 1 << 16  # the largest vertex or qubit count a parser accepts
+
+
+def _decimal(token):
+    """``int(token)`` for a string of ASCII digits; raises ValueError like ``int``.
+
+    ``int`` alone also takes "_" between digits, a sign, surrounding spaces
+    and non-ASCII digits such as "\u0663".
+    """
+    if not (token.isdigit() and token.isascii()):
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return int(token)
 
 
 class ParseError(ValueError):

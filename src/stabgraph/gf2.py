@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import compress
 from operator import xor
 
-from .errors import MAX_QUBITS, ParseError
+from .errors import MAX_QUBITS, ParseError, _decimal
 
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # digits to falsy/truthy bytes
 
@@ -62,56 +62,13 @@ class BitVec:
     def ones(cls, n):
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def unit(cls, n, i):
-        """Standard basis vector with a single 1 at coordinate ``i`` (0-based)."""
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for length {n}")
-        return cls(n, 1 << i)
-
     def __len__(self):
         return self.n
-
-    def __getitem__(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
 
     def __xor__(self, other):
         if self.n != other.n:
             raise ValueError("length mismatch")
         return BitVec(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other):
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits & other.bits)
-
-    def with_bit(self, i, value):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        if value:
-            return BitVec(self.n, self.bits | (1 << i))
-        return BitVec(self.n, self.bits & ~(1 << i))
-
-    def dot(self, other):
-        """Inner product over GF(2): parity of the AND."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self):
-        return self.bits.bit_count()
-
-    def support(self):
-        """Sorted 0-based indices of the nonzero coordinates."""
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
 
     def to01(self):
         # the leading 1 pads to exactly n digits (n = 0 included); reversed it is dropped
@@ -170,14 +127,6 @@ class BitMatrix:
             width = 0
         return cls(len(ints), width, ints)
 
-    def row(self, i):
-        return BitVec(self.cols, self.row_ints[i])
-
-    def entry(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_ints[i] >> j) & 1
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -199,12 +148,6 @@ class BitMatrix:
 
 def identity(n):
     return BitMatrix(n, n, [1 << i for i in range(n)])
-
-
-def all_ones_offdiag(n):
-    """The n x n matrix of all ones except a zero diagonal (complete-graph adjacency)."""
-    full = (1 << n) - 1
-    return BitMatrix(n, n, [full ^ (1 << i) for i in range(n)])
 
 
 def mat_mul(a, b):
@@ -349,7 +292,7 @@ def parse_matrix(text):
     if len(header) != 2:
         raise ParseError("expected header 'rows cols'", line=1)
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise ParseError("expected two integers in header", line=1) from None
     if not (0 <= rows <= 2 * MAX_QUBITS and 0 <= cols <= 2 * MAX_QUBITS):  # 2n x n at most

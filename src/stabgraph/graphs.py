@@ -8,7 +8,7 @@ every transformation returns a new graph.
 from __future__ import annotations
 
 from . import gf2
-from .errors import MAX_QUBITS, ParseError
+from .errors import MAX_QUBITS, ParseError, _decimal
 from .gf2 import BitMatrix
 
 
@@ -48,7 +48,8 @@ class Graph:
 
     @classmethod
     def complete(cls, n):
-        return cls._trusted(gf2.all_ones_offdiag(n))
+        full = (1 << n) - 1
+        return cls._trusted(BitMatrix(n, n, [full ^ (1 << i) for i in range(n)]))
 
     @classmethod
     def path(cls, n):
@@ -92,12 +93,6 @@ class Graph:
                 b += 1
         return out
 
-    def has_edge(self, i, j):
-        return bool(self.adj.entry(_check_vertex(self.n, i), _check_vertex(self.n, j)))
-
-    def degree(self, i):
-        return self.adj.row(_check_vertex(self.n, i)).weight()
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
 
@@ -113,31 +108,6 @@ def _check_vertex(n, i):
     if not 1 <= i <= n:
         raise ValueError(f"vertex {i} out of range 1..{n}")
     return i - 1
-
-
-def neighborhood(g, i):
-    """The set of neighbors of vertex i, as 1-based ids."""
-    idx = _check_vertex(g.n, i)
-    return {b + 1 for b in g.adj.row(idx).support()}
-
-
-def induced_subgraph(g, vertices):
-    """Subgraph on the given vertex set, relabeled 1..k in sorted order."""
-    order = sorted(_check_vertex(g.n, v) for v in set(vertices))
-    k = len(order)
-    rows = [0] * k
-    for new_a, old_a in enumerate(order):
-        for new_b, old_b in enumerate(order):
-            if new_a != new_b and g.adj.entry(old_a, old_b):
-                rows[new_a] |= 1 << new_b
-    return Graph._trusted(BitMatrix(k, k, rows))
-
-
-def complement(g):
-    """Complement graph: every non-edge becomes an edge and vice versa."""
-    full = gf2.all_ones_offdiag(g.n)
-    rows = [a ^ b for a, b in zip(g.adj.row_ints, full.row_ints)]
-    return Graph._trusted(BitMatrix(g.n, g.n, rows))
 
 
 def local_complement(g, i):
@@ -177,7 +147,7 @@ def parse_edge_list(text):
             continue
         if n is None:
             try:
-                n = int(line)
+                n = _decimal(line)
             except ValueError:
                 raise ParseError("expected vertex count", line=lineno) from None
             if not 1 <= n <= MAX_QUBITS:
@@ -187,8 +157,11 @@ def parse_edge_list(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected an edge 'i j'", line=lineno)
+        a, b = parts
         try:
-            i, j = int(parts[0]), int(parts[1])
+            if not (a.isdigit() and b.isdigit() and line.isascii()):  # _decimal, inlined: hot loop
+                raise ValueError(line)
+            i, j = int(a), int(b)
         except ValueError:
             raise ParseError("expected two vertex ids", line=lineno) from None
         if not (1 <= i <= n and 1 <= j <= n):

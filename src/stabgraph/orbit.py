@@ -59,7 +59,9 @@ def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
     while frontier:
         cur = frontier.popleft()
         base = transcripts[cur].steps
-        for i in range(1, g.n + 1):
+        for i, row in enumerate(cur.adj.row_ints, 1):
+            if row & (row - 1) == 0:  # degree < 2: complementing at i changes nothing
+                continue
             nxt = graphs.local_complement(cur, i)
             if nxt in transcripts:
                 continue

@@ -73,12 +73,6 @@ class PauliString:
         pairs = map(str.__add__, self.z.to01(), self.x.to01())
         return "".join(map(_ZX_TO_PAULI.__getitem__, pairs))
 
-    def commutes_with(self, other):
-        """True iff the symplectic inner product of the encodings is zero."""
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return (self.z.dot(other.x) ^ self.x.dot(other.z)) == 0
-
     def __eq__(self, other):
         return isinstance(other, PauliString) and self.z == other.z and self.x == other.x
 
@@ -122,9 +116,6 @@ class StabilizerGenMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGenMatrix is immutable")
-
-    def x_block(self):
-        return BitMatrix(self.n, self.n, self.s.row_ints[self.n :])
 
     def to_pauli_strings(self):
         """The generators (columns) as PauliStrings, column 0 first."""
@@ -251,9 +242,4 @@ def parse_stabilizer(text):
 
 
 def _all_ints(tokens):
-    try:
-        for t in tokens:
-            int(t)
-    except ValueError:
-        return False
-    return True
+    return all(t.isdigit() and t.isascii() for t in tokens)

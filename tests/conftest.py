@@ -11,7 +11,7 @@ sharing any code with them.
 """
 
 from stabgraph import clifford, equivalence, gf2, graphs, stabilizer
-from stabgraph.errors import MAX_QUBITS, ParseError
+from stabgraph.errors import MAX_QUBITS, ParseError, _decimal
 
 
 def rows_of(m):
@@ -147,7 +147,7 @@ def reference_solve_homogeneous(mt):
 
 def reference_lex_key(g):
     """Row-major upper-triangular adjacency entries as a tuple, one per entry."""
-    return tuple(g.adj.entry(i, j) for i in range(g.n) for j in range(i + 1, g.n))
+    return tuple(g.adj.row_ints[i] >> j & 1 for i in range(g.n) for j in range(i + 1, g.n))
 
 
 def reference_to01(v):
@@ -163,7 +163,7 @@ def reference_parse_matrix(text):
     if len(header) != 2:
         raise ParseError("expected header 'rows cols'", line=1)
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise ParseError("expected two integers in header", line=1) from None
     if not (0 <= rows <= 2 * MAX_QUBITS and 0 <= cols <= 2 * MAX_QUBITS):

@@ -16,8 +16,6 @@ def trusted_graphs(rng, g):
     n = g.n
     i = rng.randrange(1, n + 1)
     yield graphs.local_complement(g, i)
-    yield graphs.complement(g)
-    yield graphs.induced_subgraph(g, [v for v in range(1, n + 1) if rng.getrandbits(1)])
     yield graphs.parse_edge_list(graphs.format_edge_list(g))
     yield clifford.graph_action(random_in_domain_op(rng, g), g).image
     yield reduction.to_graph_state(stabilizer.random_stabilizer(n, rng.getrandbits(32))).graph

@@ -229,6 +229,30 @@ def test_counts_out_of_range_are_parse_errors(tmp_path, capsys, command, name, t
     assert capsys.readouterr().err.startswith(f"error: parse: {path}: line 1: ")
 
 
+@pytest.mark.parametrize(
+    "command, name, text, line",
+    [
+        ("export-dot", "count.graph", "1_0\n1 2\n", 1),
+        ("canon", "count.graph", "\u0663\n1 2\n", 1),
+        ("canon", "edge.graph", "3\n1 +3\n", 2),
+        ("apply", "step.lcs", "g 1_0\n", 1),
+        ("decompose", "count.lc", "0_1\n1 0 0 1\n", 1),
+        ("reduce", "count.stab", "\u0662 1\n0\n1\n", 1),
+    ],
+    ids=["graph-count", "graph-count-non-ascii", "edge-sign", "step", "clifford-count", "matrix"],
+)
+def test_counts_and_vertex_ids_are_ascii_digits_only(tmp_path, capsys, command, name, text, line):
+    # int() alone also takes "_" between digits, a sign and non-ASCII digits
+    path = write(tmp_path, name, text)
+    single = graph_file(tmp_path, "single.graph", Graph.empty(1))
+    argv = {
+        "apply": ["apply", single, path],
+        "decompose": ["decompose", path, single],
+    }.get(command, [command, path])
+    assert cli.run(argv + ["--quiet"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: parse: {path}: line {line}")
+
+
 def test_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.graph")
     for command, count in sorted(POSITIONALS.items()):
@@ -272,7 +296,7 @@ def test_unwritable_output_is_a_failure_not_internal(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["orbit", "canon"])
-@pytest.mark.parametrize("cap", ["0", "-1", "x"])
+@pytest.mark.parametrize("cap", ["0", "-1", "x", "\u0663"])
 def test_cap_below_one_is_a_usage_error(tmp_path, capsys, command, cap):
     path = graph_file(tmp_path, "single.graph", Graph.empty(1))
     assert cli.run([command, path, "--cap", cap]) == cli.EXIT_USAGE
@@ -319,14 +343,17 @@ def test_orbit_cap(tmp_path, capsys):
 
 
 def test_canon_of_a_large_edgeless_graph_reads_no_single_entries(tmp_path, capsys, monkeypatch):
-    # the canonical key is built from whole rows, so n = 3000 stays cheap
-    def refuse(self, i, j):
-        raise AssertionError("canon read the adjacency one entry at a time")
+    # no vertex has two neighbours, so the orbit search makes no complementation at all,
+    # and the canonical key is built from whole rows: n = 3000 stays cheap
+    def refuse(g, i):
+        raise AssertionError(f"complemented at vertex {i} of degree < 2")
 
-    monkeypatch.setattr(gf2.BitMatrix, "entry", refuse)
+    monkeypatch.setattr(graphs, "local_complement", refuse)
     path = write(tmp_path, "empty.graph", "3000\n")
     assert cli.run(["canon", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == "3000\n"
+    assert cli.run(["orbit", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "1 member\ncanonical representative:\n3000\n"
 
 
 def test_canon_command(tmp_path, capsys):
@@ -431,7 +458,7 @@ def _break_writer(monkeypatch, command):
             "format_sequence",
             lambda seq: decomposition.LCSequence(seq.steps + (decomposition.Single(2),)),
         ),
-        "apply": (graphs, "format_edge_list", graphs.complement),
+        "apply": (graphs, "format_edge_list", lambda h: Graph.empty(h.n)),
         "equiv": (clifford, "format_clifford", _swap_zx),
     }[command]
     right = getattr(module, name)

@@ -71,13 +71,6 @@ def test_compose_matches_assembled_product():
         assert assemble(composed) == gf2.mat_mul(assemble(q2), assemble(q1))
 
 
-def test_inverse():
-    rng = random.Random(33)
-    for _ in range(50):
-        q = random_valid_clifford(rng, rng.randrange(1, 7))
-        assert clifford.compose(clifford.inverse(q), q) == LocalCliffordOp.identity(q.n)
-
-
 def test_apply_to_stabilizer_identity():
     s = stabilizer.from_graph(Graph.path(3))
     assert clifford.apply_to_stabilizer(LocalCliffordOp.identity(3), s) == s.s
@@ -181,7 +174,7 @@ def test_complete_from_cd_recovers_generator_op():
         n = rng.randrange(1, 10)
         g = random_graph(rng, n)
         i = rng.randrange(1, n + 1)
-        q = complete_from_cd(g, BitVec.unit(n, i - 1), BitVec.ones(n))
+        q = complete_from_cd(g, BitVec(n, 1 << (i - 1)), BitVec.ones(n))
         assert q == local_complement_op(g, i)
 
 
@@ -201,8 +194,8 @@ def test_complete_from_cd_alternates_break_zero_diagonal():
         assert graph_action(q, g).in_domain()
         for i in range(n):
             flipped = LocalCliffordOp(
-                q.a.with_bit(i, q.a[i] ^ c[i]),
-                q.b.with_bit(i, q.b[i] ^ d[i]),
+                BitVec(n, q.a.bits ^ (c.bits & 1 << i)),
+                BitVec(n, q.b.bits ^ (d.bits & 1 << i)),
                 c,
                 d,
             )

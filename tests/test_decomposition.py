@@ -102,7 +102,7 @@ def test_cd_step_closure():
         assert cd_matrix(g2.adj, c2, d2) == stepped
         # the step is local complementation at i on the graph and the lower
         # blocks of the operation when c_i = 1, and the identity otherwise
-        if c[i - 1]:
+        if c.bits >> (i - 1) & 1:
             q = clifford.compose(
                 clifford.complete_from_cd(g, c, d), clifford.local_complement_op(g, i)
             )

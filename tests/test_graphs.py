@@ -27,8 +27,6 @@ def test_constructors():
     assert Graph.star(4, 2).edges() == [(1, 2), (2, 3), (2, 4)]
     g = Graph.from_edges(4, [(2, 4), (1, 3)])
     assert g.edges() == [(1, 3), (2, 4)]
-    assert g.has_edge(1, 3) and not g.has_edge(1, 2)
-    assert g.degree(3) == 1
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
@@ -101,37 +99,11 @@ def test_commutation_on_non_adjacent_vertices():
         for g in all_graphs(n):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    if g.has_edge(i, j):
+                    if g.adj.row_ints[i - 1] >> (j - 1) & 1:
                         continue
                     ij = graphs.local_complement(graphs.local_complement(g, j), i)
                     ji = graphs.local_complement(graphs.local_complement(g, i), j)
                     assert ij == ji
-
-
-def test_complement():
-    assert graphs.complement(Graph.empty(4)) == Graph.complete(4)
-    rng = random.Random(13)
-    for _ in range(100):
-        g = random_graph(rng, rng.randrange(1, 10))
-        assert graphs.complement(graphs.complement(g)) == g
-    near_k3 = Graph.from_edges(3, [(1, 2), (1, 3)])
-    assert graphs.complement(near_k3) == Graph.from_edges(3, [(2, 3)])
-
-
-def test_neighborhood():
-    assert graphs.neighborhood(Graph.star(5, 1), 1) == {2, 3, 4, 5}
-    assert graphs.neighborhood(Graph.path(3), 2) == {1, 3}
-    assert graphs.neighborhood(Graph.empty(3), 1) == set()
-    with pytest.raises(ValueError):
-        graphs.neighborhood(Graph.empty(3), 5)
-
-
-def test_induced_subgraph():
-    assert graphs.induced_subgraph(Graph.complete(4), {1, 2}) == Graph.from_edges(2, [(1, 2)])
-    sub = graphs.induced_subgraph(Graph.path(4), {1, 3, 4})
-    assert sub.edges() == [(2, 3)]  # relabeled: 3 -> 2, 4 -> 3
-    with pytest.raises(ValueError):
-        graphs.induced_subgraph(Graph.path(4), {0, 1})
 
 
 def test_edge_list_roundtrip():

@@ -107,7 +107,7 @@ FORMATS = {
 }
 
 # the characters the formats are written in, so that drawn texts get past the first line
-FORMAT_ALPHABET = "0123456789 \n\t#+-gIXYZ"
+FORMAT_ALPHABET = "0123456789 \n\t#+-_gIXYZ"
 
 
 @pytest.mark.parametrize("name", FORMATS)
