@@ -35,11 +35,9 @@ from .graphs import Graph, local_complement
 from .orbit import CapExceededError, Orbit, enumerate_orbit
 from .reduction import ReductionWitness, to_graph_state, verify_witness
 from .stabilizer import (
-    PauliString,
     StabilizerGenMatrix,
     basis_change,
     from_graph,
-    from_pauli_strings,
     random_stabilizer,
     same_subspace,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "LocalCliffordOp",
     "NotInDomainError",
     "Orbit",
-    "PauliString",
     "ReductionWitness",
     "Single",
     "SingularError",
@@ -72,7 +69,6 @@ __all__ = [
     "decompose_action",
     "enumerate_orbit",
     "from_graph",
-    "from_pauli_strings",
     "graph_action",
     "local_complement",
     "local_complement_op",

@@ -262,7 +262,7 @@ def _cmd_orbit(args):
     if not args.quiet:
         print("canonical representative:")
         print(graphs.format_edge_list(result.canonical).rstrip("\n"))
-    ordered = sorted(result.members, key=orbit._lex_key) if args.members or args.dot else ()
+    ordered = sorted(result.members, key=orbit._row_order) if args.members or args.dot else ()
     if args.members:
         blocks = [graphs.format_edge_list(m) for m in ordered]
         _write(args.members, "# orbit members\n" + "".join(b + "--\n" for b in blocks))

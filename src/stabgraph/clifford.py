@@ -65,16 +65,6 @@ class LocalCliffordOp:
         d = BitVec.from_bits(bl[3] for bl in blocks)
         return cls(a, b, c, d)
 
-    def qubit_block(self, i):
-        """The 2x2 block acting on qubit i (1-based) as an (a, b, c, d) tuple."""
-        idx = graphs._check_vertex(self.n, i)
-        return (
-            (self.a.bits >> idx) & 1,
-            (self.b.bits >> idx) & 1,
-            (self.c.bits >> idx) & 1,
-            (self.d.bits >> idx) & 1,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, LocalCliffordOp)
@@ -88,10 +78,8 @@ class LocalCliffordOp:
         return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
-        return (
-            f"LocalCliffordOp(a={self.a.to01()}, b={self.b.to01()}, "
-            f"c={self.c.to01()}, d={self.d.to01()})"
-        )
+        a, b, c, d = (gf2.to01(v.bits, self.n) for v in (self.a, self.b, self.c, self.d))
+        return f"LocalCliffordOp(a={a}, b={b}, c={c}, d={d})"
 
 
 @dataclass(frozen=True)
@@ -230,11 +218,8 @@ def complete_from_cd(g, c, d):
 
 def format_clifford(q):
     """Text form: line 1 is "n", then one "a b c d" bit line per qubit."""
-    lines = [str(q.n)]
-    for i in range(q.n):
-        a, b, c, d = q.qubit_block(i + 1)
-        lines.append(f"{a} {b} {c} {d}")
-    return "\n".join(lines) + "\n"
+    diagonals = (gf2.to01(v.bits, q.n) for v in (q.a, q.b, q.c, q.d))
+    return "\n".join([str(q.n), *map(" ".join, zip(*diagonals))]) + "\n"
 
 
 def parse_clifford(text):

@@ -70,10 +70,6 @@ class BitVec:
             raise ValueError("length mismatch")
         return BitVec(self.n, self.bits ^ other.bits)
 
-    def to01(self):
-        # the leading 1 pads to exactly n digits (n = 0 included); reversed it is dropped
-        return format(self.bits | 1 << self.n, "b")[:0:-1]
-
     def __eq__(self, other):
         return (
             isinstance(other, BitVec) and self.n == other.n and self.bits == other.bits
@@ -83,7 +79,7 @@ class BitVec:
         return hash((self.n, self.bits))
 
     def __repr__(self):
-        return f"BitVec({self.to01()!r})"
+        return f"BitVec({to01(self.bits, self.n)!r})"
 
 
 class BitMatrix:
@@ -142,8 +138,14 @@ class BitMatrix:
         return hash((self.rows, self.cols, self.row_ints))
 
     def __repr__(self):
-        body = ",".join(BitVec(self.cols, r).to01() for r in self.row_ints)
+        body = ",".join(to01(r, self.cols) for r in self.row_ints)
         return f"BitMatrix({self.rows}x{self.cols}:[{body}])"
+
+
+def to01(bits, n):
+    """The n-bit vector ``bits`` as '0'/'1' digits, coordinate 0 first."""
+    # the leading 1 pads to exactly n digits (n = 0 included); reversed it is dropped
+    return format(bits | 1 << n, "b")[:0:-1]
 
 
 def identity(n):
@@ -278,8 +280,7 @@ def solve_homogeneous(mt):
 def format_matrix(m):
     """Text form: first line "rows cols", then one '0'/'1' line per row."""
     lines = [f"{m.rows} {m.cols}"]
-    for r in m.row_ints:
-        lines.append(BitVec(m.cols, r).to01())
+    lines += (to01(r, m.cols) for r in m.row_ints)
     return "\n".join(lines) + "\n"
 
 

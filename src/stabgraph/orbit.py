@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from . import graphs
 from .decomposition import LCSequence, Single
@@ -33,18 +33,22 @@ class Orbit:
 
     @cached_property
     def canonical(self):
-        """The member with the least :func:`_lex_key`, computed on first read."""
-        return min(self.members, key=_lex_key)
+        """The first member in :func:`_row_order`, computed on first read."""
+        return min(self.members, key=_row_order)
 
 
-def _lex_key(g):
-    """Row-major upper-triangular adjacency bits as one '0'/'1' string.
+@cmp_to_key
+def _row_order(g, h):
+    """At the lowest differing column of the first differing row, 0 comes first.
 
-    Row i contributes its digits for columns i+1..n-1, read from its binary
-    form reversed; keys of equal length compare in lexicographic bit order.
+    Earlier rows are equal, so that column lies above the diagonal: this is
+    the lexicographic order of the row-major upper-triangular entries.
     """
-    spec = f"0{g.n}b"
-    return "".join(format(r, spec)[::-1][i + 1:] for i, r in enumerate(g.adj.row_ints))
+    for r, s in zip(g.adj.row_ints, h.adj.row_ints):
+        if r != s:
+            diff = r ^ s
+            return 1 if r & diff & -diff else -1
+    return 0
 
 
 def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):

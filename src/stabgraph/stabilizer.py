@@ -13,7 +13,7 @@ import random
 
 from . import gf2
 from .errors import MAX_QUBITS, ParseError
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 
 class StabilizerError(ValueError):
@@ -39,48 +39,6 @@ class WrongCountError(StabilizerError):
 _Z_DIGITS = str.maketrans("IXZY", "0011")
 _X_DIGITS = str.maketrans("IXZY", "0101")
 _ZX_TO_PAULI = {"00": "I", "01": "X", "10": "Z", "11": "Y"}
-
-
-class PauliString:
-    """Phase-free n-qubit Pauli operator as a pair of n-bit vectors (z, x)."""
-
-    __slots__ = ("n", "z", "x")
-
-    def __init__(self, z, x):
-        if z.n != x.n:
-            raise ValueError("z and x parts must have equal length")
-        object.__setattr__(self, "n", z.n)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
-
-    @classmethod
-    def from_text(cls, text):
-        """Parse a string over {I, X, Y, Z}; a leading '+' or '-' is ignored."""
-        body = text.strip()
-        if body[:1] in ("+", "-"):
-            body = body[1:]
-        # int(s, 2) would also take "_", "0b", signs, spaces and non-ASCII digits
-        if sum(map(body.count, "IXYZ")) != len(body):
-            i = next(i for i, ch in enumerate(body) if ch not in "IXYZ")
-            raise ParseError(f"invalid Pauli letter {body[i]!r}", column=i + 1)
-        z, x = (int(body[::-1].translate(d) or "0", 2) for d in (_Z_DIGITS, _X_DIGITS))
-        return cls(BitVec(len(body), z), BitVec(len(body), x))
-
-    def to_text(self):
-        pairs = map(str.__add__, self.z.to01(), self.x.to01())
-        return "".join(map(_ZX_TO_PAULI.__getitem__, pairs))
-
-    def __eq__(self, other):
-        return isinstance(other, PauliString) and self.z == other.z and self.x == other.x
-
-    def __hash__(self):
-        return hash((self.z, self.x))
-
-    def __repr__(self):
-        return f"PauliString({self.to_text()!r})"
 
 
 class StabilizerGenMatrix:
@@ -117,15 +75,6 @@ class StabilizerGenMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGenMatrix is immutable")
 
-    def to_pauli_strings(self):
-        """The generators (columns) as PauliStrings, column 0 first."""
-        n = self.n
-        mask = (1 << n) - 1
-        return [
-            PauliString(BitVec(n, col & mask), BitVec(n, col >> n))
-            for col in gf2.transpose(self.s).row_ints
-        ]
-
     def __eq__(self, other):
         return isinstance(other, StabilizerGenMatrix) and self.s == other.s
 
@@ -133,24 +82,7 @@ class StabilizerGenMatrix:
         return hash(self.s)
 
     def __repr__(self):
-        return f"StabilizerGenMatrix({[p.to_text() for p in self.to_pauli_strings()]})"
-
-
-def from_pauli_strings(paulis):
-    """Assemble a generator matrix with column j encoding the j-th operator.
-
-    Raises WrongCountError / NotIndependentError / NotCommutingError, in that
-    order of precedence, when the input is not a valid set of stabilizer
-    generators.
-    """
-    paulis = list(paulis)
-    if not paulis:
-        raise WrongCountError(0, 0)
-    n = paulis[0].n
-    if len(paulis) != n or any(p.n != n for p in paulis):
-        raise WrongCountError(n, len(paulis))
-    gens = BitMatrix(n, 2 * n, [p.z.bits | p.x.bits << n for p in paulis])
-    return StabilizerGenMatrix(gf2.transpose(gens))
+        return f"StabilizerGenMatrix({format_stabilizer(self).split()})"
 
 
 def from_graph(g):
@@ -204,14 +136,19 @@ def random_stabilizer(n, seed):
 
 
 def format_stabilizer(stab):
-    """One generator per line as a Pauli string (no sign prefix)."""
-    return "\n".join(p.to_text() for p in stab.to_pauli_strings()) + "\n"
+    """One generator (column) per line as a Pauli string (no sign prefix)."""
+    n = stab.n
+    zx = (gf2.to01(col, 2 * n) for col in gf2.transpose(stab.s).row_ints)  # n Z then n X digits
+    lines = ("".join(map(_ZX_TO_PAULI.__getitem__, map(str.__add__, d[:n], d[n:]))) for d in zx)
+    return "\n".join(lines) + "\n"
 
 
 def parse_stabilizer(text):
     """Parse either Pauli lines or a raw 2n x n matrix block (gf2 text format).
 
     The matrix alternative is detected by a first line of two integers.
+    Pauli lines are checked one by one (length, letters, the letter count of
+    the first line), then as a set: count, independence, commutation.
     """
     stripped = [ln for ln in text.splitlines() if ln.strip()]
     if stripped and len(stripped[0].split()) == 2 and _all_ints(stripped[0].split()):
@@ -222,21 +159,33 @@ def parse_stabilizer(text):
             return StabilizerGenMatrix(m)
         except StabilizerError as exc:
             raise ParseError(f"not a valid stabilizer matrix: {exc}", line=1) from exc
-    paulis = []
+    n = None
+    cols = []  # generator j as one int, its X bits above its Z bits
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if len(line) - (line[0] in "+-") > MAX_QUBITS:
+        body = line[1:] if line[0] in "+-" else line  # the sign is dropped
+        if len(body) > MAX_QUBITS:
             raise ParseError(f"qubit count must be <= {MAX_QUBITS}", line=lineno)
-        try:
-            paulis.append(PauliString.from_text(line))
-        except ParseError as exc:
-            raise ParseError(exc.message, line=lineno, column=exc.column) from None
-    if not paulis:
+        # int(s, 2) would also take "_", "0b", signs, spaces and non-ASCII digits
+        if sum(map(body.count, "IXYZ")) != len(body):
+            i = next(i for i, ch in enumerate(body) if ch not in "IXYZ")
+            raise ParseError(f"invalid Pauli letter {body[i]!r}", line=lineno, column=i + 1)
+        if n is None:
+            n = len(body)
+            if not n:
+                raise ParseError("qubit count must be >= 1", line=lineno)
+        elif len(body) != n:
+            raise ParseError(f"expected {n} Pauli letters, found {len(body)}", line=lineno)
+        rev = body[::-1]  # most significant digit first
+        cols.append(int(rev.translate(_X_DIGITS) + rev.translate(_Z_DIGITS), 2))
+    if n is None:
         raise ParseError("empty stabilizer file", line=1)
     try:
-        return from_pauli_strings(paulis)
+        if len(cols) != n:
+            raise WrongCountError(n, len(cols))
+        return StabilizerGenMatrix(gf2.transpose(BitMatrix(n, 2 * n, cols)))
     except StabilizerError as exc:
         raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
 

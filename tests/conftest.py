@@ -145,13 +145,13 @@ def reference_solve_homogeneous(mt):
     return [gf2.BitVec(mt.rows, null[i]) for _, i in reversed(pivots)]
 
 
-def reference_lex_key(g):
+def reference_entry_tuple(g):
     """Row-major upper-triangular adjacency entries as a tuple, one per entry."""
     return tuple(g.adj.row_ints[i] >> j & 1 for i in range(g.n) for j in range(i + 1, g.n))
 
 
-def reference_to01(v):
-    return "".join("1" if (v.bits >> i) & 1 else "0" for i in range(v.n))
+def reference_to01(bits, n):
+    return "".join("1" if (bits >> i) & 1 else "0" for i in range(n))
 
 
 def reference_parse_matrix(text):
@@ -193,27 +193,49 @@ _ZX_TO_PAULI = {v: k for k, v in _PAULI_TO_ZX.items()}
 
 
 def reference_pauli_from_text(text):
-    """``PauliString.from_text`` reading one letter at a time."""
-    body = text.strip()
-    if body[:1] in ("+", "-"):
-        body = body[1:]
-    zbits = 0
-    xbits = 0
-    for i, ch in enumerate(body):
-        try:
-            zb, xb = _PAULI_TO_ZX[ch]
-        except KeyError:
-            raise ParseError(f"invalid Pauli letter {ch!r}", column=i + 1) from None
-        zbits |= zb << i
-        xbits |= xb << i
-    n = len(body)
-    return stabilizer.PauliString(gf2.BitVec(n, zbits), gf2.BitVec(n, xbits))
+    """The Pauli-line branch of ``parse_stabilizer``, reading one letter at a time."""
+    n = None
+    gens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.strip()
+        if not body:
+            continue
+        if body[0] in "+-":
+            body = body[1:]
+        if len(body) > MAX_QUBITS:
+            raise ParseError(f"qubit count must be <= {MAX_QUBITS}", line=lineno)
+        zx = []
+        for i, ch in enumerate(body):
+            if ch not in _PAULI_TO_ZX:
+                raise ParseError(f"invalid Pauli letter {ch!r}", line=lineno, column=i + 1)
+            zx.append(_PAULI_TO_ZX[ch])
+        if n is None:
+            n = len(zx)
+            if n == 0:
+                raise ParseError("qubit count must be >= 1", line=lineno)
+        elif len(zx) != n:
+            raise ParseError(f"expected {n} Pauli letters, found {len(zx)}", line=lineno)
+        gens.append(zx)
+    if n is None:
+        raise ParseError("empty stabilizer file", line=1)
+    try:
+        if len(gens) != n:
+            raise stabilizer.WrongCountError(n, len(gens))
+        # row i holds the Z bit of qubit i in every generator, row n + i its X bit
+        rows = [[gen[i][half] for gen in gens] for half in (0, 1) for i in range(n)]
+        return stabilizer.StabilizerGenMatrix(gf2.BitMatrix.from_rows(rows))
+    except stabilizer.StabilizerError as exc:
+        raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
 
 
-def reference_pauli_to_text(p):
-    return "".join(
-        _ZX_TO_PAULI[((p.z.bits >> i) & 1, (p.x.bits >> i) & 1)] for i in range(p.n)
-    )
+def reference_pauli_to_text(stab):
+    """``format_stabilizer`` writing one letter at a time."""
+    n, rows = stab.n, stab.s.row_ints
+    lines = [
+        "".join(_ZX_TO_PAULI[((rows[i] >> j) & 1, (rows[n + i] >> j) & 1)] for i in range(n))
+        for j in range(n)
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def mat_vec(m, v):

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
+from stabgraph import gf2
 from stabgraph.errors import InternalError
-from stabgraph.stabilizer import PauliString
 
 ORACLE_QUBIT_LIMIT = 12
 ATOL = 1e-9
@@ -169,11 +169,8 @@ def build_graph_state(g):
 
 
 def _graph_generator(g, j):
-    """The stabilizer generator at vertex j, built directly from the adjacency bits."""
-    from stabgraph.gf2 import BitVec
-
-    n = g.n
-    return PauliString(BitVec(n, g.adj.row_ints[j - 1]), BitVec(n, 1 << (j - 1)))
+    """The (z, x) bits of the stabilizer generator at vertex j, from the adjacency bits."""
+    return g.adj.row_ints[j - 1], 1 << (j - 1)
 
 
 def defining_equation_error(state, g):
@@ -186,14 +183,15 @@ def defining_equation_error(state, g):
 
 
 def apply_pauli(state, p):
-    """Exact tensor-product Pauli action, phases included."""
-    if p.n != state.n:
+    """Exact tensor-product Pauli action, phases included; ``p`` is a (z, x) pair of ints."""
+    z, x = p
+    if (z | x) >> state.n:
         raise ValueError("qubit count mismatch")
     amps = state.amplitudes
     idx = np.arange(1 << state.n)
     for q in range(state.n):
-        zb = (p.z.bits >> q) & 1
-        xb = (p.x.bits >> q) & 1
+        zb = (z >> q) & 1
+        xb = (x >> q) & 1
         if not zb and not xb:
             continue
         bit = (idx >> q) & 1
@@ -232,7 +230,7 @@ def lift_local_clifford(q):
     table = _table_by_symplectic()
     gates = []
     for i in range(1, q.n + 1):
-        key = q.qubit_block(i)
+        key = tuple((v.bits >> (i - 1)) & 1 for v in (q.a, q.b, q.c, q.d))
         entries = table.get(key)
         if not entries:
             raise InternalError(f"no single-qubit Clifford matches blocks {key}")
@@ -253,8 +251,9 @@ def stabilized_up_to_signs(state, stab):
     """True iff the state is a +-1 eigenvector of every generator column."""
     if stab.n != state.n:
         raise ValueError("qubit count mismatch")
-    for p in stab.to_pauli_strings():
-        val = state.inner(apply_pauli(state, p))
+    n = stab.n
+    for col in gf2.transpose(stab.s).row_ints:  # generator j: n Z bits, then n X bits
+        val = state.inner(apply_pauli(state, (col & ((1 << n) - 1), col >> n)))
         if abs(abs(val) - 1.0) > ATOL:
             return False
     return True
@@ -276,8 +275,8 @@ def stabilized_state(stab, seed=0):
         amps /= np.linalg.norm(amps)
         state = StateVector(n, amps)
         ok = True
-        for p in stab.to_pauli_strings():
-            moved = apply_pauli(state, p)
+        for col in gf2.transpose(stab.s).row_ints:  # generator j: n Z bits, then n X bits
+            moved = apply_pauli(state, (col & ((1 << n) - 1), col >> n))
             amps = (state.amplitudes + moved.amplitudes) / 2.0
             norm = np.linalg.norm(amps)
             if norm < 1e-12:

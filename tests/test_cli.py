@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -331,7 +332,7 @@ def test_orbit_quiet_never_reads_the_canonical_representative(tmp_path, capsys, 
     def refuse(g):
         raise AssertionError("orbit --quiet computed the canonical representative")
 
-    monkeypatch.setattr(orbit, "_lex_key", refuse)
+    monkeypatch.setattr(orbit, "_row_order", refuse)
     assert cli.run(["orbit", path, "--quiet", "--verify"]) == cli.EXIT_OK
     assert capsys.readouterr() == ("", "")
 
@@ -344,7 +345,7 @@ def test_orbit_cap(tmp_path, capsys):
 
 def test_canon_of_a_large_edgeless_graph_reads_no_single_entries(tmp_path, capsys, monkeypatch):
     # no vertex has two neighbours, so the orbit search makes no complementation at all,
-    # and the canonical key is built from whole rows: n = 3000 stays cheap
+    # and a one-member orbit needs no row comparison: n = 3000 stays cheap
     def refuse(g, i):
         raise AssertionError(f"complemented at vertex {i} of degree < 2")
 
@@ -354,6 +355,22 @@ def test_canon_of_a_large_edgeless_graph_reads_no_single_entries(tmp_path, capsy
     assert capsys.readouterr().out == "3000\n"
     assert cli.run(["orbit", path]) == cli.EXIT_OK
     assert capsys.readouterr().out == "1 member\ncanonical representative:\n3000\n"
+
+
+def test_canon_of_a_16000_vertex_edgeless_graph_fits_in_100_mb(tmp_path):
+    # the graph alone is 16000 small row ints; a key of n^2/2 digits per member would not fit
+    path = write(tmp_path, "edgeless.graph", "16000\n")
+    limit = 100 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "stabgraph.cli", "canon", path, "--quiet"]
+    out = subprocess.run(
+        argv, env=env, capture_output=True, text=True, preexec_fn=cap_address_space
+    )
+    assert (out.returncode, out.stderr) == (cli.EXIT_OK, "")
 
 
 def test_canon_command(tmp_path, capsys):

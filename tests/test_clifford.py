@@ -77,9 +77,7 @@ def test_apply_to_stabilizer_identity():
 
 
 def test_apply_to_stabilizer_hadamard_swaps_blocks():
-    z_only = stabilizer.from_pauli_strings(
-        [stabilizer.PauliString.from_text("ZI"), stabilizer.PauliString.from_text("IZ")]
-    )
+    z_only = stabilizer.parse_stabilizer("ZI\nIZ\n")
     out = clifford.apply_to_stabilizer(LocalCliffordOp.hadamard_all(2), z_only)
     assert out == gf2.vstack(BitMatrix.zeros(2, 2), gf2.identity(2))
 
@@ -137,7 +135,7 @@ def test_local_complement_op_matches_edge_toggling():
 def test_local_complement_op_examples():
     empty = Graph.empty(3)
     q = local_complement_op(empty, 2)
-    assert q.qubit_block(2) == (1, 0, 1, 1)
+    assert tuple((v.bits >> 1) & 1 for v in (q.a, q.b, q.c, q.d)) == (1, 0, 1, 1)
     assert graph_action(q, empty).image == empty
 
     edge = Graph.from_edges(2, [(1, 2)])

@@ -125,7 +125,7 @@ def test_factor_cd_form_accepts_singular_members():
     assert got is not None
     g, c, d = got
     assert g == Graph.from_edges(2, [(1, 2)])
-    assert (c.to01(), d.to01()) == ("10", "00")
+    assert (gf2.to01(c.bits, c.n), gf2.to01(d.bits, d.n)) == ("10", "00")
 
 
 def test_reduce_identity_empty_sequence():

@@ -21,9 +21,7 @@ from stabgraph.graphs import Graph
 
 
 def pauli_stab(*texts):
-    return stabilizer.from_pauli_strings(
-        [stabilizer.PauliString.from_text(t) for t in texts]
-    )
+    return stabilizer.parse_stabilizer("".join(t + "\n" for t in texts))
 
 
 def test_system_single_qubit_z_z():

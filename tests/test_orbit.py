@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph, reference_lex_key
+from conftest import all_graphs, random_graph, reference_entry_tuple
 from stabgraph import graphs, orbit
 from stabgraph.decomposition import apply_sequence
 from stabgraph.graphs import Graph
@@ -101,12 +101,13 @@ def test_partition_of_all_4_vertex_graphs():
             assert enumerate_orbit(m).canonical == rep
 
 
-def test_lex_key_orders_like_the_entry_tuple():
+def test_row_order_orders_like_the_entry_tuple():
     rng = random.Random(84)
     samples = [list(all_graphs(4))]
     samples += [[random_graph(rng, n) for _ in range(40)] for n in range(10)]
     for sample in samples:
-        by_string = sorted(sample, key=orbit._lex_key)
-        assert by_string == sorted(sample, key=reference_lex_key)
-        keys = [orbit._lex_key(g) for g in by_string]
-        assert len(set(keys)) == len(set(by_string))
+        by_rows = sorted(sample, key=orbit._row_order)
+        assert by_rows == sorted(sample, key=reference_entry_tuple)
+        # equal in the order exactly when equal as graphs
+        key = orbit._row_order
+        assert all((key(g) == key(h)) == (g == h) for g in by_rows for h in by_rows)

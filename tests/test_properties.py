@@ -367,7 +367,9 @@ def test_matrix_rows_read_like_the_character_loop(data):
 def test_stabilizer_lines_read_like_the_character_loops(fmt, first, data):
     text = data.draw(with_foreign_characters(fmt(data.draw(stabilizer_values())), first))
     got = _outcome(stabilizer.parse_stabilizer, text)
-    with mock.patch.object(gf2, "parse_matrix", reference_parse_matrix):
-        with mock.patch.object(stabilizer.PauliString, "from_text", reference_pauli_from_text):
+    if first:  # a matrix block: its header line is left alone, so it still reads as one
+        with mock.patch.object(gf2, "parse_matrix", reference_parse_matrix):
             want = _outcome(stabilizer.parse_stabilizer, text)
+    else:  # Pauli lines: no inserted character is an ASCII digit, so no header appears
+        want = _outcome(reference_pauli_from_text, text)
     assert got == want

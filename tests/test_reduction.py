@@ -82,9 +82,7 @@ def test_branch_coverage():
     assert gf2.rank(BitMatrix(5, 5, zero.s.row_ints[5:])) == 0
     assert verify_witness(zero, to_graph_state(zero))
 
-    mid = stabilizer.from_pauli_strings(
-        [stabilizer.PauliString.from_text("ZI"), stabilizer.PauliString.from_text("IX")]
-    )
+    mid = stabilizer.parse_stabilizer("ZI\nIX\n")
     assert gf2.rank(BitMatrix(2, 2, mid.s.row_ints[2:])) == 1
     w = to_graph_state(mid)
     assert verify_witness(mid, w)

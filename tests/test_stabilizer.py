@@ -17,72 +17,105 @@ from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.stabilizer import (
     NotCommutingError,
     NotIndependentError,
-    PauliString,
     StabilizerGenMatrix,
     WrongCountError,
+    format_stabilizer,
     from_graph,
-    from_pauli_strings,
+    parse_stabilizer,
     random_stabilizer,
 )
 
 
-def pauli(text):
-    return PauliString.from_text(text)
+def pauli_stab(*lines):
+    return parse_stabilizer("".join(line + "\n" for line in lines))
+
+
+def _invalid(*lines):
+    """The StabilizerError behind the ParseError that the Pauli lines raise."""
+    with pytest.raises(ParseError) as err:
+        pauli_stab(*lines)
+    assert err.value.line == 1
+    return err.value.__cause__
 
 
 def test_pauli_encoding():
-    p = pauli("IXZY")
-    assert p.z.to01() == "0011"
-    assert p.x.to01() == "0101"
-    assert p.to_text() == "IXZY"
-    assert pauli("+XX") == pauli("XX")
-    assert pauli("-XX") == pauli("XX")  # signs dropped by design
-    with pytest.raises(ParseError):
-        pauli("XQ")
+    s = pauli_stab("IXZY", "ZIII", "IZXI", "IIIY")
+    # column 0 holds the Z bits of IXZY, then its X bits
+    assert gf2.to01(gf2.transpose(s.s).row_ints[0], 8) == "0011" + "0101"
+    assert format_stabilizer(s) == "IXZY\nZIII\nIZXI\nIIIY\n"
+    assert pauli_stab("+IXZY", "-ZIII", "IZXI", "+IIIY") == s  # signs dropped by design
+    with pytest.raises(ParseError) as err:
+        pauli_stab("XQ", "ZX")
+    assert (err.value.line, err.value.column) == (1, 2)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 64, 4400])
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 200])
 def test_pauli_codec_matches_the_letter_loop(n):
     rng = random.Random(n)
+    if n == 0:  # no letters to read: both readers refuse the same way
+        for text in ("", "\n", "+\n", "-\n \n"):
+            with pytest.raises(ParseError) as got:
+                parse_stabilizer(text)
+            with pytest.raises(ParseError) as want:
+                reference_pauli_from_text(text)
+            assert (got.value.message, got.value.line) == (want.value.message, want.value.line)
+        return
     for _ in range(5):
-        text = "".join(rng.choice("IXYZ") for _ in range(n))
-        p = pauli(text)
-        assert p == reference_pauli_from_text(text) == pauli("-" + text)
-        assert p.to_text() == reference_pauli_to_text(p) == text
+        s = random_stabilizer(n, rng.randrange(10**6))
+        text = format_stabilizer(s)
+        assert text == reference_pauli_to_text(s)
+        signed = "".join(rng.choice(("", "+", "-")) + ln + "\n" for ln in text.splitlines())
+        assert parse_stabilizer(text) == reference_pauli_from_text(text) == s
+        assert parse_stabilizer(signed) == reference_pauli_from_text(signed) == s
 
 
+# Pauli strings assembled into a generator matrix: column j is line j.
 def test_from_pauli_strings_edge_graph():
-    s = from_pauli_strings([pauli("XZ"), pauli("ZX")])
+    s = pauli_stab("XZ", "ZX")
     edge = graphs.Graph.from_edges(2, [(1, 2)])
     assert s.s == gf2.vstack(edge.adj, gf2.identity(2))
 
 
 def test_from_pauli_strings_z_only():
-    s = from_pauli_strings([pauli("ZI"), pauli("IZ")])
+    s = pauli_stab("ZI", "IZ")
     assert s.s == gf2.vstack(gf2.identity(2), BitMatrix.zeros(2, 2))
 
 
 def test_from_pauli_strings_bell_pair_generators():
-    s = from_pauli_strings([pauli("XX"), pauli("ZZ")])
+    s = pauli_stab("XX", "ZZ")
     assert s.n == 2
 
 
 def test_from_pauli_strings_errors():
-    with pytest.raises(NotCommutingError) as err:
-        from_pauli_strings([pauli("XI"), pauli("ZI")])
-    assert err.value.pair == (1, 2)
-    with pytest.raises(NotIndependentError):
-        from_pauli_strings([pauli("XX"), pauli("XX")])
+    err = _invalid("XI", "ZI")
+    assert isinstance(err, NotCommutingError) and err.pair == (1, 2)
+    assert isinstance(_invalid("XX", "XX"), NotIndependentError)
     # dependent and anticommuting: independence is checked first
-    with pytest.raises(NotIndependentError):
-        from_pauli_strings([pauli("XII"), pauli("ZII"), pauli("YII")])
-    with pytest.raises(NotCommutingError) as err:
-        from_pauli_strings([pauli("ZII"), pauli("IXI"), pauli("IZZ")])
-    assert err.value.pair == (2, 3)
-    with pytest.raises(WrongCountError):
-        from_pauli_strings([pauli("XI")])
-    with pytest.raises(WrongCountError):
-        from_pauli_strings([])
+    assert isinstance(_invalid("XII", "ZII", "YII"), NotIndependentError)
+    err = _invalid("ZII", "IXI", "IZZ")
+    assert isinstance(err, NotCommutingError) and err.pair == (2, 3)
+    assert isinstance(_invalid("XI"), WrongCountError)
+    # too many generators, even dependent and anticommuting ones: the count comes first
+    assert isinstance(_invalid("XI", "ZI", "XI"), WrongCountError)
+    with pytest.raises(ParseError, match="empty stabilizer file"):
+        pauli_stab()
+
+
+def test_ragged_pauli_lines_are_reported_where_they_start():
+    cases = [
+        ("XZ\nZXI\n", "line 2: expected 2 Pauli letters, found 3"),
+        ("XZ\n\n-Z\nZX\n", "line 3: expected 2 Pauli letters, found 1"),
+        ("XZI\nZXZ\nIZ\nXXX\n", "line 3: expected 3 Pauli letters, found 2"),
+        ("+\n", "line 1: qubit count must be >= 1"),
+        ("\n-\nX\n", "line 2: qubit count must be >= 1"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_stabilizer(text)
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as ref:
+            reference_pauli_from_text(text)
+        assert str(ref.value) == message
 
 
 def test_constructor_rejects_bad_matrices():
@@ -97,18 +130,19 @@ def test_constructor_rejects_bad_matrices():
 
 def test_from_graph():
     empty2 = from_graph(graphs.Graph.empty(2))
-    assert [p.to_text() for p in empty2.to_pauli_strings()] == ["XI", "IX"]
+    assert format_stabilizer(empty2) == "XI\nIX\n"
     edge = from_graph(graphs.Graph.from_edges(2, [(1, 2)]))
-    assert [p.to_text() for p in edge.to_pauli_strings()] == ["XZ", "ZX"]
+    assert format_stabilizer(edge) == "XZ\nZX\n"
     triangle = from_graph(graphs.Graph.complete(3))
-    assert [p.to_text() for p in triangle.to_pauli_strings()] == ["XZZ", "ZXZ", "ZZX"]
+    assert format_stabilizer(triangle) == "XZZ\nZXZ\nZZX\n"
+    assert repr(triangle) == "StabilizerGenMatrix(['XZZ', 'ZXZ', 'ZZX'])"
 
 
 def test_pauli_roundtrip_on_columns():
     rng = random.Random(20)
     for seed in range(50):
         s = random_stabilizer(rng.randrange(1, 9), seed)
-        assert from_pauli_strings(s.to_pauli_strings()) == s
+        assert parse_stabilizer(format_stabilizer(s)) == s
 
 
 def test_basis_change():
@@ -116,8 +150,8 @@ def test_basis_change():
     assert stabilizer.basis_change(s, gf2.identity(3)) == s
     swap = BitMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     permuted = stabilizer.basis_change(s, swap)
-    assert permuted.to_pauli_strings()[0] == s.to_pauli_strings()[1]
-    assert permuted.to_pauli_strings()[1] == s.to_pauli_strings()[0]
+    lines, permuted_lines = format_stabilizer(s).split(), format_stabilizer(permuted).split()
+    assert permuted_lines == [lines[1], lines[0], lines[2]]
     with pytest.raises(gf2.SingularError):
         stabilizer.basis_change(s, BitMatrix.zeros(3, 3))
     rng = random.Random(21)
@@ -130,8 +164,8 @@ def test_basis_change():
 
 
 def test_same_subspace():
-    z_span = from_pauli_strings([pauli("ZI"), pauli("IZ")])
-    x_span = from_pauli_strings([pauli("XI"), pauli("IX")])
+    z_span = pauli_stab("ZI", "IZ")
+    x_span = pauli_stab("XI", "IX")
     assert not stabilizer.same_subspace(z_span, x_span)
     assert stabilizer.same_subspace(z_span, z_span)
 
@@ -169,9 +203,8 @@ def test_parse_stabilizer_matrix_block():
 
 
 def test_parse_stabilizer_signs_ignored():
-    assert stabilizer.parse_stabilizer("+XZ\n-ZX\n") == from_pauli_strings(
-        [pauli("XZ"), pauli("ZX")]
-    )
+    s = stabilizer.parse_stabilizer("+XZ\n-ZX\n")
+    assert s == pauli_stab("XZ", "ZX") == from_graph(graphs.Graph.from_edges(2, [(1, 2)]))
 
 
 def test_parse_stabilizer_errors():
