@@ -7,9 +7,9 @@ GF(2) linear algebra.
 """
 
 from .clifford import (
-    GraphDomainReport,
     InvalidCliffordError,
     LocalCliffordOp,
+    NotInDomainError,
     complete_from_cd,
     compose,
     graph_action,
@@ -17,7 +17,6 @@ from .clifford import (
 )
 from .decomposition import (
     LCSequence,
-    NotInDomainError,
     Single,
     Triple,
     apply_sequence,
@@ -50,7 +49,6 @@ __all__ = [
     "CapExceededError",
     "Equivalent",
     "Graph",
-    "GraphDomainReport",
     "Inequivalent",
     "InvalidCliffordError",
     "LCSequence",

@@ -124,7 +124,7 @@ def run(argv):
     except orbit.CapExceededError as exc:
         print(f"error: cap: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except decomposition.NotInDomainError as exc:
+    except clifford.NotInDomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except CommandError as exc:
@@ -193,7 +193,7 @@ def _check(args, ok, failure):
 def _replay(g, seq):
     """Fold ``seq`` over g through the symplectic graph action of each step's operation."""
     for v in seq.expand():
-        g = clifford.graph_action(clifford.local_complement_op(g, v), g).image
+        g = clifford.graph_action(clifford.local_complement_op(g, v), g)
     return g
 
 
@@ -235,7 +235,7 @@ def _cmd_decompose(args):
     _say(args, f"{len(seq)} steps -> {out}")
     if args.verify:
         written = _reread(decomposition.parse_sequence, out)
-        ok = _replay(g, written) == clifford.graph_action(q, g).image
+        ok = _replay(g, written) == clifford.graph_action(q, g)
         _check(args, ok, "sequence misses the image of the graph action")
     return EXIT_OK
 

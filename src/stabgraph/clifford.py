@@ -9,8 +9,6 @@ invertible, i.e. a_i d_i + b_i c_i = 1, which is equivalent to the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import gf2, graphs, stabilizer
 from .errors import MAX_QUBITS, InternalError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec
@@ -18,6 +16,10 @@ from .gf2 import BitMatrix, BitVec
 
 class InvalidCliffordError(ValueError):
     """The four diagonals fail per-qubit invertibility."""
+
+
+class NotInDomainError(ValueError):
+    """The graph is outside the domain of the operation's graph action."""
 
 
 class LocalCliffordOp:
@@ -82,23 +84,6 @@ class LocalCliffordOp:
         return f"LocalCliffordOp(a={a}, b={b}, c={c}, d={d})"
 
 
-@dataclass(frozen=True)
-class GraphDomainReport:
-    """Outcome of acting on a graph: both conditions must hold for an image.
-
-    ``invertible_cd`` is the nonsingularity of C.adj + D; ``zero_diagonal``
-    is the zero-diagonal condition on the transformed matrix. ``image`` is
-    present exactly when both hold.
-    """
-
-    invertible_cd: bool
-    zero_diagonal: bool
-    image: graphs.Graph | None = None
-
-    def in_domain(self):
-        return self.image is not None
-
-
 def compose(q2, q1):
     """Group product: q1 applied first, then q2 (right-to-left operator order)."""
     if q2.n != q1.n:
@@ -158,7 +143,7 @@ def graph_form(q, stab):
 
 
 def graph_action(q, g):
-    """Act on a graph; returns a GraphDomainReport rather than raising.
+    """Act on a graph; returns the image graph or raises NotInDomainError.
 
     The image adjacency is (A.adj + B)(C.adj + D)^-1, the graph form of
     q.[adj; I], when C.adj + D is invertible; the graph is in the domain when
@@ -168,11 +153,12 @@ def graph_action(q, g):
         raise ValueError("qubit count mismatch")
     form = graph_form(q, stabilizer.from_graph(g))
     if form is None:
-        return GraphDomainReport(invertible_cd=False, zero_diagonal=False)
-    _, image, _, shear = form
-    if shear:
-        return GraphDomainReport(invertible_cd=True, zero_diagonal=False)
-    return GraphDomainReport(invertible_cd=True, zero_diagonal=True, image=image)
+        detail = "C.adj + D is singular"
+    elif form[3]:  # shear bits: the diagonal a graph must not have
+        detail = "the transformed matrix has a nonzero diagonal"
+    else:
+        return form[1]  # the image graph
+    raise NotInDomainError(f"graph not in the operation's domain: {detail}")
 
 
 def local_complement_op(g, i):

@@ -16,25 +16,10 @@ makes the translation exact.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from . import clifford, graphs
 from .errors import InternalError, ParseError, _decimal
-
-log = logging.getLogger(__name__)
-
-
-class NotInDomainError(ValueError):
-    """The graph is outside the domain of the operation being decomposed."""
-
-    def __init__(self, report):
-        self.report = report
-        if not report.invertible_cd:
-            detail = "C.adj + D is singular"
-        else:
-            detail = "the transformed matrix has a nonzero diagonal"
-        super().__init__(f"graph not in the operation's domain: {detail}")
 
 
 class DecompositionError(InternalError):
@@ -78,16 +63,6 @@ class LCSequence:
                 out.extend((step.j, step.k, step.j))
         return out
 
-    def vertex_indices(self):
-        """All step indices in order of appearance: i for singles, j and k for triples."""
-        out = []
-        for step in self.steps:
-            if isinstance(step, Single):
-                out.append(step.i)
-            else:
-                out.extend((step.j, step.k))
-        return out
-
 
 def _complement_at(g, c, d, v):
     """One walk step at 0-based vertex v: the new (g, c, d)."""
@@ -112,10 +87,8 @@ def reduce_to_identity(g, c, d):
     neighbour is finished with one step there; second, the vertices with
     d_j = 0 are finished in pairs j, k, with k the lowest vertex of c adjacent
     to j, via the three-step pattern. Singles always come before triples. A
-    step budget of 3n and a distinct-index check guard the claimed
-    termination behavior; the sequence is still returned if the indices
-    repeat, with the anomaly logged. Returns the sequence and the graph the
-    walk ends on (g with the sequence applied).
+    step budget of 3n guards the claimed termination behavior. Returns the
+    sequence and the graph the walk ends on (g with the sequence applied).
     """
     n = g.n
     if c.n != n or d.n != n:
@@ -152,11 +125,7 @@ def reduce_to_identity(g, c, d):
         if len(steps) > budget:
             raise DecompositionError("step budget exceeded while clearing zero-diagonal rows")
 
-    seq = LCSequence(tuple(steps))
-    indices = seq.vertex_indices()
-    if len(set(indices)) != len(indices):
-        log.warning("repeated vertex indices in reduction sequence: %s", indices)
-    return seq, g
+    return LCSequence(tuple(steps)), g
 
 
 def apply_sequence(g, seq):
@@ -171,13 +140,12 @@ def decompose_action(q, g):
 
     Only the lower blocks (c, d) of the operation enter the computation; the
     upper blocks are implied by the uniqueness of the in-domain completion.
-    The walk's final graph is checked against the direct graph action.
+    The walk's final graph is checked against the direct graph action, which
+    raises clifford.NotInDomainError for a graph outside the domain.
     """
-    report = clifford.graph_action(q, g)
-    if not report.in_domain():
-        raise NotInDomainError(report)
+    image = clifford.graph_action(q, g)
     seq, walked = reduce_to_identity(g, q.c, q.d)
-    if walked != report.image:
+    if walked != image:
         raise InternalError("decomposed sequence does not reproduce the graph action")
     return seq
 

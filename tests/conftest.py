@@ -2,16 +2,24 @@
 per-bit loop references for the packed kernels and text codecs, the
 column-by-column elimination behind reference rank, inverse and null basis,
 the tuple orbit key, the matrix references for C.adj + D and the
-decomposition walk, the reference completion and the exhaustive reference
-equivalence solver.
+decomposition walk, the graph-action domain predicate and error texts, the
+reference completion and the exhaustive reference equivalence solver.
 
 The naive oracles work on plain Python lists of 0/1 ints with explicit
 loops, on purpose: they validate the bit-packed implementations without
 sharing any code with them.
 """
 
-from stabgraph import clifford, equivalence, gf2, graphs, stabilizer
+import re
+
+from stabgraph import clifford, decomposition, equivalence, gf2, graphs, stabilizer
 from stabgraph.errors import MAX_QUBITS, ParseError, _decimal
+
+# the two NotInDomainError texts, as patterns for pytest.raises(match=...)
+SINGULAR_CD = re.escape("graph not in the operation's domain: C.adj + D is singular")
+NONZERO_DIAGONAL = re.escape(
+    "graph not in the operation's domain: the transformed matrix has a nonzero diagonal"
+)
 
 
 def rows_of(m):
@@ -335,6 +343,26 @@ def all_graphs(n):
         yield graphs.Graph(gf2.BitMatrix(n, n, rows))
 
 
+def in_domain(q, g):
+    """Whether g lies in the domain of q's graph action."""
+    try:
+        clifford.graph_action(q, g)
+    except clifford.NotInDomainError:
+        return False
+    return True
+
+
+def step_indices(seq):
+    """All step indices in order of appearance: i for singles, j and k for triples."""
+    out = []
+    for step in seq:
+        if isinstance(step, decomposition.Single):
+            out.append(step.i)
+        else:
+            out.extend((step.j, step.k))
+    return out
+
+
 def random_in_domain_op(rng, g):
     """A random local Clifford operation whose domain contains g.
 
@@ -388,7 +416,7 @@ def reference_completion(g, c, d):
         abits |= ai << i
         bbits |= bi << i
     q = clifford.LocalCliffordOp(gf2.BitVec(n, abits), gf2.BitVec(n, bbits), c, d)
-    assert clifford.graph_action(q, g).in_domain()
+    assert in_domain(q, g)
     return q
 
 

@@ -17,7 +17,7 @@ def trusted_graphs(rng, g):
     i = rng.randrange(1, n + 1)
     yield graphs.local_complement(g, i)
     yield graphs.parse_edge_list(graphs.format_edge_list(g))
-    yield clifford.graph_action(random_in_domain_op(rng, g), g).image
+    yield clifford.graph_action(random_in_domain_op(rng, g), g)
     yield reduction.to_graph_state(stabilizer.random_stabilizer(n, rng.getrandbits(32))).graph
     yield Graph.from_edges(n, g.edges())
     yield Graph.star(n, i)

@@ -59,6 +59,9 @@ def _contract_argv(tmp_path, row):
     empty3 = graph_file(tmp_path, "empty3.graph", Graph.empty(3))
     hadamards = clifford.format_clifford(clifford.LocalCliffordOp.hadamard_all(3))
     hadamards = write(tmp_path, "h.lc", hadamards)
+    edge2 = graph_file(tmp_path, "edge2.graph", Graph.from_edges(2, [(1, 2)]))
+    shear = clifford.LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
+    shear = write(tmp_path, "shear.lc", clifford.format_clifford(shear))
     huge = write(tmp_path, "huge.graph", "1000000000000\n")
     witness = ["--witness", str(tmp_path / "w.lc")]
     return {
@@ -71,6 +74,7 @@ def _contract_argv(tmp_path, row):
         "missing-file": ["equiv", str(tmp_path / "nope.graph"), k3],
         "orbit-over-cap": ["orbit", k3, "--cap", "2"],
         "decompose-out-of-domain": ["decompose", hadamards, empty3],
+        "decompose-nonzero-diagonal": ["decompose", shear, edge2],
         "oracle-check-removed": ["oracle-check", k3],
     }[row]
 
@@ -85,6 +89,7 @@ EXIT_CONTRACT = [
     ("missing-file", cli.EXIT_PARSE),
     ("orbit-over-cap", cli.EXIT_FAILURE),
     ("decompose-out-of-domain", cli.EXIT_FAILURE),
+    ("decompose-nonzero-diagonal", cli.EXIT_FAILURE),
     ("oracle-check-removed", cli.EXIT_USAGE),
 ]
 
@@ -528,7 +533,7 @@ def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
         seq_path = str(tmp_path / "g.lcs")
         assert cli.run(["decompose", qpath, gpath, "--out", seq_path, "--quiet"]) == cli.EXIT_OK
         seq = decomposition.parse_sequence((tmp_path / "g.lcs").read_text())
-        image = clifford.graph_action(op, g).image
+        image = clifford.graph_action(op, g)
         state, cur = build_graph_state(g), g
         for v in seq.expand():
             state = apply_lifted(state, lift_local_clifford(clifford.local_complement_op(cur, v)))
@@ -548,12 +553,14 @@ def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
 
 
 def test_decompose_domain_failure(tmp_path, capsys):
-    gpath = graph_file(tmp_path, "empty3.graph", Graph.empty(3))
-    qpath = write(
-        tmp_path, "h.lc", clifford.format_clifford(clifford.LocalCliffordOp.hadamard_all(3))
-    )
-    assert cli.run(["decompose", qpath, gpath]) == cli.EXIT_FAILURE
-    assert "error: domain:" in capsys.readouterr().err
+    # each way out of the graph action's domain names its own condition
+    for row, detail in [
+        ("decompose-out-of-domain", "C.adj + D is singular"),
+        ("decompose-nonzero-diagonal", "the transformed matrix has a nonzero diagonal"),
+    ]:
+        assert cli.run(_contract_argv(tmp_path, row)) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"error: domain: graph not in the operation's domain: {detail}\n"
 
 
 def test_equiv_graphs(tmp_path, capsys):

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from conftest import (
+    NONZERO_DIAGONAL,
+    SINGULAR_CD,
     all_graphs,
+    in_domain,
     random_graph,
     random_in_domain_op,
     random_valid_clifford,
@@ -13,7 +16,13 @@ from conftest import (
     symplectic_form_matrix,
 )
 from stabgraph import clifford, gf2, graphs, stabilizer
-from stabgraph.clifford import LocalCliffordOp, complete_from_cd, graph_action, local_complement_op
+from stabgraph.clifford import (
+    LocalCliffordOp,
+    NotInDomainError,
+    complete_from_cd,
+    graph_action,
+    local_complement_op,
+)
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.graphs import Graph
@@ -95,54 +104,47 @@ def test_graph_action_identity():
     rng = random.Random(34)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 9))
-        report = graph_action(LocalCliffordOp.identity(g.n), g)
-        assert report.invertible_cd and report.zero_diagonal
-        assert report.image == g
+        assert graph_action(LocalCliffordOp.identity(g.n), g) == g
 
 
 def test_graph_action_singular_denominator():
-    report = graph_action(LocalCliffordOp.hadamard_all(3), Graph.empty(3))
-    assert not report.invertible_cd
-    assert not report.zero_diagonal
-    assert report.image is None
-    assert not report.in_domain()
+    with pytest.raises(NotInDomainError, match=SINGULAR_CD):
+        graph_action(LocalCliffordOp.hadamard_all(3), Graph.empty(3))
+    assert not in_domain(LocalCliffordOp.hadamard_all(3), Graph.empty(3))
 
 
 def test_graph_action_zero_diagonal_failure():
     # shear on one qubit of an edge graph puts a 1 on the image diagonal
     edge = Graph.from_edges(2, [(1, 2)])
     q = LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
-    report = graph_action(q, edge)
-    assert report.invertible_cd and not report.zero_diagonal
+    with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
+        graph_action(q, edge)
 
 
 def test_local_complement_op_matches_edge_toggling():
     for n in range(1, 5):
         for g in all_graphs(n):
             for i in range(1, n + 1):
-                report = graph_action(local_complement_op(g, i), g)
-                assert report.in_domain()
-                assert report.image == graphs.local_complement(g, i)
+                assert graph_action(local_complement_op(g, i), g) == graphs.local_complement(g, i)
     rng = random.Random(35)
     for _ in range(300):
         n = rng.randrange(1, 13)
         g = random_graph(rng, n)
         i = rng.randrange(1, n + 1)
-        report = graph_action(local_complement_op(g, i), g)
-        assert report.image == graphs.local_complement(g, i)
+        assert graph_action(local_complement_op(g, i), g) == graphs.local_complement(g, i)
 
 
 def test_local_complement_op_examples():
     empty = Graph.empty(3)
     q = local_complement_op(empty, 2)
     assert tuple((v.bits >> 1) & 1 for v in (q.a, q.b, q.c, q.d)) == (1, 0, 1, 1)
-    assert graph_action(q, empty).image == empty
+    assert graph_action(q, empty) == empty
 
     edge = Graph.from_edges(2, [(1, 2)])
-    assert graph_action(local_complement_op(edge, 1), edge).image == edge
+    assert graph_action(local_complement_op(edge, 1), edge) == edge
 
     k5 = Graph.complete(5)
-    assert graph_action(local_complement_op(k5, 1), k5).image == Graph.star(5, 1)
+    assert graph_action(local_complement_op(k5, 1), k5) == Graph.star(5, 1)
 
 
 def test_graph_action_consistent_with_stabilizer_action():
@@ -151,7 +153,7 @@ def test_graph_action_consistent_with_stabilizer_action():
         n = rng.randrange(2, 9)
         g = random_graph(rng, n)
         q = random_in_domain_op(rng, g)
-        image = graph_action(q, g).image
+        image = graph_action(q, g)
         moved = stabilizer.StabilizerGenMatrix(
             clifford.apply_to_stabilizer(q, stabilizer.from_graph(g))
         )
@@ -189,7 +191,7 @@ def test_complete_from_cd_alternates_break_zero_diagonal():
         except gf2.SingularError:
             continue
         tested += 1
-        assert graph_action(q, g).in_domain()
+        assert in_domain(q, g)
         for i in range(n):
             flipped = LocalCliffordOp(
                 BitVec(n, q.a.bits ^ (c.bits & 1 << i)),
@@ -197,9 +199,8 @@ def test_complete_from_cd_alternates_break_zero_diagonal():
                 c,
                 d,
             )
-            report = graph_action(flipped, g)
-            assert report.invertible_cd
-            assert not report.zero_diagonal
+            with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
+                graph_action(flipped, g)
 
 
 def test_complete_from_cd_unique_among_all_sign_choices():
@@ -222,7 +223,7 @@ def test_complete_from_cd_unique_among_all_sign_choices():
                             c,
                             d,
                         )
-                        if graph_action(cand, g).in_domain():
+                        if in_domain(cand, g):
                             hits += 1
                     assert hits == 1
 

@@ -161,7 +161,7 @@ def test_lifted_sequence_matches_decomposition():
             step = clifford.local_complement_op(cur, v)
             state = apply_lifted(state, lift_local_clifford(step))
             cur = graphs.local_complement(cur, v)
-        target = stabilizer.from_graph(clifford.graph_action(q, g).image)
+        target = stabilizer.from_graph(clifford.graph_action(q, g))
         assert stabilized_up_to_signs(state, target)
 
 

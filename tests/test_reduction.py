@@ -39,7 +39,7 @@ def test_reducing_an_in_domain_image_is_the_graph_action():
         g = random_graph(rng, rng.randrange(1, 16))
         q = random_in_domain_op(rng, g)
         w = to_graph_state(moved(q, g))
-        assert w.graph == clifford.graph_action(q, g).image
+        assert w.graph == clifford.graph_action(q, g)
         assert w.q == LocalCliffordOp.identity(g.n)
         assert w.r == invert(cd_matrix(g.adj, q.c, q.d))
 
