@@ -47,8 +47,19 @@ def build_linear_system(sa, sb):
     n = sa.n
     if sb.n != n:
         raise ValueError("qubit count mismatch")
-    # bit a moved to bit a*n; times an n-bit row this is the Kronecker product
-    spread = [int(("0" * (n - 1)).join(format(r, f"0{n}b")), 2) for r in sa.s.row_ints]
+    # Bit a of a row of the first matrix moves to bit a*n; times an n-bit row
+    # this is the Kronecker product. One product moves bits 0..n-2 without
+    # carries: (r & low) * every has a partial product at a + k(n-1) for each
+    # set bit a <= n-2 of r and each k < n. Two of them differ by a - a' plus
+    # a multiple of n-1, and |a - a'| < n-1, so they are pairwise distinct and
+    # the product is their OR. a + k(n-1) = a - k (mod n) is a multiple of n
+    # only for k = a, at a*n, which is all that at_stride keeps. Bit n-1 would
+    # meet a = 0, k = 1, so it moves on its own.
+    top = max(n - 1, 0)
+    low = (1 << top) - 1
+    every = sum(1 << k * top for k in range(n))
+    at_stride = sum(1 << a * n for a in range(n))
+    spread = [(r & low) * every & at_stride | r >> top << top * n for r in sa.s.row_ints]
     za, xa = spread[:n], spread[n:]
     zb, xb = sb.s.row_ints[:n], sb.s.row_ints[n:]
     pairs = ((za, xb), (xa, xb), (za, zb), (xa, zb))

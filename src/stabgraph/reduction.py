@@ -65,9 +65,11 @@ def to_graph_state(stab):
 
 
 def verify_witness(stab, witness):
-    """Recompute q.S.r and compare it bit-exactly against [adj; I]."""
-    if gf2.try_invert(witness.r) is None:
-        return False
+    """Recompute q.S.r and compare it bit-exactly against [adj; I].
+
+    The equality alone proves r invertible: the bottom block of q.S.r is X'.r,
+    for X' the X block of q.S, so X'.r = I makes r square with a left inverse.
+    """
     lhs = gf2.mat_mul(clifford.apply_to_stabilizer(witness.q, stab), witness.r)
     rhs = gf2.vstack(witness.graph.adj, gf2.identity(witness.graph.n))
     return lhs == rhs

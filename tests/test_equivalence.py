@@ -10,6 +10,7 @@ from conftest import (
     random_invertible,
     random_valid_clifford,
     reference_equivalence,
+    reference_linear_system,
 )
 from stabgraph import clifford, equivalence, gf2, graphs, orbit, stabilizer
 from stabgraph.decomposition import LCSequence, Single, apply_sequence
@@ -34,6 +35,19 @@ def test_system_single_qubit_z_z():
 def test_system_single_qubit_z_x():
     sys = gf2.transpose(build_linear_system(pauli_stab("Z"), pauli_stab("X")))
     assert sys.row_ints == (0b0001,)  # A = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 70])
+def test_system_matches_the_reference(n):
+    # n = 1, 2, 3: the separately moved top bit is all or half of each row;
+    # 31..33 and 63..65 straddle 32- and 64-bit boundaries, 70 is past both
+    rng = random.Random(n)
+    states = [stabilizer.random_stabilizer(n, 1000 * n + k) for k in range(6)]
+    states += [stabilizer.from_graph(random_graph(rng, n)) for _ in range(6)]
+    # all ones: every partial product of the spread is present, so a carry would show
+    ones = stabilizer.StabilizerGenMatrix._trusted(gf2.BitMatrix(2 * n, n, [(1 << n) - 1] * 2 * n))
+    for sa, sb in zip(states[::2] + [ones], states[1::2] + [ones]):
+        assert build_linear_system(sa, sb) == gf2.transpose(reference_linear_system(sa, sb))
 
 
 def naive_orthogonality_entry(sa, sb, a, b, abits, bbits, cbits, dbits):

@@ -141,3 +141,13 @@ def test_verify_witness_rejects_singular_r():
     w = to_graph_state(s)
     bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=BitMatrix.zeros(3, 3))
     assert not verify_witness(s, bad)
+
+
+def test_verify_witness_rejects_a_non_square_r():
+    s = stabilizer.random_stabilizer(3, 1)
+    w = to_graph_state(s)
+    # r with a column dropped or a zero column added: every other entry matches
+    dropped = BitMatrix(3, 2, [row & 0b11 for row in w.r.row_ints])
+    for r in (dropped, gf2.hstack(w.r, BitMatrix.zeros(3, 1))):
+        bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=r)
+        assert not verify_witness(s, bad)
