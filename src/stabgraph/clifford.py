@@ -2,9 +2,10 @@
 
 A local Clifford operation is a 2n x 2n symplectic matrix whose four n x n
 blocks are diagonal; only the four diagonals are stored, as n-bit vectors
-(a, b, c, d). Per qubit i the 2x2 matrix [[a_i, b_i], [c_i, d_i]] must be
-invertible, i.e. a_i d_i + b_i c_i = 1, which is equivalent to the full
-2n x 2n matrix preserving the symplectic form.
+(a, b, c, d), and computed on as n-bit ints. Per qubit i the 2x2 matrix
+[[a_i, b_i], [c_i, d_i]] must be invertible, i.e. a_i d_i + b_i c_i = 1,
+which is equivalent to the full 2n x 2n matrix preserving the symplectic
+form.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ class LocalCliffordOp:
         n = a.n
         if not (b.n == n and c.n == n and d.n == n):
             raise ValueError("diagonal lengths differ")
-        ones = (1 << n) - 1
-        if ((a.bits & d.bits) ^ (b.bits & c.bits)) != ones:
-            bad = [
-                i + 1
-                for i in range(n)
-                if ((a.bits >> i) & (d.bits >> i) ^ (b.bits >> i) & (c.bits >> i)) & 1 == 0
-            ]
+        singular = ~((a.bits & d.bits) ^ (b.bits & c.bits)) & ((1 << n) - 1)
+        if singular:
+            bad = [i + 1 for i in range(n) if singular >> i & 1]
             raise InvalidCliffordError(f"qubit blocks not invertible at {bad}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
@@ -50,22 +47,21 @@ class LocalCliffordOp:
 
     @classmethod
     def identity(cls, n):
-        return cls(BitVec.ones(n), BitVec.zeros(n), BitVec.zeros(n), BitVec.ones(n))
+        ones = (1 << n) - 1
+        return _op(n, ones, 0, 0, ones)
 
     @classmethod
     def hadamard_all(cls, n):
         """The Z/X swap [[0, 1], [1, 0]] on every qubit."""
-        return cls(BitVec.zeros(n), BitVec.ones(n), BitVec.ones(n), BitVec.zeros(n))
+        ones = (1 << n) - 1
+        return _op(n, 0, ones, ones, 0)
 
     @classmethod
     def from_qubit_blocks(cls, blocks):
         """Build from an iterable of per-qubit (a, b, c, d) bit tuples."""
         blocks = list(blocks)
-        a = BitVec.from_bits(bl[0] for bl in blocks)
-        b = BitVec.from_bits(bl[1] for bl in blocks)
-        c = BitVec.from_bits(bl[2] for bl in blocks)
-        d = BitVec.from_bits(bl[3] for bl in blocks)
-        return cls(a, b, c, d)
+        diagonals = BitMatrix.from_rows([bl[f] for bl in blocks] for f in range(4)).row_ints
+        return _op(len(blocks), *diagonals)
 
     def __eq__(self, other):
         return (
@@ -84,6 +80,11 @@ class LocalCliffordOp:
         return f"LocalCliffordOp(a={a}, b={b}, c={c}, d={d})"
 
 
+def _op(n, a, b, c, d):
+    """The operation with diagonals a, b, c, d given as n-bit ints, validated."""
+    return LocalCliffordOp(BitVec(n, a), BitVec(n, b), BitVec(n, c), BitVec(n, d))
+
+
 def compose(q2, q1):
     """Group product: q1 applied first, then q2 (right-to-left operator order)."""
     if q2.n != q1.n:
@@ -92,8 +93,7 @@ def compose(q2, q1):
     b = (q2.a.bits & q1.b.bits) ^ (q2.b.bits & q1.d.bits)
     c = (q2.c.bits & q1.a.bits) ^ (q2.d.bits & q1.c.bits)
     d = (q2.c.bits & q1.b.bits) ^ (q2.d.bits & q1.d.bits)
-    n = q1.n
-    return LocalCliffordOp(BitVec(n, a), BitVec(n, b), BitVec(n, c), BitVec(n, d))
+    return _op(q1.n, a, b, c, d)
 
 
 def apply_to_stabilizer(q, stab):
@@ -107,17 +107,10 @@ def apply_to_stabilizer(q, stab):
     n = stab.n
     if q.n != n:
         raise ValueError("qubit count mismatch")
-    zrows = stab.s.row_ints[:n]
-    xrows = stab.s.row_ints[n:]
-    out_z = []
-    out_x = []
-    for i in range(n):
-        abit = (q.a.bits >> i) & 1
-        bbit = (q.b.bits >> i) & 1
-        cbit = (q.c.bits >> i) & 1
-        dbit = (q.d.bits >> i) & 1
-        out_z.append((zrows[i] if abit else 0) ^ (xrows[i] if bbit else 0))
-        out_x.append((zrows[i] if cbit else 0) ^ (xrows[i] if dbit else 0))
+    a, b, c, d = q.a.bits, q.b.bits, q.c.bits, q.d.bits
+    rows = list(enumerate(zip(stab.s.row_ints[:n], stab.s.row_ints[n:])))
+    out_z = [(z if a >> i & 1 else 0) ^ (x if b >> i & 1 else 0) for i, (z, x) in rows]
+    out_x = [(z if c >> i & 1 else 0) ^ (x if d >> i & 1 else 0) for i, (z, x) in rows]
     return BitMatrix(2 * n, n, out_z + out_x)
 
 
@@ -138,8 +131,9 @@ def graph_form(q, stab):
     if not gf2.is_symmetric(m):
         raise InternalError("Z block of the graph form is not symmetric")
     shear = gf2.diagonal(m)
-    q = compose(LocalCliffordOp(BitVec.ones(n), shear, BitVec.zeros(n), BitVec.ones(n)), q)
-    return q, graphs.Graph._trusted(gf2.set_diagonal_zero(m)), r, shear.bits
+    ones = (1 << n) - 1
+    q = compose(_op(n, ones, shear, 0, ones), q)
+    return q, graphs.Graph._trusted(gf2.set_diagonal_zero(m)), r, shear
 
 
 def graph_action(q, g):
@@ -169,13 +163,8 @@ def local_complement_op(g, i):
     :func:`graphs.local_complement` at the same vertex.
     """
     idx = graphs._check_vertex(g.n, i)
-    n = g.n
-    return LocalCliffordOp(
-        BitVec.ones(n),
-        BitVec(n, g.adj.row_ints[idx]),
-        BitVec(n, 1 << idx),
-        BitVec.ones(n),
-    )
+    ones = (1 << g.n) - 1
+    return _op(g.n, ones, g.adj.row_ints[idx], 1 << idx, ones)
 
 
 def complete_from_cd(g, c, d):
@@ -193,7 +182,7 @@ def complete_from_cd(g, c, d):
     if c.bits | d.bits != (1 << n) - 1:  # a (0, 0) pair is a zero row of C.adj + D
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
     s = stabilizer.from_graph(g)
-    form = graph_form(LocalCliffordOp(BitVec(n, d.bits & ~c.bits), c, c, d), s)
+    form = graph_form(_op(n, d.bits & ~c.bits, c.bits, c.bits, d.bits), s)
     if form is None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
     q, graph, r, _ = form

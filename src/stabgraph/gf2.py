@@ -24,9 +24,9 @@ class SingularError(Exception):
 
 
 class BitVec:
-    """Immutable vector over GF(2), packed into one integer.
+    """Immutable n-bit vector over GF(2): one diagonal of a LocalCliffordOp.
 
-    Bits at positions >= ``n`` are guaranteed zero in storage.
+    Bits at positions >= ``n`` are zero; the kernels here use plain ints.
     """
 
     __slots__ = ("n", "bits")
@@ -42,38 +42,8 @@ class BitVec:
     def __setattr__(self, name, value):
         raise AttributeError("BitVec is immutable")
 
-    @classmethod
-    def from_bits(cls, bits):
-        """Build from an iterable of 0/1 values, coordinate 0 first."""
-        acc = 0
-        count = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            acc |= b << count
-            count += 1
-        return cls(count, acc)
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n):
-        return cls(n, (1 << n) - 1)
-
-    def __len__(self):
-        return self.n
-
-    def __xor__(self, other):
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
     def __eq__(self, other):
-        return (
-            isinstance(other, BitVec) and self.n == other.n and self.bits == other.bits
-        )
+        return isinstance(other, BitVec) and (self.n, self.bits) == (other.n, other.bits)
 
     def __hash__(self):
         return hash((self.n, self.bits))
@@ -113,12 +83,17 @@ class BitMatrix:
         ints = []
         width = None
         for row in rows_of_bits:
-            v = BitVec.from_bits(row)
+            acc = count = 0
+            for b in row:
+                if b not in (0, 1):
+                    raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+                acc |= b << count
+                count += 1
             if width is None:
-                width = v.n
-            elif v.n != width:
+                width = count
+            elif count != width:
                 raise ValueError("ragged rows")
-            ints.append(v.bits)
+            ints.append(acc)
         if width is None:
             width = 0
         return cls(len(ints), width, ints)
@@ -180,12 +155,13 @@ def transpose(m):
 
 
 def diagonal(m):
+    """The diagonal of a square matrix as an int, bit i from entry (i, i)."""
     if not m.is_square():
         raise ValueError("diagonal of a non-square matrix")
     acc = 0
     for i, row in enumerate(m.row_ints):
-        acc |= ((row >> i) & 1) << i
-    return BitVec(m.rows, acc)
+        acc |= row & 1 << i
+    return acc
 
 
 def set_diagonal_zero(m):
@@ -270,11 +246,12 @@ def solve_homogeneous(mt):
     dependent on those before it) a null vector with its highest 1 at j.
     Only independent rows are ever XORed in, so its other 1s sit at pivot
     columns: per free column, ascending, these are the unique reduced basis,
-    with 0 at every other free column, and need no back-substitution.
+    with 0 at every other free column, and need no back-substitution. Each
+    basis vector is returned as an ``mt.rows``-bit int.
     """
     n = mt.rows
     rows = (r << n | 1 << j for j, r in enumerate(mt.row_ints))
-    return [BitVec(n, v) for v in _reduce_rows(rows, n) if not v >> n]
+    return [v for v in _reduce_rows(rows, n) if not v >> n]
 
 
 def format_matrix(m):

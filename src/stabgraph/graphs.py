@@ -26,7 +26,7 @@ class Graph:
             raise ValueError("adjacency matrix must be square")
         if not gf2.is_symmetric(adj):
             raise ValueError("adjacency matrix must be symmetric")
-        if gf2.diagonal(adj).bits != 0:
+        if gf2.diagonal(adj):
             raise ValueError("adjacency matrix must have zero diagonal (no self-loops)")
         object.__setattr__(self, "n", adj.rows)
         object.__setattr__(self, "adj", adj)

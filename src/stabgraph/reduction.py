@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import clifford, gf2, graphs
 from .errors import InternalError
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,11 @@ def to_graph_state(stab):
 
     # Step 1: the lowest-index linearly independent rows of X.
     remainders = gf2._reduce_rows(stab.s.row_ints[n:])
-    keep = BitVec(n, sum(1 << i for i, r in enumerate(remainders) if r))
+    keep = sum(1 << i for i, r in enumerate(remainders) if r)
 
     # Steps 2 and 3: Hadamards on every other qubit, then the graph form.
-    swap = BitVec.ones(n) ^ keep
-    form = clifford.graph_form(clifford.LocalCliffordOp(keep, swap, swap, keep), stab)
+    swap = ((1 << n) - 1) ^ keep
+    form = clifford.graph_form(clifford._op(n, keep, swap, swap, keep), stab)
     if form is None:
         raise InternalError("X block is singular after the Hadamard step")
     q, graph, r, _ = form
@@ -67,9 +67,12 @@ def to_graph_state(stab):
 def verify_witness(stab, witness):
     """Recompute q.S.r and compare it bit-exactly against [adj; I].
 
-    The equality alone proves r invertible: the bottom block of q.S.r is X'.r,
-    for X' the X block of q.S, so X'.r = I makes r square with a left inverse.
+    An r that is not n x n is rejected before the product. The equality alone
+    proves r invertible: the bottom block of q.S.r is X'.r, for X' the X block
+    of q.S, so X'.r = I gives the square r a left inverse.
     """
+    if not witness.r.rows == witness.r.cols == stab.n:
+        return False
     lhs = gf2.mat_mul(clifford.apply_to_stabilizer(witness.q, stab), witness.r)
     rhs = gf2.vstack(witness.graph.adj, gf2.identity(witness.graph.n))
     return lhs == rhs

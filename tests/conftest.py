@@ -150,7 +150,7 @@ def reference_solve_homogeneous(mt):
     pivot_rows = {i for _, i in reference_eliminate(rows, range(width))}
     null = [r >> width for i, r in enumerate(rows) if i not in pivot_rows]
     pivots = reference_eliminate(null, range(mt.rows - 1, -1, -1))
-    return [gf2.BitVec(mt.rows, null[i]) for _, i in reversed(pivots)]
+    return [null[i] for _, i in reversed(pivots)]
 
 
 def reference_entry_tuple(g):
@@ -247,18 +247,18 @@ def reference_pauli_to_text(stab):
 
 
 def mat_vec(m, v):
-    """Matrix-vector product m.v over GF(2)."""
-    if m.cols != v.n:
+    """Matrix-vector product m.v over GF(2), for an m.cols-bit int v; an m.rows-bit int."""
+    if v < 0 or v >> m.cols:
         raise ValueError("dimension mismatch")
     acc = 0
     for i, row in enumerate(m.row_ints):
-        acc |= ((row & v.bits).bit_count() & 1) << i
-    return gf2.BitVec(m.rows, acc)
+        acc |= ((row & v).bit_count() & 1) << i
+    return acc
 
 
-def diag_from_vec(v):
-    """Diagonal matrix with the coordinates of ``v`` on the diagonal."""
-    return gf2.BitMatrix(v.n, v.n, [((v.bits >> i) & 1) << i for i in range(v.n)])
+def diag_from_vec(v, n):
+    """n x n diagonal matrix with the bits of the n-bit int ``v`` on the diagonal."""
+    return gf2.BitMatrix(n, n, [((v >> i) & 1) << i for i in range(n)])
 
 
 def invert(m):

@@ -63,6 +63,7 @@ def _contract_argv(tmp_path, row):
     shear = clifford.LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     shear = write(tmp_path, "shear.lc", clifford.format_clifford(shear))
     huge = write(tmp_path, "huge.graph", "1000000000000\n")
+    edgeless2048 = write(tmp_path, "edgeless2048.graph", "2048\n")
     witness = ["--witness", str(tmp_path / "w.lc")]
     return {
         "canon": ["canon", k3],
@@ -71,6 +72,7 @@ def _contract_argv(tmp_path, row):
         "no-command": [],
         "equiv-cap": ["equiv", star, walk, *witness, "--cap", "5"],
         "graph-header-too-large": ["canon", huge],
+        "equiv-above-the-system-bound": ["equiv", edgeless2048, edgeless2048, *witness],
         "missing-file": ["equiv", str(tmp_path / "nope.graph"), k3],
         "orbit-over-cap": ["orbit", k3, "--cap", "2"],
         "decompose-out-of-domain": ["decompose", hadamards, empty3],
@@ -86,6 +88,7 @@ EXIT_CONTRACT = [
     ("no-command", cli.EXIT_USAGE),
     ("equiv-cap", cli.EXIT_USAGE),
     ("graph-header-too-large", cli.EXIT_PARSE),
+    ("equiv-above-the-system-bound", cli.EXIT_FAILURE),
     ("missing-file", cli.EXIT_PARSE),
     ("orbit-over-cap", cli.EXIT_FAILURE),
     ("decompose-out-of-domain", cli.EXIT_FAILURE),
@@ -561,6 +564,17 @@ def test_decompose_domain_failure(tmp_path, capsys):
         assert cli.run(_contract_argv(tmp_path, row)) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err == f"error: domain: graph not in the operation's domain: {detail}\n"
+
+
+def test_equiv_refuses_a_system_above_the_bound(tmp_path, capsys):
+    # 2048 qubits would need an 8192 x 4194304-bit system (4 GiB): refused before it is built
+    argv = _contract_argv(tmp_path, "equiv-above-the-system-bound")
+    assert cli.run(argv) == cli.EXIT_FAILURE
+    assert capsys.readouterr().err == (
+        "error: invalid: the 8192 x 4194304 equivalence system for 2048 qubits"
+        " exceeds the bound of 1024 qubits\n"
+    )
+    assert not (tmp_path / "w.lc").exists()
 
 
 def test_equiv_graphs(tmp_path, capsys):

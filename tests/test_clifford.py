@@ -1,5 +1,6 @@
 """Local Clifford operations: validity, composition, graph action, completion."""
 
+import itertools
 import random
 
 import pytest
@@ -41,9 +42,13 @@ def assemble(q):
 
 def test_validity_enforced():
     with pytest.raises(clifford.InvalidCliffordError):
-        LocalCliffordOp(BitVec.ones(2), BitVec.ones(2), BitVec.ones(2), BitVec.ones(2))
+        LocalCliffordOp(BitVec(2, 0b11), BitVec(2, 0b11), BitVec(2, 0b11), BitVec(2, 0b11))
     with pytest.raises(clifford.InvalidCliffordError):
         LocalCliffordOp.from_qubit_blocks([(1, 0, 0, 1), (0, 0, 0, 1)])
+    with pytest.raises(ValueError, match="bit values must be 0 or 1, got 2"):
+        LocalCliffordOp.from_qubit_blocks([(1, 0, 0, 1), (1, 0, 0, 2)])
+    with pytest.raises(ValueError, match="diagonal lengths differ"):
+        LocalCliffordOp(BitVec(2, 0b11), BitVec(2, 0), BitVec(3, 0), BitVec(2, 0b11))
 
 
 def test_validity_equals_symplectic_condition():
@@ -164,7 +169,7 @@ def test_complete_from_cd_identity_case():
     rng = random.Random(37)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 9))
-        q = complete_from_cd(g, BitVec.zeros(g.n), BitVec.ones(g.n))
+        q = complete_from_cd(g, BitVec(g.n, 0), BitVec(g.n, (1 << g.n) - 1))
         assert q == LocalCliffordOp.identity(g.n)
 
 
@@ -174,7 +179,7 @@ def test_complete_from_cd_recovers_generator_op():
         n = rng.randrange(1, 10)
         g = random_graph(rng, n)
         i = rng.randrange(1, n + 1)
-        q = complete_from_cd(g, BitVec(n, 1 << (i - 1)), BitVec.ones(n))
+        q = complete_from_cd(g, BitVec(n, 1 << (i - 1)), BitVec(n, (1 << n) - 1))
         assert q == local_complement_op(g, i)
 
 
@@ -230,7 +235,7 @@ def test_complete_from_cd_unique_among_all_sign_choices():
 
 def test_complete_from_cd_singular():
     with pytest.raises(gf2.SingularError):
-        complete_from_cd(Graph.empty(2), BitVec.ones(2), BitVec.zeros(2))
+        complete_from_cd(Graph.empty(2), BitVec(2, 0b11), BitVec(2, 0))
 
 
 def _same_completion(g, c, d):
@@ -261,8 +266,8 @@ def test_complete_from_cd_matches_reference_seeded_to_n64():
         n = rng.randrange(1, 65)
         g = random_graph(rng, n)
         cd = [pairs[rng.randrange(3)] for _ in range(n)]
-        c = BitVec.from_bits(ci for ci, _ in cd)
-        d = BitVec.from_bits(di for _, di in cd)
+        c = BitVec(n, sum(ci << i for i, (ci, _) in enumerate(cd)))
+        d = BitVec(n, sum(di << i for i, (_, di) in enumerate(cd)))
         completed += _same_completion(g, c, d)
     assert completed >= 100
 
@@ -287,16 +292,33 @@ def test_complete_from_cd_inverts_once(monkeypatch):
 
 def test_clifford_text_roundtrip():
     rng = random.Random(40)
-    for _ in range(50):
-        q = random_valid_clifford(rng, rng.randrange(1, 10))
+    for n in [rng.randrange(1, 10) for _ in range(50)] + [63, 64, 65]:
+        q = random_valid_clifford(rng, n)
         text = clifford.format_clifford(q)
         assert clifford.parse_clifford(text) == q
         assert clifford.format_clifford(clifford.parse_clifford(text)) == text
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+def test_from_qubit_blocks_puts_qubit_i_at_bit_i(n):
+    rng = random.Random(n)
+    valid = [(a, b, c, d) for a, b, c, d in itertools.product((0, 1), repeat=4) if a & d ^ b & c]
+    blocks = [rng.choice(valid) for _ in range(n)]
+    q = LocalCliffordOp.from_qubit_blocks(blocks)
+    assert q.n == n
+    assert [tuple(v.bits >> i & 1 for v in (q.a, q.b, q.c, q.d)) for i in range(n)] == blocks
+    ones = (1 << n) - 1
+    assert LocalCliffordOp.identity(n).a == BitVec(n, ones) == LocalCliffordOp.identity(n).d
+    hadamards = LocalCliffordOp.hadamard_all(n)
+    assert hadamards.b == BitVec(n, ones) == hadamards.c and hadamards.a == BitVec(n, 0)
+
+
 def test_clifford_text_exact():
     q = LocalCliffordOp.hadamard_all(2)
     assert clifford.format_clifford(q) == "2\n0 1 1 0\n0 1 1 0\n"
+    for n in (63, 64, 65):
+        q = LocalCliffordOp.hadamard_all(n)
+        assert clifford.format_clifford(q) == f"{n}\n" + "0 1 1 0\n" * n
 
 
 def test_clifford_parse_errors():

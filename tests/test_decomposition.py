@@ -61,7 +61,7 @@ def factor_cd_form(m):
     if not m.is_square():
         return None
     n = m.rows
-    dbits = gf2.diagonal(m).bits
+    dbits = gf2.diagonal(m)
     cbits = 0
     adj_rows = [0] * n
     forced = [False] * n
@@ -78,7 +78,7 @@ def factor_cd_form(m):
             if forced[j] and (adj_rows[j] >> i) & 1:
                 adj_rows[i] |= 1 << j
     adj = BitMatrix(n, n, adj_rows)
-    if not gf2.is_symmetric(adj) or gf2.diagonal(adj).bits != 0:
+    if not gf2.is_symmetric(adj) or gf2.diagonal(adj) != 0:
         return None
     c = BitVec(n, cbits)
     d = BitVec(n, dbits)
@@ -137,13 +137,13 @@ def test_factor_cd_form_accepts_singular_members():
 
 
 def test_reduce_identity_empty_sequence():
-    assert reduce_to_identity(Graph.empty(3), BitVec.zeros(3), BitVec.ones(3))[0].steps == ()
+    assert reduce_to_identity(Graph.empty(3), BitVec(3, 0), BitVec(3, 0b111))[0].steps == ()
 
 
 def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
     edge = Graph.from_edges(2, [(1, 2)])
-    c, d = BitVec.from_bits([1, 0]), BitVec.from_bits([1, 1])
+    c, d = BitVec(2, 0b01), BitVec(2, 0b11)
     assert cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
     seq, _ = reduce_to_identity(edge, c, d)
     assert seq.steps == (Single(1),)
@@ -152,8 +152,8 @@ def test_reduce_single_step_case():
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = Graph.from_edges(2, [(1, 2)])
-    assert cd_matrix(edge.adj, BitVec.ones(2), BitVec.zeros(2)) == edge.adj
-    seq, _ = reduce_to_identity(edge, BitVec.ones(2), BitVec.zeros(2))
+    assert cd_matrix(edge.adj, BitVec(2, 0b11), BitVec(2, 0)) == edge.adj
+    seq, _ = reduce_to_identity(edge, BitVec(2, 0b11), BitVec(2, 0))
     assert seq.steps == (Triple(1, 2),)
     m = edge.adj
     for v in (1, 2, 1):
@@ -201,9 +201,9 @@ def test_reduce_singular_raises():
 def test_reduce_length_mismatch():
     g = Graph.path(3)
     with pytest.raises(ValueError):
-        reduce_to_identity(g, BitVec.ones(2), BitVec.ones(3))
+        reduce_to_identity(g, BitVec(2, 0b11), BitVec(3, 0b111))
     with pytest.raises(ValueError):
-        reduce_to_identity(g, BitVec.ones(3), BitVec.ones(4))
+        reduce_to_identity(g, BitVec(3, 0b111), BitVec(4, 0b1111))
 
 
 def test_apply_sequence_basics():

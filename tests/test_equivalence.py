@@ -17,7 +17,6 @@ from stabgraph.decomposition import LCSequence, Single, apply_sequence
 from stabgraph.equivalence import Equivalent, Inequivalent, build_linear_system
 from stabgraph.equivalence import test_equivalence as decide
 from stabgraph.equivalence import test_equivalence_graphs as decide_graphs
-from stabgraph.gf2 import BitVec
 from stabgraph.graphs import Graph
 
 
@@ -77,7 +76,6 @@ def test_system_rows_match_naive_oracle():
         sys = gf2.transpose(build_linear_system(sa, sb))
         for _ in range(10):
             bits = rng.getrandbits(4 * n)
-            vec = BitVec(4 * n, bits)
             for a in range(n):
                 for b in range(n):
                     expected = naive_orthogonality_entry(
@@ -90,7 +88,7 @@ def test_system_rows_match_naive_oracle():
                         (bits >> 2 * n) & ((1 << n) - 1),
                         (bits >> 3 * n) & ((1 << n) - 1),
                     )
-                    assert (sys.row_ints[a * n + b] & vec.bits).bit_count() & 1 == expected
+                    assert (sys.row_ints[a * n + b] & bits).bit_count() & 1 == expected
 
 
 def test_self_equivalence():
@@ -206,6 +204,16 @@ def test_qubit_count_mismatch():
         decide(pauli_stab("Z"), pauli_stab("ZZ", "XX"))
 
 
+def test_a_system_above_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(equivalence, "_MAX_SYSTEM_QUBITS", 4)
+    assert isinstance(decide_graphs(Graph.path(4), Graph.path(4)), Equivalent)
+    message = "the 20 x 25 equivalence system for 5 qubits exceeds the bound of 4 qubits"
+    with pytest.raises(ValueError, match=message):
+        decide_graphs(Graph.path(5), Graph.path(5))
+    with pytest.raises(ValueError, match=message):
+        build_linear_system(stabilizer.random_stabilizer(5, 1), stabilizer.random_stabilizer(5, 2))
+
+
 def _same_verdict(got, want):
     """Bit-identical verdicts: the same type and, when equivalent, the same witness."""
     return type(got) is type(want) and (not isinstance(got, Equivalent) or got.q == want.q)
@@ -277,7 +285,7 @@ def test_matches_reference_on_large_blocks():
             sb = stabilizer.basis_change(
                 stabilizer.StabilizerGenMatrix(moved), random_invertible(rng, h.n)
             )
-        basis = [v.bits for v in gf2.solve_homogeneous(build_linear_system(sa, sb))]
+        basis = gf2.solve_homogeneous(build_linear_system(sa, sb))
         large += sum(len(vectors) >= 5 for _, vectors in equivalence._blocks(basis, g.n))
         _check_against_reference(sa, sb)
     assert large >= 50

@@ -30,19 +30,28 @@ from stabgraph.gf2 import BitMatrix, BitVec, SingularError
 
 
 def test_bitvec_basics():
-    v = BitVec.from_bits([1, 0, 1, 1])
-    assert len(v) == 4
+    (bits,) = BitMatrix.from_rows([[1, 0, 1, 1]]).row_ints
+    v = BitVec(4, bits)
+    assert v.n == 4
     assert v.bits == 0b1101
     assert gf2.to01(v.bits, v.n) == "1011"
-    w = v ^ BitVec.ones(4)
-    assert gf2.to01(w.bits, w.n) == "0100"
+    w = v.bits ^ 0b1111
+    assert gf2.to01(w, 4) == "0100"
+    assert repr(v) == "BitVec('1011')"
+    assert v == BitVec(4, 0b1101) and hash(v) == hash(BitVec(4, 0b1101))
+    assert v != BitVec(5, 0b1101)
+    with pytest.raises(AttributeError):
+        v.bits = 0
 
 
 def test_bitvec_storage_invariant():
     with pytest.raises(ValueError):
         BitVec(3, 0b1000)
-    with pytest.raises(ValueError):
-        BitVec.from_bits([0, 2])
+    for row in ([0, 2], [0] * 64 + [2]):
+        with pytest.raises(ValueError, match="bit values must be 0 or 1, got 2"):
+            BitMatrix.from_rows([row])
+    with pytest.raises(ValueError, match="ragged rows"):
+        BitMatrix.from_rows([[0, 1], [1]])
 
 
 def test_mat_mul_identity():
@@ -172,15 +181,14 @@ def test_solve_homogeneous_single_row():
     # oracle: enumerate all 8 vectors and compare kernels
     kernel = set()
     for bits in range(8):
-        v = BitVec(3, bits)
-        if mat_vec(m, v).bits == 0:
+        if mat_vec(m, bits) == 0:
             kernel.add(bits)
     spanned = set()
     for coeff in range(4):
         acc = 0
         for j in range(2):
             if (coeff >> j) & 1:
-                acc ^= basis[j].bits
+                acc ^= basis[j]
         spanned.add(acc)
     assert spanned == kernel
 
@@ -192,14 +200,14 @@ def test_solve_homogeneous_properties():
         basis = gf2.solve_homogeneous(gf2.transpose(m))
         assert len(basis) == m.cols - gf2.rank(m)
         for b in basis:
-            assert mat_vec(m, b).bits == 0
+            assert mat_vec(m, b) == 0
 
 
 def test_solve_homogeneous_deterministic_order():
     m = BitMatrix.from_rows([[1, 0, 1, 1]])
     basis = gf2.solve_homogeneous(gf2.transpose(m))
     # free columns ascending, each with the matching pivot-column fill
-    assert [gf2.to01(b.bits, b.n) for b in basis] == ["0100", "1010", "1001"]
+    assert [gf2.to01(b, 4) for b in basis] == ["0100", "1010", "1001"]
 
 
 def _span(rows):
@@ -315,26 +323,32 @@ def test_null_basis_is_the_reduced_basis():
     for m in _random_matrices(34, 300):
         basis = gf2.solve_homogeneous(gf2.transpose(m))
         assert len(basis) == m.cols - _brute_rank(m)
-        free = [b.bits.bit_length() - 1 for b in basis]
+        free = [b.bit_length() - 1 for b in basis]
         assert free == sorted(set(range(m.cols)) - set(_first_independent_columns(m)))
         free_mask = sum(1 << f for f in free)
         for f, b in zip(free, basis):
-            assert mat_vec(m, b).bits == 0
-            assert b.bits & free_mask == 1 << f
+            assert mat_vec(m, b) == 0
+            assert b & free_mask == 1 << f
 
 
 def test_helpers():
     rng = random.Random(7)
     m = random_bitmatrix(rng, 5, 3)
     assert gf2.transpose(gf2.transpose(m)) == m
-    assert gf2.diagonal(gf2.identity(2)) == BitVec.from_bits([1, 1])
+    assert gf2.diagonal(gf2.identity(2)) == 0b11
     sq = BitMatrix.from_rows([[1, 1], [0, 1]])
     assert gf2.set_diagonal_zero(sq) == BitMatrix.from_rows([[0, 1], [0, 0]])
     assert gf2.is_symmetric(graphs.Graph.complete(4).adj)
     assert not gf2.is_symmetric(sq)
-    assert diag_from_vec(BitVec.from_bits([1, 0, 1])) == BitMatrix.from_rows(
+    assert diag_from_vec(0b101, 3) == BitMatrix.from_rows(
         [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
+    for n in (63, 64, 65):  # one word, and either side of it
+        m = random_bitmatrix(rng, n, n)
+        rows = rows_of(m)
+        assert BitMatrix.from_rows(rows) == m
+        assert gf2.diagonal(m) == sum(rows[i][i] << i for i in range(n))
+        assert gf2.diagonal(gf2.identity(n)) == (1 << n) - 1
 
 
 def test_stacking():
@@ -347,18 +361,14 @@ def test_stacking():
 def test_symplectic_form():
     p = symplectic_form_matrix(2)
     # (z|x) encodings: Z1 = 01|00, X1 = 00|01 anticommute; Z1, Z2 commute
-    z1 = BitVec.from_bits([1, 0, 0, 0])
-    z2 = BitVec.from_bits([0, 1, 0, 0])
-    x1 = BitVec.from_bits([0, 0, 1, 0])
-    assert (z1.bits & mat_vec(p, x1).bits).bit_count() & 1 == 1
-    assert (z1.bits & mat_vec(p, z2).bits).bit_count() & 1 == 0
+    z1, z2, x1 = 0b0001, 0b0010, 0b0100
+    assert (z1 & mat_vec(p, x1)).bit_count() & 1 == 1
+    assert (z1 & mat_vec(p, z2)).bit_count() & 1 == 0
     assert gf2.is_symmetric(p)
     assert gf2.mat_mul(p, p) == gf2.identity(4)
     for u in (z1, z2, x1):
         for v in (z1, z2, x1):
-            assert (u.bits & mat_vec(p, v).bits).bit_count() & 1 == (
-                v.bits & mat_vec(p, u).bits
-            ).bit_count() & 1
+            assert (u & mat_vec(p, v)).bit_count() & 1 == (v & mat_vec(p, u)).bit_count() & 1
 
 
 def test_matrix_text_roundtrip():
@@ -397,7 +407,10 @@ def test_matrix_header_takes_ascii_digits_only(header):
 
 # Rows of 4400 bits are longer than the default int_max_str_digits (4300):
 # that limit leaves base 2 alone, in int(s, 2) and format(v, "b") alike.
-KERNEL_SHAPES = [(0, 6), (6, 0), (0, 0), (1, 1), (6, 6), (64, 64), (128, 64), (64, 128), (5, 4400)]
+KERNEL_SHAPES = [
+    (0, 6), (6, 0), (0, 0), (1, 1), (6, 6), (63, 63), (64, 64), (65, 65),
+    (128, 64), (64, 128), (5, 4400),
+]
 
 
 def _kernel_inputs(rows, cols):

@@ -129,9 +129,7 @@ def test_verify_witness_rejects_wrong_basis():
 def test_verify_witness_rejects_perturbed_operation():
     s = stabilizer.random_stabilizer(4, 7)
     w = to_graph_state(s)
-    shear = LocalCliffordOp(
-        BitVec.ones(4), BitVec(4, 1), BitVec.zeros(4), BitVec.ones(4)
-    )
+    shear = LocalCliffordOp(BitVec(4, 0b1111), BitVec(4, 1), BitVec(4, 0), BitVec(4, 0b1111))
     bad = reduction.ReductionWitness(graph=w.graph, q=clifford.compose(shear, w.q), r=w.r)
     assert not verify_witness(s, bad)
 
@@ -146,8 +144,12 @@ def test_verify_witness_rejects_singular_r():
 def test_verify_witness_rejects_a_non_square_r():
     s = stabilizer.random_stabilizer(3, 1)
     w = to_graph_state(s)
-    # r with a column dropped or a zero column added: every other entry matches
+    # r with a column or a row dropped, or a zero column or row added: every
+    # other entry matches, and each shape is rejected before the product
     dropped = BitMatrix(3, 2, [row & 0b11 for row in w.r.row_ints])
-    for r in (dropped, gf2.hstack(w.r, BitMatrix.zeros(3, 1))):
+    widened = gf2.hstack(w.r, BitMatrix.zeros(3, 1))
+    shortened = BitMatrix(2, 3, w.r.row_ints[:2])
+    lengthened = gf2.vstack(w.r, BitMatrix.zeros(1, 3))
+    for r in (dropped, widened, shortened, lengthened):
         bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=r)
         assert not verify_witness(s, bad)
