@@ -33,13 +33,7 @@ from .gf2 import BitMatrix, BitVec, SingularError
 from .graphs import Graph, local_complement
 from .orbit import CapExceededError, Orbit, enumerate_orbit
 from .reduction import ReductionWitness, to_graph_state, verify_witness
-from .stabilizer import (
-    StabilizerGenMatrix,
-    basis_change,
-    from_graph,
-    random_stabilizer,
-    same_subspace,
-)
+from .stabilizer import StabilizerGenMatrix, from_graph, same_subspace
 
 __version__ = "0.1.0"
 
@@ -61,7 +55,6 @@ __all__ = [
     "StabilizerGenMatrix",
     "Triple",
     "apply_sequence",
-    "basis_change",
     "complete_from_cd",
     "compose",
     "decompose_action",
@@ -70,7 +63,6 @@ __all__ = [
     "graph_action",
     "local_complement",
     "local_complement_op",
-    "random_stabilizer",
     "reduce_to_identity",
     "same_subspace",
     "test_equivalence",

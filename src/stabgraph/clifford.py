@@ -46,20 +46,12 @@ class LocalCliffordOp:
         raise AttributeError("LocalCliffordOp is immutable")
 
     @classmethod
-    def identity(cls, n):
-        ones = (1 << n) - 1
-        return _op(n, ones, 0, 0, ones)
-
-    @classmethod
-    def hadamard_all(cls, n):
-        """The Z/X swap [[0, 1], [1, 0]] on every qubit."""
-        ones = (1 << n) - 1
-        return _op(n, 0, ones, ones, 0)
-
-    @classmethod
     def from_qubit_blocks(cls, blocks):
         """Build from an iterable of per-qubit (a, b, c, d) bit tuples."""
         blocks = list(blocks)
+        for i, block in enumerate(blocks, start=1):
+            if len(block) != 4:
+                raise ValueError(f"qubit {i}: expected four bits (a, b, c, d), got {len(block)}")
         diagonals = BitMatrix.from_rows([bl[f] for bl in blocks] for f in range(4)).row_ints
         return _op(len(blocks), *diagonals)
 

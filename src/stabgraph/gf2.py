@@ -74,10 +74,6 @@ class BitMatrix:
         raise AttributeError("BitMatrix is immutable")
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
     def from_rows(cls, rows_of_bits):
         """Build from an iterable of rows, each an iterable of 0/1 values."""
         ints = []

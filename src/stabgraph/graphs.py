@@ -42,44 +42,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @classmethod
-    def empty(cls, n):
-        return cls._trusted(BitMatrix.zeros(n, n))
-
-    @classmethod
-    def complete(cls, n):
-        full = (1 << n) - 1
-        return cls._trusted(BitMatrix(n, n, [full ^ (1 << i) for i in range(n)]))
-
-    @classmethod
-    def path(cls, n):
-        """The path 1-2-...-n."""
-        rows = [0] * n
-        for i in range(n - 1):
-            rows[i] |= 1 << (i + 1)
-            rows[i + 1] |= 1 << i
-        return cls._trusted(BitMatrix(n, n, rows))
-
-    @classmethod
-    def star(cls, n, center=1):
-        """All edges from ``center`` to every other vertex."""
-        c = _check_vertex(n, center)
-        rows = [1 << c if i != c else 0 for i in range(n)]
-        rows[c] = ((1 << n) - 1) ^ (1 << c)
-        return cls._trusted(BitMatrix(n, n, rows))
-
-    @classmethod
-    def from_edges(cls, n, edges):
-        """Graph on n vertices with the given (i, j) edges, 1-based."""
-        rows = [0] * n
-        for i, j in edges:
-            a, b = _check_vertex(n, i), _check_vertex(n, j)
-            if a == b:
-                raise ValueError(f"self-loop at vertex {i}")
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return cls._trusted(BitMatrix(n, n, rows))
-
     def edges(self):
         """Sorted list of (i, j) edge pairs with i < j, 1-based."""
         out = []

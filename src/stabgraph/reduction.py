@@ -67,11 +67,12 @@ def to_graph_state(stab):
 def verify_witness(stab, witness):
     """Recompute q.S.r and compare it bit-exactly against [adj; I].
 
-    An r that is not n x n is rejected before the product. The equality alone
-    proves r invertible: the bottom block of q.S.r is X'.r, for X' the X block
-    of q.S, so X'.r = I gives the square r a left inverse.
+    A graph, q or r that does not have n qubits (r: n x n) is rejected before
+    any product. The equality alone proves r invertible: the bottom block of
+    q.S.r is X'.r, for X' the X block of q.S, so X'.r = I gives the square r a
+    left inverse.
     """
-    if not witness.r.rows == witness.r.cols == stab.n:
+    if not witness.r.rows == witness.r.cols == witness.q.n == witness.graph.n == stab.n:
         return False
     lhs = gf2.mat_mul(clifford.apply_to_stabilizer(witness.q, stab), witness.r)
     rhs = gf2.vstack(witness.graph.adj, gf2.identity(witness.graph.n))

@@ -9,8 +9,6 @@ only up to per-generator signs.
 
 from __future__ import annotations
 
-import random
-
 from . import gf2
 from .errors import MAX_QUBITS, ParseError
 from .gf2 import BitMatrix
@@ -94,45 +92,11 @@ def from_graph(g):
     return StabilizerGenMatrix._trusted(gf2.vstack(g.adj, gf2.identity(g.n)))
 
 
-def basis_change(stab, r):
-    """Right-multiply by an invertible matrix: new generators for the same subspace."""
-    if not r.is_square() or gf2.try_invert(r) is None:
-        raise gf2.SingularError("basis change matrix must be invertible")
-    return StabilizerGenMatrix._trusted(gf2.mat_mul(stab.s, r))
-
-
 def same_subspace(a, b):
     """True iff the two generator matrices span the same column space."""
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
     return gf2.rank(gf2.hstack(a.s, b.s)) == a.n
-
-
-_TRANSVECTIONS_PER_QUBIT = 8
-
-
-def random_stabilizer(n, seed):
-    """Random stabilizer generator matrix, deterministic in the seed.
-
-    Starts from the X-only matrix [0; I] and applies 8n random symplectic
-    transvections x -> x + <v, x> v to all columns. Transvections preserve the
-    symplectic form, so self-orthogonality and full rank hold by
-    construction; empirically the X-block rank of the output ranges over
-    0..n across seeds.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
-    mask = (1 << n) - 1
-    cols = [1 << (n + j) for j in range(n)]
-    for _ in range(_TRANSVECTIONS_PER_QUBIT * n):
-        v = 0
-        while v == 0:
-            v = rng.getrandbits(2 * n)
-        # <v, c> pairs the Z half of v with the X half of c and vice versa
-        swapped = (v >> n) | (v & mask) << n
-        cols = [c ^ v if (swapped & c).bit_count() & 1 else c for c in cols]
-    return StabilizerGenMatrix._trusted(gf2.transpose(BitMatrix(n, 2 * n, cols)))
 
 
 def format_stabilizer(stab):

@@ -1,4 +1,6 @@
-"""Shared random-instance generators, naive list-of-lists GF(2) oracles, the
+"""Shared test-instance generators (named graph families, the seeded random
+stabilizer, basis changes and fixed operations, which the library itself
+never needs), random-instance generators, naive list-of-lists GF(2) oracles, the
 per-bit loop references for the packed kernels and text codecs, the
 column-by-column elimination behind reference rank, inverse and null basis,
 the tuple orbit key, the matrix references for C.adj + D and the
@@ -10,6 +12,7 @@ loops, on purpose: they validate the bit-packed implementations without
 sharing any code with them.
 """
 
+import random
 import re
 
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs, stabilizer
@@ -341,6 +344,93 @@ def all_graphs(n):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         yield graphs.Graph(gf2.BitMatrix(n, n, rows))
+
+
+def zero_matrix(rows, cols):
+    return gf2.BitMatrix(rows, cols, [0] * rows)
+
+
+def empty_graph(n):
+    return graphs.Graph._trusted(zero_matrix(n, n))
+
+
+def complete_graph(n):
+    full = (1 << n) - 1
+    return graphs.Graph._trusted(gf2.BitMatrix(n, n, [full ^ (1 << i) for i in range(n)]))
+
+
+def path_graph(n):
+    """The path 1-2-...-n."""
+    rows = [0] * n
+    for i in range(n - 1):
+        rows[i] |= 1 << (i + 1)
+        rows[i + 1] |= 1 << i
+    return graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
+
+
+def star_graph(n, center=1):
+    """All edges from ``center`` to every other vertex."""
+    c = graphs._check_vertex(n, center)
+    rows = [1 << c if i != c else 0 for i in range(n)]
+    rows[c] = ((1 << n) - 1) ^ (1 << c)
+    return graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
+
+
+def graph_from_edges(n, edges):
+    """Graph on n vertices with the given (i, j) edges, 1-based."""
+    rows = [0] * n
+    for i, j in edges:
+        a, b = graphs._check_vertex(n, i), graphs._check_vertex(n, j)
+        if a == b:
+            raise ValueError(f"self-loop at vertex {i}")
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
+
+
+def identity_op(n):
+    ones = (1 << n) - 1
+    return clifford._op(n, ones, 0, 0, ones)
+
+
+def hadamard_all_op(n):
+    """The Z/X swap [[0, 1], [1, 0]] on every qubit."""
+    ones = (1 << n) - 1
+    return clifford._op(n, 0, ones, ones, 0)
+
+
+def basis_change(stab, r):
+    """Right-multiply by an invertible matrix: new generators for the same subspace."""
+    if not r.is_square() or gf2.try_invert(r) is None:
+        raise gf2.SingularError("basis change matrix must be invertible")
+    return stabilizer.StabilizerGenMatrix._trusted(gf2.mat_mul(stab.s, r))
+
+
+_TRANSVECTIONS_PER_QUBIT = 8
+
+
+def random_stabilizer(n, seed):
+    """Random stabilizer generator matrix, deterministic in the seed.
+
+    Starts from the X-only matrix [0; I] and applies 8n random symplectic
+    transvections x -> x + <v, x> v to all columns. Transvections preserve the
+    symplectic form, so self-orthogonality and full rank hold by
+    construction; empirically the X-block rank of the output ranges over
+    0..n across seeds.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = random.Random(seed)
+    mask = (1 << n) - 1
+    cols = [1 << (n + j) for j in range(n)]
+    for _ in range(_TRANSVECTIONS_PER_QUBIT * n):
+        v = 0
+        while v == 0:
+            v = rng.getrandbits(2 * n)
+        # <v, c> pairs the Z half of v with the X half of c and vice versa
+        swapped = (v >> n) | (v & mask) << n
+        cols = [c ^ v if (swapped & c).bit_count() & 1 else c for c in cols]
+    return stabilizer.StabilizerGenMatrix._trusted(gf2.transpose(gf2.BitMatrix(n, 2 * n, cols)))
 
 
 def in_domain(q, g):

@@ -1,12 +1,24 @@
 """Values built on the trusted internal paths pass the public validating constructors.
 
-The rejections of the public constructors are checked in test_graphs.py
-(test_graph_invariants_enforced) and test_stabilizer.py.
+The named graph families and the random stabilizer are the test generators of
+conftest.py; they build through the same trusted paths, so the checks here
+also keep the test instances valid. The rejections of the public constructors
+are checked in test_graphs.py (test_graph_invariants_enforced) and
+test_stabilizer.py.
 """
 
 import random
 
-from conftest import random_graph, random_in_domain_op
+from conftest import (
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    path_graph,
+    random_graph,
+    random_in_domain_op,
+    random_stabilizer,
+    star_graph,
+)
 from stabgraph import clifford, graphs, reduction, stabilizer
 from stabgraph.graphs import Graph
 from stabgraph.stabilizer import StabilizerGenMatrix
@@ -18,10 +30,10 @@ def trusted_graphs(rng, g):
     yield graphs.local_complement(g, i)
     yield graphs.parse_edge_list(graphs.format_edge_list(g))
     yield clifford.graph_action(random_in_domain_op(rng, g), g)
-    yield reduction.to_graph_state(stabilizer.random_stabilizer(n, rng.getrandbits(32))).graph
-    yield Graph.from_edges(n, g.edges())
-    yield Graph.star(n, i)
-    for build in (Graph.empty, Graph.complete, Graph.path):
+    yield reduction.to_graph_state(random_stabilizer(n, rng.getrandbits(32))).graph
+    yield graph_from_edges(n, g.edges())
+    yield star_graph(n, i)
+    for build in (empty_graph, complete_graph, path_graph):
         yield build(n)
 
 
@@ -31,5 +43,5 @@ def test_trusted_outputs_pass_public_validation():
         g = random_graph(rng, rng.randrange(1, 13))
         for x in trusted_graphs(rng, g):
             assert Graph(x.adj) == x
-        for s in (stabilizer.from_graph(g), stabilizer.random_stabilizer(g.n, rng.getrandbits(32))):
+        for s in (stabilizer.from_graph(g), random_stabilizer(g.n, rng.getrandbits(32))):
             assert StabilizerGenMatrix(s.s) == s

@@ -9,12 +9,20 @@ from conftest import (
     NONZERO_DIAGONAL,
     SINGULAR_CD,
     all_graphs,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    hadamard_all_op,
+    identity_op,
     in_domain,
+    path_graph,
     random_graph,
     random_in_domain_op,
     random_valid_clifford,
     reference_completion,
+    star_graph,
     symplectic_form_matrix,
+    zero_matrix,
 )
 from stabgraph import clifford, gf2, graphs, stabilizer
 from stabgraph.clifford import (
@@ -26,7 +34,6 @@ from stabgraph.clifford import (
 )
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
-from stabgraph.graphs import Graph
 
 
 def assemble(q):
@@ -49,6 +56,15 @@ def test_validity_enforced():
         LocalCliffordOp.from_qubit_blocks([(1, 0, 0, 1), (1, 0, 0, 2)])
     with pytest.raises(ValueError, match="diagonal lengths differ"):
         LocalCliffordOp(BitVec(2, 0b11), BitVec(2, 0), BitVec(3, 0), BitVec(2, 0b11))
+    for blocks, qubit, length in (
+        ([(1, 0, 0)], 1, 3),
+        ([(1, 0, 0, 1), (1, 0)], 2, 2),
+        ([(1, 0, 0, 1, 1)], 1, 5),
+    ):
+        with pytest.raises(ValueError) as err:
+            LocalCliffordOp.from_qubit_blocks(blocks)
+        assert str(err.value) == f"qubit {qubit}: expected four bits (a, b, c, d), got {length}"
+
 
 
 def test_validity_equals_symplectic_condition():
@@ -68,10 +84,10 @@ def test_validity_equals_symplectic_condition():
 def test_compose_identity_and_hadamard():
     rng = random.Random(31)
     q = random_valid_clifford(rng, 5)
-    ident = LocalCliffordOp.identity(5)
+    ident = identity_op(5)
     assert clifford.compose(ident, q) == q
     assert clifford.compose(q, ident) == q
-    h = LocalCliffordOp.hadamard_all(5)
+    h = hadamard_all_op(5)
     assert clifford.compose(h, h) == ident
 
 
@@ -86,19 +102,19 @@ def test_compose_matches_assembled_product():
 
 
 def test_apply_to_stabilizer_identity():
-    s = stabilizer.from_graph(Graph.path(3))
-    assert clifford.apply_to_stabilizer(LocalCliffordOp.identity(3), s) == s.s
+    s = stabilizer.from_graph(path_graph(3))
+    assert clifford.apply_to_stabilizer(identity_op(3), s) == s.s
 
 
 def test_apply_to_stabilizer_hadamard_swaps_blocks():
     z_only = stabilizer.parse_stabilizer("ZI\nIZ\n")
-    out = clifford.apply_to_stabilizer(LocalCliffordOp.hadamard_all(2), z_only)
-    assert out == gf2.vstack(BitMatrix.zeros(2, 2), gf2.identity(2))
+    out = clifford.apply_to_stabilizer(hadamard_all_op(2), z_only)
+    assert out == gf2.vstack(zero_matrix(2, 2), gf2.identity(2))
 
 
 def test_apply_to_stabilizer_generator_blocks():
     # hand block-multiply for the 2-vertex edge graph and its vertex-1 generator op
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     q = local_complement_op(edge, 1)
     out = clifford.apply_to_stabilizer(q, stabilizer.from_graph(edge))
     # upper block: adj + diag(row 1) = [[0,1],[1,1]]; lower: unit-diag.adj + I = [[1,1],[0,1]]
@@ -109,18 +125,18 @@ def test_graph_action_identity():
     rng = random.Random(34)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 9))
-        assert graph_action(LocalCliffordOp.identity(g.n), g) == g
+        assert graph_action(identity_op(g.n), g) == g
 
 
 def test_graph_action_singular_denominator():
     with pytest.raises(NotInDomainError, match=SINGULAR_CD):
-        graph_action(LocalCliffordOp.hadamard_all(3), Graph.empty(3))
-    assert not in_domain(LocalCliffordOp.hadamard_all(3), Graph.empty(3))
+        graph_action(hadamard_all_op(3), empty_graph(3))
+    assert not in_domain(hadamard_all_op(3), empty_graph(3))
 
 
 def test_graph_action_zero_diagonal_failure():
     # shear on one qubit of an edge graph puts a 1 on the image diagonal
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     q = LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
         graph_action(q, edge)
@@ -140,16 +156,16 @@ def test_local_complement_op_matches_edge_toggling():
 
 
 def test_local_complement_op_examples():
-    empty = Graph.empty(3)
+    empty = empty_graph(3)
     q = local_complement_op(empty, 2)
     assert tuple((v.bits >> 1) & 1 for v in (q.a, q.b, q.c, q.d)) == (1, 0, 1, 1)
     assert graph_action(q, empty) == empty
 
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     assert graph_action(local_complement_op(edge, 1), edge) == edge
 
-    k5 = Graph.complete(5)
-    assert graph_action(local_complement_op(k5, 1), k5) == Graph.star(5, 1)
+    k5 = complete_graph(5)
+    assert graph_action(local_complement_op(k5, 1), k5) == star_graph(5, 1)
 
 
 def test_graph_action_consistent_with_stabilizer_action():
@@ -170,7 +186,7 @@ def test_complete_from_cd_identity_case():
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 9))
         q = complete_from_cd(g, BitVec(g.n, 0), BitVec(g.n, (1 << g.n) - 1))
-        assert q == LocalCliffordOp.identity(g.n)
+        assert q == identity_op(g.n)
 
 
 def test_complete_from_cd_recovers_generator_op():
@@ -235,7 +251,7 @@ def test_complete_from_cd_unique_among_all_sign_choices():
 
 def test_complete_from_cd_singular():
     with pytest.raises(gf2.SingularError):
-        complete_from_cd(Graph.empty(2), BitVec(2, 0b11), BitVec(2, 0))
+        complete_from_cd(empty_graph(2), BitVec(2, 0b11), BitVec(2, 0))
 
 
 def _same_completion(g, c, d):
@@ -308,16 +324,16 @@ def test_from_qubit_blocks_puts_qubit_i_at_bit_i(n):
     assert q.n == n
     assert [tuple(v.bits >> i & 1 for v in (q.a, q.b, q.c, q.d)) for i in range(n)] == blocks
     ones = (1 << n) - 1
-    assert LocalCliffordOp.identity(n).a == BitVec(n, ones) == LocalCliffordOp.identity(n).d
-    hadamards = LocalCliffordOp.hadamard_all(n)
+    assert identity_op(n).a == BitVec(n, ones) == identity_op(n).d
+    hadamards = hadamard_all_op(n)
     assert hadamards.b == BitVec(n, ones) == hadamards.c and hadamards.a == BitVec(n, 0)
 
 
 def test_clifford_text_exact():
-    q = LocalCliffordOp.hadamard_all(2)
+    q = hadamard_all_op(2)
     assert clifford.format_clifford(q) == "2\n0 1 1 0\n0 1 1 0\n"
     for n in (63, 64, 65):
-        q = LocalCliffordOp.hadamard_all(n)
+        q = hadamard_all_op(n)
         assert clifford.format_clifford(q) == f"{n}\n" + "0 1 1 0\n" * n
 
 

@@ -10,9 +10,15 @@ from conftest import (
     all_graphs,
     cd_matrix,
     cd_step,
+    empty_graph,
+    graph_from_edges,
+    hadamard_all_op,
+    identity_op,
+    path_graph,
     random_graph,
     random_in_domain_op,
     step_indices,
+    zero_matrix,
 )
 from stabgraph import NotInDomainError, clifford, decomposition, gf2, graphs
 from stabgraph.decomposition import (
@@ -124,7 +130,7 @@ def test_factor_cd_form_rejects_non_members():
     # off-diagonal rows force an asymmetric adjacency in both cases
     assert factor_cd_form(BitMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) is None
     assert factor_cd_form(BitMatrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])) is None
-    assert factor_cd_form(BitMatrix.zeros(2, 3)) is None
+    assert factor_cd_form(zero_matrix(2, 3)) is None
 
 
 def test_factor_cd_form_accepts_singular_members():
@@ -132,17 +138,17 @@ def test_factor_cd_form_accepts_singular_members():
     got = factor_cd_form(BitMatrix.from_rows([[0, 1], [0, 0]]))
     assert got is not None
     g, c, d = got
-    assert g == Graph.from_edges(2, [(1, 2)])
+    assert g == graph_from_edges(2, [(1, 2)])
     assert (gf2.to01(c.bits, c.n), gf2.to01(d.bits, d.n)) == ("10", "00")
 
 
 def test_reduce_identity_empty_sequence():
-    assert reduce_to_identity(Graph.empty(3), BitVec(3, 0), BitVec(3, 0b111))[0].steps == ()
+    assert reduce_to_identity(empty_graph(3), BitVec(3, 0), BitVec(3, 0b111))[0].steps == ()
 
 
 def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     c, d = BitVec(2, 0b01), BitVec(2, 0b11)
     assert cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
     seq, _ = reduce_to_identity(edge, c, d)
@@ -151,7 +157,7 @@ def test_reduce_single_step_case():
 
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     assert cd_matrix(edge.adj, BitVec(2, 0b11), BitVec(2, 0)) == edge.adj
     seq, _ = reduce_to_identity(edge, BitVec(2, 0b11), BitVec(2, 0))
     assert seq.steps == (Triple(1, 2),)
@@ -199,7 +205,7 @@ def test_reduce_singular_raises():
 
 
 def test_reduce_length_mismatch():
-    g = Graph.path(3)
+    g = path_graph(3)
     with pytest.raises(ValueError):
         reduce_to_identity(g, BitVec(2, 0b11), BitVec(3, 0b111))
     with pytest.raises(ValueError):
@@ -207,7 +213,7 @@ def test_reduce_length_mismatch():
 
 
 def test_apply_sequence_basics():
-    g = Graph.path(4)
+    g = path_graph(4)
     assert apply_sequence(g, LCSequence(())) == g
     assert apply_sequence(g, LCSequence((Single(2), Single(2)))) == g
     via_triple = apply_sequence(g, LCSequence((Triple(1, 2),)))
@@ -218,8 +224,8 @@ def test_apply_sequence_basics():
 
 
 def test_decompose_identity():
-    g = Graph.path(4)
-    q = clifford.LocalCliffordOp.identity(4)
+    g = path_graph(4)
+    q = identity_op(4)
     assert decompose_action(q, g).steps == ()
 
 
@@ -254,7 +260,7 @@ def test_composed_step_operations_realize_the_action():
         g = random_graph(rng, n)
         q = random_in_domain_op(rng, g)
         seq = decompose_action(q, g)
-        total = clifford.LocalCliffordOp.identity(n)
+        total = identity_op(n)
         cur = g
         for v in seq.expand():
             total = clifford.compose(clifford.local_complement_op(cur, v), total)
@@ -265,9 +271,9 @@ def test_composed_step_operations_realize_the_action():
 
 def test_decompose_not_in_domain():
     with pytest.raises(NotInDomainError, match=SINGULAR_CD):
-        decompose_action(clifford.LocalCliffordOp.hadamard_all(3), Graph.empty(3))
+        decompose_action(hadamard_all_op(3), empty_graph(3))
     # invertible denominator but nonzero image diagonal
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     shear = clifford.LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
         decompose_action(shear, edge)

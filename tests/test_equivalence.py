@@ -6,11 +6,18 @@ import pytest
 
 from conftest import (
     all_graphs,
+    basis_change,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    path_graph,
     random_graph,
     random_invertible,
+    random_stabilizer,
     random_valid_clifford,
     reference_equivalence,
     reference_linear_system,
+    star_graph,
 )
 from stabgraph import clifford, equivalence, gf2, graphs, orbit, stabilizer
 from stabgraph.decomposition import LCSequence, Single, apply_sequence
@@ -41,7 +48,7 @@ def test_system_matches_the_reference(n):
     # n = 1, 2, 3: the separately moved top bit is all or half of each row;
     # 31..33 and 63..65 straddle 32- and 64-bit boundaries, 70 is past both
     rng = random.Random(n)
-    states = [stabilizer.random_stabilizer(n, 1000 * n + k) for k in range(6)]
+    states = [random_stabilizer(n, 1000 * n + k) for k in range(6)]
     states += [stabilizer.from_graph(random_graph(rng, n)) for _ in range(6)]
     # all ones: every partial product of the spread is present, so a carry would show
     ones = stabilizer.StabilizerGenMatrix._trusted(gf2.BitMatrix(2 * n, n, [(1 << n) - 1] * 2 * n))
@@ -71,8 +78,8 @@ def test_system_rows_match_naive_oracle():
     rng = random.Random(70)
     for _ in range(40):
         n = rng.randrange(1, 5)
-        sa = stabilizer.random_stabilizer(n, rng.randrange(1000))
-        sb = stabilizer.random_stabilizer(n, rng.randrange(1000))
+        sa = random_stabilizer(n, rng.randrange(1000))
+        sb = random_stabilizer(n, rng.randrange(1000))
         sys = gf2.transpose(build_linear_system(sa, sb))
         for _ in range(10):
             bits = rng.getrandbits(4 * n)
@@ -103,15 +110,15 @@ def test_self_equivalence():
 
 
 def test_edge_vs_empty_inequivalent():
-    edge = Graph.from_edges(2, [(1, 2)])
-    empty = Graph.empty(2)
+    edge = graph_from_edges(2, [(1, 2)])
+    empty = empty_graph(2)
     assert isinstance(decide_graphs(edge, empty), Inequivalent)
     assert empty not in orbit.enumerate_orbit(edge).members
 
 
 def test_path_vs_triangle_equivalent():
-    p3 = Graph.path(3)
-    k3 = Graph.complete(3)
+    p3 = path_graph(3)
+    k3 = complete_graph(3)
     result = decide_graphs(p3, k3)
     assert isinstance(result, Equivalent)
     assert apply_sequence(p3, LCSequence((Single(2),))) == k3
@@ -171,8 +178,8 @@ def test_solver_matches_orbit_membership_sampled_n5_n6():
 
 
 def test_reported_witness_is_deterministic():
-    p3 = Graph.path(3)
-    k3 = Graph.complete(3)
+    p3 = path_graph(3)
+    k3 = complete_graph(3)
     first = decide_graphs(p3, k3)
     second = decide_graphs(p3, k3)
     assert isinstance(first, Equivalent) and first.q == second.q
@@ -191,11 +198,11 @@ def test_decides_a_256_vertex_walk_pair():
 def test_stabilizer_level_equivalence():
     # the same subspace under a basis change must come out equivalent
     rng = random.Random(74)
-    s = stabilizer.random_stabilizer(4, 5)
+    s = random_stabilizer(4, 5)
     r = None
     while r is None or gf2.try_invert(r) is None:
         r = gf2.BitMatrix(4, 4, [rng.getrandbits(4) for _ in range(4)])
-    changed = stabilizer.basis_change(s, r)
+    changed = basis_change(s, r)
     assert isinstance(decide(s, changed), Equivalent)
 
 
@@ -206,12 +213,12 @@ def test_qubit_count_mismatch():
 
 def test_a_system_above_the_bound_is_refused(monkeypatch):
     monkeypatch.setattr(equivalence, "_MAX_SYSTEM_QUBITS", 4)
-    assert isinstance(decide_graphs(Graph.path(4), Graph.path(4)), Equivalent)
+    assert isinstance(decide_graphs(path_graph(4), path_graph(4)), Equivalent)
     message = "the 20 x 25 equivalence system for 5 qubits exceeds the bound of 4 qubits"
     with pytest.raises(ValueError, match=message):
-        decide_graphs(Graph.path(5), Graph.path(5))
+        decide_graphs(path_graph(5), path_graph(5))
     with pytest.raises(ValueError, match=message):
-        build_linear_system(stabilizer.random_stabilizer(5, 1), stabilizer.random_stabilizer(5, 2))
+        build_linear_system(random_stabilizer(5, 1), random_stabilizer(5, 2))
 
 
 def _same_verdict(got, want):
@@ -234,12 +241,12 @@ def test_matches_reference_on_seeded_stabilizer_pairs():
     rng = random.Random(76)
     for k in range(500):
         n = rng.randrange(1, 9)
-        sa = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        sa = random_stabilizer(n, rng.randrange(10**6))
         if k % 2:
-            sb = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+            sb = random_stabilizer(n, rng.randrange(10**6))
         else:
             moved = clifford.apply_to_stabilizer(random_valid_clifford(rng, n), sa)
-            sb = stabilizer.basis_change(
+            sb = basis_change(
                 stabilizer.StabilizerGenMatrix(moved), random_invertible(rng, n)
             )
         _check_against_reference(sa, sb)
@@ -266,23 +273,23 @@ def test_matches_reference_on_large_blocks():
     rng = random.Random(78)
     pairs = []
     for n in range(5, 13):
-        for make in (Graph.star, Graph.complete):
+        for make in (star_graph, complete_graph):
             for k in range(3):
                 g = make(n)
                 pairs.append((g, _walk(g, rng, 2 * n), k == 2))
     for k in range(16):
         sizes = [rng.randrange(4, 8) for _ in range(2)]
-        parts = [rng.choice((Graph.star, Graph.complete))(size) for size in sizes]
+        parts = [rng.choice((star_graph, complete_graph))(size) for size in sizes]
         g = _union(parts)
         if k % 4 == 3:
-            parts[1] = Graph.path(sizes[1])  # a path on 4+ vertices is not GHZ-like
+            parts[1] = path_graph(sizes[1])  # a path on 4+ vertices is not GHZ-like
         pairs.append((g, _walk(_union(parts), rng, 2 * g.n), k % 2 == 1))
     large = 0
     for g, h, scramble in pairs:
         sa, sb = stabilizer.from_graph(g), stabilizer.from_graph(h)
         if scramble:
             moved = clifford.apply_to_stabilizer(random_valid_clifford(rng, h.n), sb)
-            sb = stabilizer.basis_change(
+            sb = basis_change(
                 stabilizer.StabilizerGenMatrix(moved), random_invertible(rng, h.n)
             )
         basis = gf2.solve_homogeneous(build_linear_system(sa, sb))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    complete_graph,
     diag_from_vec,
     invert,
     mat_vec,
@@ -13,6 +14,7 @@ from conftest import (
     random_bitmatrix,
     random_graph,
     random_invertible,
+    random_stabilizer,
     reference_eliminate,
     reference_mat_mul,
     reference_parse_matrix,
@@ -23,6 +25,7 @@ from conftest import (
     reference_try_invert,
     rows_of,
     symplectic_form_matrix,
+    zero_matrix,
 )
 from stabgraph import equivalence, gf2, graphs, stabilizer
 from stabgraph.errors import ParseError
@@ -79,7 +82,7 @@ def test_mat_mul_matches_naive_oracle():
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        gf2.mat_mul(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3))
+        gf2.mat_mul(zero_matrix(2, 3), zero_matrix(2, 3))
 
 
 def test_invert_identity_and_permutation():
@@ -124,7 +127,7 @@ def test_invert_wide_matrices():
 
 def test_invert_singular():
     with pytest.raises(SingularError):
-        invert(BitMatrix.zeros(3, 3))
+        invert(zero_matrix(3, 3))
     assert gf2.try_invert(BitMatrix.from_rows([[1, 1], [1, 1]])) is None
 
 
@@ -156,7 +159,7 @@ def test_try_invert_stops_at_the_first_dependent_row(monkeypatch):
 
 
 def test_rank_examples():
-    assert gf2.rank(BitMatrix.zeros(4, 4)) == 0
+    assert gf2.rank(zero_matrix(4, 4)) == 0
     assert gf2.rank(gf2.identity(5)) == 5
     assert gf2.rank(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
 
@@ -170,7 +173,7 @@ def test_rank_matches_naive_oracle():
 
 def test_solve_homogeneous_trivial():
     assert gf2.solve_homogeneous(gf2.transpose(gf2.identity(4))) == []
-    basis = gf2.solve_homogeneous(gf2.transpose(BitMatrix.zeros(3, 3)))
+    basis = gf2.solve_homogeneous(gf2.transpose(zero_matrix(3, 3)))
     assert len(basis) == 3
 
 
@@ -338,7 +341,7 @@ def test_helpers():
     assert gf2.diagonal(gf2.identity(2)) == 0b11
     sq = BitMatrix.from_rows([[1, 1], [0, 1]])
     assert gf2.set_diagonal_zero(sq) == BitMatrix.from_rows([[0, 1], [0, 0]])
-    assert gf2.is_symmetric(graphs.Graph.complete(4).adj)
+    assert gf2.is_symmetric(complete_graph(4).adj)
     assert not gf2.is_symmetric(sq)
     assert diag_from_vec(0b101, 3) == BitMatrix.from_rows(
         [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
@@ -465,7 +468,7 @@ def test_eliminate_matches_the_bit_loop_on_the_equiv_system(related):
             h = graphs.local_complement(h, rng.randrange(1, 49))
         sa, sb = stabilizer.from_graph(g), stabilizer.from_graph(h)
     else:
-        sa, sb = stabilizer.random_stabilizer(48, 1), stabilizer.random_stabilizer(48, 2)
+        sa, sb = random_stabilizer(48, 1), random_stabilizer(48, 2)
     _assert_same_elimination(equivalence.build_linear_system(sa, sb))
 
 
@@ -473,8 +476,8 @@ def test_null_basis_matches_the_reference_on_stabilizer_pairs():
     rng = random.Random(36)
     for k in range(1000):
         n = 1 + k % 32
-        sa = stabilizer.random_stabilizer(n, rng.randrange(10**6))
-        sb = stabilizer.random_stabilizer(n, rng.randrange(10**6))
+        sa = random_stabilizer(n, rng.randrange(10**6))
+        sb = random_stabilizer(n, rng.randrange(10**6))
         mt = equivalence.build_linear_system(sa, sb)
         assert gf2.solve_homogeneous(mt) == reference_solve_homogeneous(mt)
 

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph
+from conftest import (
+    all_graphs,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    path_graph,
+    random_graph,
+    star_graph,
+    zero_matrix,
+)
 from stabgraph import gf2, graphs
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix
@@ -17,44 +26,44 @@ def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         Graph(BitMatrix.from_rows([[1, 0], [0, 0]]))  # self-loop
     with pytest.raises(ValueError):
-        Graph(BitMatrix.zeros(2, 3))
+        Graph(zero_matrix(2, 3))
 
 
 def test_constructors():
-    assert Graph.empty(3).edges() == []
-    assert Graph.complete(3).edges() == [(1, 2), (1, 3), (2, 3)]
-    assert Graph.path(4).edges() == [(1, 2), (2, 3), (3, 4)]
-    assert Graph.star(4, 2).edges() == [(1, 2), (2, 3), (2, 4)]
-    g = Graph.from_edges(4, [(2, 4), (1, 3)])
+    assert empty_graph(3).edges() == []
+    assert complete_graph(3).edges() == [(1, 2), (1, 3), (2, 3)]
+    assert path_graph(4).edges() == [(1, 2), (2, 3), (3, 4)]
+    assert star_graph(4, 2).edges() == [(1, 2), (2, 3), (2, 4)]
+    g = graph_from_edges(4, [(2, 4), (1, 3)])
     assert g.edges() == [(1, 3), (2, 4)]
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
+        graph_from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 4)])
+        graph_from_edges(3, [(1, 4)])
 
 
 def test_local_complement_complete_graph_becomes_star():
-    got = graphs.local_complement(Graph.complete(5), 1)
+    got = graphs.local_complement(complete_graph(5), 1)
     assert got.edges() == [(1, 2), (1, 3), (1, 4), (1, 5)]
-    assert got == Graph.star(5, 1)
+    assert got == star_graph(5, 1)
 
 
 def test_local_complement_empty_graph_fixed():
-    g = Graph.empty(4)
+    g = empty_graph(4)
     for i in range(1, 5):
         assert graphs.local_complement(g, i) == g
 
 
 def test_local_complement_path_center_closes_triangle():
-    got = graphs.local_complement(Graph.path(3), 2)
-    assert got == Graph.complete(3)
+    got = graphs.local_complement(path_graph(3), 2)
+    assert got == complete_graph(3)
 
 
 def test_local_complement_out_of_range():
     with pytest.raises(ValueError):
-        graphs.local_complement(Graph.empty(3), 0)
+        graphs.local_complement(empty_graph(3), 0)
     with pytest.raises(ValueError):
-        graphs.local_complement(Graph.empty(3), 4)
+        graphs.local_complement(empty_graph(3), 4)
 
 
 def local_complement_matrix_form(adj, i):
@@ -117,7 +126,7 @@ def test_edge_list_roundtrip():
 
 def test_edge_list_comments_and_blanks():
     text = "# a triangle\n3\n\n1 2 # first edge\n1 3\n2 3\n"
-    assert graphs.parse_edge_list(text) == Graph.complete(3)
+    assert graphs.parse_edge_list(text) == complete_graph(3)
 
 
 def test_edge_list_parse_errors():
@@ -135,12 +144,12 @@ def test_edge_list_parse_errors():
 
 
 def test_dot_export():
-    g = Graph.from_edges(3, [(1, 2)])
+    g = graph_from_edges(3, [(1, 2)])
     assert graphs.to_dot(g) == "graph G {\n  1;\n  2;\n  3;\n  1 -- 2;\n}\n"
 
 
 def test_graphs_hashable_and_immutable():
-    g = Graph.path(3)
-    assert len({g, Graph.path(3), Graph.empty(3)}) == 2
+    g = path_graph(3)
+    assert len({g, path_graph(3), empty_graph(3)}) == 2
     with pytest.raises(AttributeError):
         g.n = 5

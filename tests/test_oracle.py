@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
-from conftest import random_graph, random_in_domain_op
+from conftest import (
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    hadamard_all_op,
+    identity_op,
+    path_graph,
+    random_graph,
+    random_in_domain_op,
+    random_stabilizer,
+)
 from dense_oracle import (
     StateVector,
     TooLargeError,
@@ -22,7 +32,6 @@ from dense_oracle import (
     stabilized_up_to_signs,
 )
 from stabgraph import clifford, decomposition, graphs, reduction, stabilizer
-from stabgraph.graphs import Graph
 
 
 def pauli(text):
@@ -33,12 +42,12 @@ def pauli(text):
 
 
 def test_plus_state():
-    state = build_graph_state(Graph.empty(1))
+    state = build_graph_state(empty_graph(1))
     assert np.allclose(state.amplitudes, [2**-0.5, 2**-0.5])
 
 
 def test_edge_graph_state_amplitudes():
-    state = build_graph_state(Graph.from_edges(2, [(1, 2)]))
+    state = build_graph_state(graph_from_edges(2, [(1, 2)]))
     assert np.allclose(state.amplitudes, np.array([1, 1, 1, -1]) / 2.0)
 
 
@@ -53,11 +62,11 @@ def test_defining_equations_random_graphs():
 
 def test_too_large():
     with pytest.raises(TooLargeError):
-        build_graph_state(Graph.empty(oracle.ORACLE_QUBIT_LIMIT + 1))
+        build_graph_state(empty_graph(oracle.ORACLE_QUBIT_LIMIT + 1))
 
 
 def test_apply_pauli_identity():
-    state = build_graph_state(Graph.path(3))
+    state = build_graph_state(path_graph(3))
     moved = apply_pauli(state, pauli("III"))
     assert np.allclose(moved.amplitudes, state.amplitudes)
 
@@ -107,23 +116,23 @@ def test_clifford_table_structure():
 
 
 def test_lift_identity_and_hadamard():
-    ident = clifford.LocalCliffordOp.identity(3)
+    ident = identity_op(3)
     for gate in lift_local_clifford(ident):
         assert gate.symplectic == (1, 0, 0, 1)
-    had = clifford.LocalCliffordOp.hadamard_all(2)
+    had = hadamard_all_op(2)
     for gate in lift_local_clifford(had):
         assert gate.symplectic == (0, 1, 1, 0)
         assert np.allclose(np.abs(gate.unitary), np.full((2, 2), 2**-0.5), atol=1e-6)
 
 
 def test_stabilized_up_to_signs():
-    g = Graph.path(3)
+    g = path_graph(3)
     state = build_graph_state(g)
     stab = stabilizer.from_graph(g)
     assert stabilized_up_to_signs(state, stab)
     flipped = apply_pauli(state, pauli("ZII"))
     assert stabilized_up_to_signs(flipped, stab)
-    other = Graph.empty(3)
+    other = empty_graph(3)
     assert not stabilized_up_to_signs(build_graph_state(other), stab)
 
 
@@ -168,7 +177,7 @@ def test_lifted_sequence_matches_decomposition():
 def test_lifted_reduction_witness():
     for seed in range(15):
         n = 2 + seed % 5
-        s = stabilizer.random_stabilizer(n, seed)
+        s = random_stabilizer(n, seed)
         witness = reduction.to_graph_state(s)
         state = stabilized_state(s, seed=seed)
         moved = apply_lifted(state, lift_local_clifford(witness.q))
@@ -176,8 +185,8 @@ def test_lifted_reduction_witness():
 
 
 def test_equivalence_witness_lifts():
-    p3 = Graph.path(3)
-    k3 = Graph.complete(3)
+    p3 = path_graph(3)
+    k3 = complete_graph(3)
     from stabgraph.equivalence import Equivalent, test_equivalence_graphs as decide_graphs
 
     result = decide_graphs(p3, k3)
@@ -189,8 +198,8 @@ def test_equivalence_witness_lifts():
 def test_no_local_clifford_connects_different_orbits():
     # exhaustive over the full table: 24^2 at n=2 and 24^3 at n=3
     cases = [
-        (Graph.from_edges(2, [(1, 2)]), Graph.empty(2)),
-        (Graph.complete(3), Graph.empty(3)),
+        (graph_from_edges(2, [(1, 2)]), empty_graph(2)),
+        (complete_graph(3), empty_graph(3)),
     ]
     for g, h in cases:
         src = build_graph_state(g)

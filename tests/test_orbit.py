@@ -4,38 +4,44 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph, reference_entry_tuple
+from conftest import (
+    all_graphs,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
+    random_graph,
+    reference_entry_tuple,
+)
 from stabgraph import graphs, orbit
 from stabgraph.decomposition import apply_sequence
-from stabgraph.graphs import Graph
 from stabgraph.orbit import CapExceededError, enumerate_orbit
 
 
 def test_empty_graph_is_a_fixed_point():
     for n in range(1, 6):
-        o = enumerate_orbit(Graph.empty(n))
-        assert o.members == {Graph.empty(n)}
-        assert o.canonical == Graph.empty(n)
+        o = enumerate_orbit(empty_graph(n))
+        assert o.members == {empty_graph(n)}
+        assert o.canonical == empty_graph(n)
 
 
 def test_single_edge_orbit_is_singleton():
-    edge = Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     assert enumerate_orbit(edge).members == {edge}
 
 
 def test_triangle_orbit():
-    k3 = Graph.complete(3)
+    k3 = complete_graph(3)
     o = enumerate_orbit(k3)
     expected = {
         k3,
-        Graph.from_edges(3, [(1, 2), (1, 3)]),  # centered at 1
-        Graph.from_edges(3, [(1, 2), (2, 3)]),  # centered at 2
-        Graph.from_edges(3, [(1, 3), (2, 3)]),  # centered at 3
+        graph_from_edges(3, [(1, 2), (1, 3)]),  # centered at 1
+        graph_from_edges(3, [(1, 2), (2, 3)]),  # centered at 2
+        graph_from_edges(3, [(1, 3), (2, 3)]),  # centered at 3
     }
     assert o.members == expected
     assert len(o.members) == 4
     # smallest upper-triangle bits (edge12, edge13, edge23) = (0, 1, 1)
-    assert o.canonical == Graph.from_edges(3, [(1, 3), (2, 3)])
+    assert o.canonical == graph_from_edges(3, [(1, 3), (2, 3)])
 
 
 def test_closure_and_transcripts():
@@ -63,7 +69,7 @@ def test_orbit_independent_of_seed_member():
 
 def test_canonical_form_properties():
     rng = random.Random(82)
-    assert enumerate_orbit(Graph.empty(4)).canonical == Graph.empty(4)
+    assert enumerate_orbit(empty_graph(4)).canonical == empty_graph(4)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 7))
         rep = enumerate_orbit(g).canonical
@@ -78,12 +84,12 @@ def test_same_orbit():
         g = random_graph(rng, rng.randrange(1, 7))
         i = rng.randrange(1, g.n + 1)
         assert graphs.local_complement(g, i) in enumerate_orbit(g).members
-    assert Graph.empty(2) not in enumerate_orbit(Graph.from_edges(2, [(1, 2)])).members
-    assert Graph.empty(3) not in enumerate_orbit(Graph.empty(2)).members
+    assert empty_graph(2) not in enumerate_orbit(graph_from_edges(2, [(1, 2)])).members
+    assert empty_graph(3) not in enumerate_orbit(empty_graph(2)).members
 
 
 def test_member_cap():
-    k3 = Graph.complete(3)
+    k3 = complete_graph(3)
     with pytest.raises(CapExceededError) as err:
         enumerate_orbit(k3, member_cap=2)
     assert err.value.cap == 2

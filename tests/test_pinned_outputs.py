@@ -16,9 +16,16 @@ import pytest
 
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
 from stabgraph.gf2 import BitMatrix, BitVec
-from stabgraph.stabilizer import StabilizerError, StabilizerGenMatrix, random_stabilizer
+from stabgraph.stabilizer import StabilizerError, StabilizerGenMatrix
 
-from conftest import random_graph, random_in_domain_op, random_invertible, random_valid_clifford
+from conftest import (
+    basis_change,
+    random_graph,
+    random_in_domain_op,
+    random_invertible,
+    random_stabilizer,
+    random_valid_clifford,
+)
 
 
 def _digest(chunks):
@@ -32,9 +39,7 @@ def _digest(chunks):
 def _scrambled(rng, s):
     """The same state as ``s`` under a random local Clifford and basis change."""
     moved = clifford.apply_to_stabilizer(random_valid_clifford(rng, s.n), s)
-    return stabilizer.basis_change(
-        StabilizerGenMatrix(moved), random_invertible(rng, s.n)
-    )
+    return basis_change(StabilizerGenMatrix(moved), random_invertible(rng, s.n))
 
 
 def reduce_outputs():

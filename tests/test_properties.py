@@ -1,10 +1,14 @@
-"""Property tests for the five text formats and the CLI exit-code contract.
+"""Property tests for the five text formats, the CLI exit-code contract, the
+paper's laws of the graph action and the library's malformed-input contract.
 
 For every format, parsing the formatted text gives back the value, and any
 text at all parses to a value or raises ParseError, never anything else.
 Commands run on such texts exit with a code the contract gives them and
-never report an internal error. Examples are derived from the test source
-(``derandomize=True``), so runs are deterministic.
+never report an internal error. The operation of local complementation acts
+as local complementation, and the action of a product is the composed action
+wherever the factors act. A size mismatch or an out-of-range vertex raises
+ValueError. Examples are derived from the test source (``derandomize=True``),
+so runs are deterministic.
 """
 
 import os
@@ -18,8 +22,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_parse_matrix, reference_pauli_from_text
-from stabgraph import cli, clifford, decomposition, gf2, graphs, stabilizer
+from conftest import (
+    empty_graph,
+    graph_from_edges,
+    hadamard_all_op,
+    identity_op,
+    in_domain,
+    random_stabilizer,
+    reference_parse_matrix,
+    reference_pauli_from_text,
+)
+from stabgraph import cli, clifford, decomposition, gf2, graphs, reduction, stabilizer
 from stabgraph.errors import ParseError
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -36,20 +49,20 @@ INVERTIBLE_BLOCKS = [
 
 
 @st.composite
-def graph_values(draw):
-    n = draw(st.integers(1, 12))
+def graph_values(draw, n=None):
+    n = draw(st.integers(1, 12)) if n is None else n
     slots = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     mask = draw(st.integers(0, (1 << len(slots)) - 1))
-    return graphs.Graph.from_edges(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+    return graph_from_edges(n, [e for k, e in enumerate(slots) if mask >> k & 1])
 
 
 def stabilizer_values():
-    return st.builds(stabilizer.random_stabilizer, st.integers(1, 12), st.integers(0, 2**32))
+    return st.builds(random_stabilizer, st.integers(1, 12), st.integers(0, 2**32))
 
 
 @st.composite
-def clifford_values(draw):
-    n = draw(st.integers(1, 12))
+def clifford_values(draw, n=None):
+    n = draw(st.integers(1, 12)) if n is None else n
     blocks = draw(st.lists(st.sampled_from(INVERTIBLE_BLOCKS), min_size=n, max_size=n))
     return clifford.LocalCliffordOp.from_qubit_blocks(blocks)
 
@@ -235,6 +248,90 @@ def in_domain_ops(draw, g):
         return clifford.complete_from_cd(g, q.c, q.d)
     except gf2.SingularError:
         return q
+
+
+@st.composite
+def domain_ops(draw, g):
+    """An operation with g in its domain: a completion, or else one local complementation."""
+    q = draw(in_domain_ops(g))
+    return q if in_domain(q, g) else clifford.local_complement_op(g, draw(st.integers(1, g.n)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_local_complement_op_acts_as_local_complementation(data):
+    g = data.draw(graph_values())
+    v = data.draw(st.integers(1, g.n))
+    h = graphs.local_complement(g, v)
+    assert clifford.graph_action(clifford.local_complement_op(g, v), g) == h
+    assert graphs.local_complement(h, v) == g
+
+
+@SETTINGS
+@given(data=st.data())
+def test_the_action_of_a_product_is_the_composed_action(data):
+    g = data.draw(graph_values())
+    q1 = data.draw(domain_ops(g))
+    h = clifford.graph_action(q1, g)
+    q2 = data.draw(domain_ops(h))
+    assert clifford.graph_action(clifford.compose(q2, q1), g) == clifford.graph_action(q2, h)
+
+
+def test_a_product_can_act_where_its_first_factor_does_not():
+    """The composition law has no converse: H has no action on one vertex, but H.H has."""
+    g, h = empty_graph(1), hadamard_all_op(1)
+    with pytest.raises(clifford.NotInDomainError):
+        clifford.graph_action(h, g)
+    assert clifford.compose(h, h) == identity_op(1)
+    assert clifford.graph_action(clifford.compose(h, h), g) == g
+
+
+def out_of_range_vertices(n):
+    return st.one_of(st.integers(max_value=0), st.integers(min_value=n + 1))
+
+
+def other_sizes(n):
+    return st.integers(1, 12).filter(lambda m: m != n)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_size_mismatch_or_a_bad_vertex_raises_value_error(data):
+    g = data.draw(graph_values())
+    q = data.draw(clifford_values(g.n))
+    other = data.draw(clifford_values(data.draw(other_sizes(g.n))))
+    v = data.draw(out_of_range_vertices(g.n))
+    blocks = data.draw(
+        st.lists(st.lists(st.integers(0, 1), max_size=6).map(tuple), min_size=1, max_size=12)
+        .filter(lambda blocks: any(len(block) != 4 for block in blocks))
+    )
+    calls = (
+        lambda: clifford.compose(q, other),
+        lambda: clifford.graph_action(other, g),
+        lambda: graphs.local_complement(g, v),
+        lambda: clifford.local_complement_op(g, v),
+        lambda: clifford.complete_from_cd(g, q.c, other.d),
+        lambda: decomposition.reduce_to_identity(g, other.c, q.d),
+        lambda: clifford.LocalCliffordOp.from_qubit_blocks(blocks),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):  # an IndexError, KeyError, ... is not caught
+            call()
+
+
+@SETTINGS
+@given(data=st.data())
+def test_verify_witness_is_false_for_a_witness_of_any_wrong_size(data):
+    s = data.draw(stabilizer_values())
+    w = reduction.to_graph_state(s)
+    m = data.draw(other_sizes(s.n))
+    r = data.draw(matrix_values().filter(lambda r: (r.rows, r.cols) != (s.n, s.n)))
+    for bad in (
+        reduction.ReductionWitness(graph=data.draw(graph_values(m)), q=w.q, r=w.r),
+        reduction.ReductionWitness(graph=w.graph, q=data.draw(clifford_values(m)), r=w.r),
+        reduction.ReductionWitness(graph=w.graph, q=w.q, r=r),
+    ):
+        assert reduction.verify_witness(s, bad) is False
 
 
 # every command below fails only by a parse error (65) or an operation failure (70)

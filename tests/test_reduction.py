@@ -2,7 +2,19 @@
 
 import random
 
-from conftest import cd_matrix, invert, random_graph, random_in_domain_op, random_invertible
+from conftest import (
+    basis_change,
+    cd_matrix,
+    empty_graph,
+    hadamard_all_op,
+    identity_op,
+    invert,
+    random_graph,
+    random_in_domain_op,
+    random_invertible,
+    random_stabilizer,
+    zero_matrix,
+)
 from stabgraph import clifford, gf2, graphs, reduction, stabilizer
 from stabgraph.clifford import LocalCliffordOp
 from stabgraph.gf2 import BitMatrix, BitVec
@@ -11,7 +23,7 @@ from stabgraph.reduction import to_graph_state, verify_witness
 
 def z_only(n):
     return stabilizer.StabilizerGenMatrix(
-        gf2.vstack(gf2.identity(n), BitMatrix.zeros(n, n))
+        gf2.vstack(gf2.identity(n), zero_matrix(n, n))
     )
 
 
@@ -21,7 +33,7 @@ def test_standard_form_is_fixed_point():
         g = random_graph(rng, rng.randrange(1, 10))
         w = to_graph_state(stabilizer.from_graph(g))
         assert w.graph == g
-        assert w.q == LocalCliffordOp.identity(g.n)
+        assert w.q == identity_op(g.n)
         assert w.r == gf2.identity(g.n)
 
 
@@ -40,7 +52,7 @@ def test_reducing_an_in_domain_image_is_the_graph_action():
         q = random_in_domain_op(rng, g)
         w = to_graph_state(moved(q, g))
         assert w.graph == clifford.graph_action(q, g)
-        assert w.q == LocalCliffordOp.identity(g.n)
+        assert w.q == identity_op(g.n)
         assert w.r == invert(cd_matrix(g.adj, q.c, q.d))
 
 
@@ -57,15 +69,15 @@ def test_completion_is_the_start_op_then_the_reduction_shears():
 def test_z_only_becomes_empty_graph_via_hadamards():
     for n in range(1, 8):
         w = to_graph_state(z_only(n))
-        assert w.graph == graphs.Graph.empty(n)
-        assert w.q == LocalCliffordOp.hadamard_all(n)
+        assert w.graph == empty_graph(n)
+        assert w.q == hadamard_all_op(n)
         assert verify_witness(z_only(n), w)
 
 
 def test_witness_identity_on_random_stabilizers():
     for n in range(1, 13):
         for seed in range(40):
-            s = stabilizer.random_stabilizer(n, seed)
+            s = random_stabilizer(n, seed)
             w = to_graph_state(s)
             assert verify_witness(s, w)
             assert isinstance(w.graph, graphs.Graph)
@@ -92,7 +104,7 @@ def test_basis_changed_z_only_still_k0():
     rng = random.Random(52)
     for _ in range(20):
         n = rng.randrange(2, 8)
-        s = stabilizer.basis_change(z_only(n), random_invertible(rng, n))
+        s = basis_change(z_only(n), random_invertible(rng, n))
         assert gf2.rank(BitMatrix(n, n, s.s.row_ints[n:])) == 0
         assert verify_witness(s, to_graph_state(s))
 
@@ -100,12 +112,12 @@ def test_basis_changed_z_only_still_k0():
 def test_wide_instances():
     # widths past one machine word exercise the multi-word row path
     for seed in range(3):
-        s = stabilizer.random_stabilizer(80, seed)
+        s = random_stabilizer(80, seed)
         assert verify_witness(s, to_graph_state(s))
 
 
 def test_deterministic():
-    s = stabilizer.random_stabilizer(7, 99)
+    s = random_stabilizer(7, 99)
     w1 = to_graph_state(s)
     w2 = to_graph_state(s)
     assert (w1.graph, w1.q, w1.r) == (w2.graph, w2.q, w2.r)
@@ -115,7 +127,7 @@ def test_verify_witness_rejects_wrong_basis():
     rng = random.Random(53)
     rejected = 0
     for seed in range(30):
-        s = stabilizer.random_stabilizer(4, seed)
+        s = random_stabilizer(4, seed)
         w = to_graph_state(s)
         other = random_invertible(rng, 4)
         if other == w.r:
@@ -127,7 +139,7 @@ def test_verify_witness_rejects_wrong_basis():
 
 
 def test_verify_witness_rejects_perturbed_operation():
-    s = stabilizer.random_stabilizer(4, 7)
+    s = random_stabilizer(4, 7)
     w = to_graph_state(s)
     shear = LocalCliffordOp(BitVec(4, 0b1111), BitVec(4, 1), BitVec(4, 0), BitVec(4, 0b1111))
     bad = reduction.ReductionWitness(graph=w.graph, q=clifford.compose(shear, w.q), r=w.r)
@@ -135,21 +147,33 @@ def test_verify_witness_rejects_perturbed_operation():
 
 
 def test_verify_witness_rejects_singular_r():
-    s = stabilizer.random_stabilizer(3, 1)
+    s = random_stabilizer(3, 1)
     w = to_graph_state(s)
-    bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=BitMatrix.zeros(3, 3))
+    bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=zero_matrix(3, 3))
     assert not verify_witness(s, bad)
 
 
 def test_verify_witness_rejects_a_non_square_r():
-    s = stabilizer.random_stabilizer(3, 1)
+    s = random_stabilizer(3, 1)
     w = to_graph_state(s)
     # r with a column or a row dropped, or a zero column or row added: every
     # other entry matches, and each shape is rejected before the product
     dropped = BitMatrix(3, 2, [row & 0b11 for row in w.r.row_ints])
-    widened = gf2.hstack(w.r, BitMatrix.zeros(3, 1))
+    widened = gf2.hstack(w.r, zero_matrix(3, 1))
     shortened = BitMatrix(2, 3, w.r.row_ints[:2])
-    lengthened = gf2.vstack(w.r, BitMatrix.zeros(1, 3))
+    lengthened = gf2.vstack(w.r, zero_matrix(1, 3))
     for r in (dropped, widened, shortened, lengthened):
         bad = reduction.ReductionWitness(graph=w.graph, q=w.q, r=r)
         assert not verify_witness(s, bad)
+
+
+def test_verify_witness_rejects_a_witness_of_the_wrong_size():
+    s = random_stabilizer(3, 1)
+    w = to_graph_state(s)
+    # an operation or a graph on 4 qubits against a 3-qubit stabilizer is
+    # rejected before the product, like an r of the wrong shape
+    for bad in (
+        reduction.ReductionWitness(graph=w.graph, q=identity_op(4), r=w.r),
+        reduction.ReductionWitness(graph=empty_graph(4), q=w.q, r=w.r),
+    ):
+        assert verify_witness(s, bad) is False

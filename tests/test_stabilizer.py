@@ -5,13 +5,20 @@ import random
 import pytest
 
 from conftest import (
+    basis_change,
+    complete_graph,
+    empty_graph,
+    graph_from_edges,
     mat_vec,
+    path_graph,
     random_invertible,
+    random_stabilizer,
     reference_pauli_from_text,
     reference_pauli_to_text,
     symplectic_form_matrix,
+    zero_matrix,
 )
-from stabgraph import gf2, graphs, stabilizer
+from stabgraph import gf2, stabilizer
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix
 from stabgraph.stabilizer import (
@@ -22,7 +29,6 @@ from stabgraph.stabilizer import (
     format_stabilizer,
     from_graph,
     parse_stabilizer,
-    random_stabilizer,
 )
 
 
@@ -72,13 +78,13 @@ def test_pauli_codec_matches_the_letter_loop(n):
 # Pauli strings assembled into a generator matrix: column j is line j.
 def test_from_pauli_strings_edge_graph():
     s = pauli_stab("XZ", "ZX")
-    edge = graphs.Graph.from_edges(2, [(1, 2)])
+    edge = graph_from_edges(2, [(1, 2)])
     assert s.s == gf2.vstack(edge.adj, gf2.identity(2))
 
 
 def test_from_pauli_strings_z_only():
     s = pauli_stab("ZI", "IZ")
-    assert s.s == gf2.vstack(gf2.identity(2), BitMatrix.zeros(2, 2))
+    assert s.s == gf2.vstack(gf2.identity(2), zero_matrix(2, 2))
 
 
 def test_from_pauli_strings_bell_pair_generators():
@@ -125,15 +131,15 @@ def test_constructor_rejects_bad_matrices():
     with pytest.raises(NotIndependentError):
         StabilizerGenMatrix(BitMatrix.from_rows([[1, 1], [0, 0], [0, 0], [0, 0]]))
     with pytest.raises(stabilizer.StabilizerError):
-        StabilizerGenMatrix(BitMatrix.zeros(3, 2))
+        StabilizerGenMatrix(zero_matrix(3, 2))
 
 
 def test_from_graph():
-    empty2 = from_graph(graphs.Graph.empty(2))
+    empty2 = from_graph(empty_graph(2))
     assert format_stabilizer(empty2) == "XI\nIX\n"
-    edge = from_graph(graphs.Graph.from_edges(2, [(1, 2)]))
+    edge = from_graph(graph_from_edges(2, [(1, 2)]))
     assert format_stabilizer(edge) == "XZ\nZX\n"
-    triangle = from_graph(graphs.Graph.complete(3))
+    triangle = from_graph(complete_graph(3))
     assert format_stabilizer(triangle) == "XZZ\nZXZ\nZZX\n"
     assert repr(triangle) == "StabilizerGenMatrix(['XZZ', 'ZXZ', 'ZZX'])"
 
@@ -146,20 +152,20 @@ def test_pauli_roundtrip_on_columns():
 
 
 def test_basis_change():
-    s = from_graph(graphs.Graph.path(3))
-    assert stabilizer.basis_change(s, gf2.identity(3)) == s
+    s = from_graph(path_graph(3))
+    assert basis_change(s, gf2.identity(3)) == s
     swap = BitMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    permuted = stabilizer.basis_change(s, swap)
+    permuted = basis_change(s, swap)
     lines, permuted_lines = format_stabilizer(s).split(), format_stabilizer(permuted).split()
     assert permuted_lines == [lines[1], lines[0], lines[2]]
     with pytest.raises(gf2.SingularError):
-        stabilizer.basis_change(s, BitMatrix.zeros(3, 3))
+        basis_change(s, zero_matrix(3, 3))
     rng = random.Random(21)
     for seed in range(50):
         n = rng.randrange(1, 9)
         s = random_stabilizer(n, seed)
         r = random_invertible(rng, n)
-        changed = stabilizer.basis_change(s, r)
+        changed = basis_change(s, r)
         assert stabilizer.same_subspace(s, changed)
 
 
@@ -198,13 +204,13 @@ def test_stabilizer_text_roundtrip():
 
 
 def test_parse_stabilizer_matrix_block():
-    s = from_graph(graphs.Graph.path(3))
+    s = from_graph(path_graph(3))
     assert stabilizer.parse_stabilizer(gf2.format_matrix(s.s)) == s
 
 
 def test_parse_stabilizer_signs_ignored():
     s = stabilizer.parse_stabilizer("+XZ\n-ZX\n")
-    assert s == pauli_stab("XZ", "ZX") == from_graph(graphs.Graph.from_edges(2, [(1, 2)]))
+    assert s == pauli_stab("XZ", "ZX") == from_graph(graph_from_edges(2, [(1, 2)]))
 
 
 def test_parse_stabilizer_errors():
