@@ -12,8 +12,6 @@ error (also an unreadable or undecodable file), 70 operation failure (singular
 input, domain violation, member cap exceeded, failed check or write) or internal error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path
@@ -32,6 +30,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """The parser printed the help; args[0] is the exit status."""
+
+
 class CommandError(Exception):
     """A command-level failure (verification mismatch, unusable input)."""
 
@@ -39,6 +41,9 @@ class CommandError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # only -h and --help get here: error() raises
+        raise _Exit(status)
 
 
 def _build_parser():
@@ -116,6 +121,8 @@ def run(argv):
     except _UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     try:
         return args.handler(args)
     except ParseError as exc:

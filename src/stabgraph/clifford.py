@@ -8,8 +8,6 @@ which is equivalent to the full 2n x 2n matrix preserving the symplectic
 form.
 """
 
-from __future__ import annotations
-
 from . import gf2, graphs, stabilizer
 from .errors import MAX_QUBITS, InternalError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec

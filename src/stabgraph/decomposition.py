@@ -14,38 +14,40 @@ full graph action. Uniqueness of the in-domain completion of (c, d) is what
 makes the translation exact.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from . import clifford, graphs
-from .errors import InternalError, ParseError, _decimal
+from .errors import InternalError, ParseError, _decimal, _Record
 
 
 class DecompositionError(InternalError):
     """The reduction loop violated its termination or ordering contract."""
 
 
-@dataclass(frozen=True)
-class Single:
+class Single(_Record):
     """One local complementation at vertex i."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        object.__setattr__(self, "i", i)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(_Record):
     """The three-step pattern at adjacent vertices: g_j, then g_k, then g_j."""
 
-    j: int
-    k: int
+    __slots__ = ("j", "k")
+
+    def __init__(self, j, k):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
-class LCSequence:
+class LCSequence(_Record):
     """Ordered local-complementation steps, applied first element first."""
 
-    steps: tuple
+    __slots__ = ("steps",)
+
+    def __init__(self, steps):
+        object.__setattr__(self, "steps", steps)
 
     def __iter__(self):
         return iter(self.steps)

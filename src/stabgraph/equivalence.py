@@ -10,15 +10,12 @@ constraint reads only qubit i's coordinates, so the null-space basis splits
 into blocks with disjoint qubit supports, each searched on its own.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import xor
 
 from . import clifford, gf2, stabilizer
-from .errors import InternalError
+from .errors import InternalError, _Record
 from .gf2 import BitMatrix
 
 # The system holds 4n x n^2 bits; n = 1024 is the largest size measured to
@@ -26,16 +23,19 @@ from .gf2 import BitMatrix
 _MAX_SYSTEM_QUBITS = 1024
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(_Record):
     """A verified witness operation mapping the first state onto the second."""
 
-    q: clifford.LocalCliffordOp
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class Inequivalent:
+class Inequivalent(_Record):
     """No vector of the solution space meets the constraints; no witness exists."""
+
+    __slots__ = ()
 
 
 def build_linear_system(sa, sb):

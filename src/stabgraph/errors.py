@@ -1,6 +1,4 @@
-"""Shared exception types and parser limits."""
-
-from __future__ import annotations
+"""Shared exception types, parser limits and the base of the result records."""
 
 MAX_QUBITS = 1 << 16  # the largest vertex or qubit count a parser accepts
 
@@ -40,3 +38,41 @@ class ParseError(ValueError):
 
 class InternalError(RuntimeError):
     """A guaranteed internal invariant failed; indicates a bug, not bad input."""
+
+
+class _Record:
+    """Immutable record: equal by exact type and ``_key()``, printed as ``Single(i=3)``.
+
+    A subclass's ``__init__`` sets its ``_fields`` (``__slots__`` by default) by
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def _fields(self):
+        return self.__slots__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

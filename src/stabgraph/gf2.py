@@ -8,8 +8,6 @@ makes any width fast; widths up to one word are a single-word operation).
 All values are immutable and hashable; every operation returns a new value.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from itertools import compress
 from operator import xor

@@ -5,8 +5,6 @@ formats); internally they index bit positions 0..n-1. Graphs are immutable:
 every transformation returns a new graph.
 """
 
-from __future__ import annotations
-
 from . import gf2
 from .errors import MAX_QUBITS, ParseError, _decimal
 from .gf2 import BitMatrix

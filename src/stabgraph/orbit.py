@@ -6,14 +6,12 @@ graphs: vertex relabeling is deliberately not factored out, since the moves
 act on fixed qubits.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 
 from . import graphs
 from .decomposition import LCSequence, Single
+from .errors import _Record
 
 DEFAULT_MEMBER_CAP = 10**6
 
@@ -24,17 +22,25 @@ class CapExceededError(RuntimeError):
         super().__init__(f"orbit exceeds the member cap of {cap}")
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Record):
     """A complete orbit: members, replayable transcripts, and its lexicographic minimum."""
 
-    members: frozenset
-    transcripts: dict = field(compare=False)
+    _fields = ("members", "transcripts")
+    __slots__ = _fields + ("_canonical",)
 
-    @cached_property
+    def __init__(self, members, transcripts):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "transcripts", transcripts)
+
+    def _key(self):  # orbits compare and hash by their members alone
+        return (self.members,)
+
+    @property
     def canonical(self):
         """The first member in :func:`_row_order`, computed on first read."""
-        return min(self.members, key=_row_order)
+        if not hasattr(self, "_canonical"):
+            object.__setattr__(self, "_canonical", min(self.members, key=_row_order))
+        return self._canonical
 
 
 @cmp_to_key

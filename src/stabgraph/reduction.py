@@ -13,22 +13,19 @@ on fixed qubits, so instead of reordering rows the algorithm picks an
 arbitrary invertible row subset and targets the Hadamards at its complement.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from . import clifford, gf2, graphs
-from .errors import InternalError
-from .gf2 import BitMatrix
+from . import clifford, gf2
+from .errors import InternalError, _Record
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(_Record):
     """Certificate that q.S.r equals the graph-state standard form [adj; I]."""
 
-    graph: graphs.Graph
-    q: clifford.LocalCliffordOp
-    r: BitMatrix
+    __slots__ = ("graph", "q", "r")
+
+    def __init__(self, graph, q, r):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
 
 def to_graph_state(stab):

@@ -7,8 +7,6 @@ all in this representation: a generator matrix fixes its stabilizer state
 only up to per-generator signs.
 """
 
-from __future__ import annotations
-
 from . import gf2
 from .errors import MAX_QUBITS, ParseError
 from .gf2 import BitMatrix

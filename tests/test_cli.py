@@ -50,6 +50,25 @@ def test_usage_errors(capsys):
     assert "error: usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["-h"], ["reduce", "-h"]], ids=["top", "command"])
+def test_help_returns_zero_and_prints_only_to_stdout(capsys, argv):
+    assert cli.run(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: stabgraph") and err == ""
+
+
+def test_installed_help_exits_zero():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "stabgraph.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: stabgraph")
+
+
 def _ghz_walk():
     """star_graph(32) after a seeded 64-move local complementation walk."""
     g = star_graph(32)
@@ -219,15 +238,19 @@ def test_cli_import_does_not_load_numpy(tmp_path):
 
 
 def test_cli_import_does_not_load_the_test_generators():
-    """The seeded generators live in tests/conftest.py: the package never imports random.
+    """The package never imports random, dataclasses or inspect.
 
-    ``-S`` skips ``site``, which may import random itself; without it, none of
-    the standard modules the package imports loads random.
+    The seeded generators live in tests/conftest.py, and the result records
+    are ``__slots__`` classes: ``dataclasses`` would bring ``inspect``, ``ast``
+    and ``dis`` into every command's start-up. ``-S`` skips ``site``, which may
+    import random itself; without it, none of the standard modules the package
+    imports loads any of the three.
     """
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "import sys, stabgraph.cli; sys.exit('random' in sys.modules)"
+    # exits 1 and prints the names on stderr if any of them was loaded
+    probe = "import sys, stabgraph.cli; sys.exit(sorted(set(sys.argv[1:]) & set(sys.modules)) or 0)"
     out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-c", probe, "random", "dataclasses", "inspect"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,

@@ -6,7 +6,10 @@ text at all parses to a value or raises ParseError, never anything else.
 Commands run on such texts exit with a code the contract gives them and
 never report an internal error. The operation of local complementation acts
 as local complementation, and the action of a product is the composed action
-wherever the factors act. A size mismatch or an out-of-range vertex raises
+wherever the factors act. Reduction gives a witness that verifies and a graph
+equivalent to its input, a decomposed action replays to the action, and
+equivalence is reflexive and symmetric with a witness that moves the first
+state onto the second. A size mismatch or an out-of-range vertex raises
 ValueError. Examples are derived from the test source (``derandomize=True``),
 so runs are deterministic.
 """
@@ -32,7 +35,7 @@ from conftest import (
     reference_parse_matrix,
     reference_pauli_from_text,
 )
-from stabgraph import cli, clifford, decomposition, gf2, graphs, reduction, stabilizer
+from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
 from stabgraph.errors import ParseError
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
@@ -284,6 +287,48 @@ def test_a_product_can_act_where_its_first_factor_does_not():
         clifford.graph_action(h, g)
     assert clifford.compose(h, h) == identity_op(1)
     assert clifford.graph_action(clifford.compose(h, h), g) == g
+
+
+@SETTINGS
+@given(s=stabilizer_values())
+def test_reduction_gives_a_verified_witness_and_an_equivalent_graph(s):
+    w = reduction.to_graph_state(s)
+    assert reduction.verify_witness(s, w)
+    result = equivalence.test_equivalence(s, stabilizer.from_graph(w.graph))
+    assert isinstance(result, equivalence.Equivalent)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_decomposed_action_replays_to_the_action(data):
+    g = data.draw(graph_values())
+    q = data.draw(domain_ops(g))
+    seq = decomposition.decompose_action(q, g)
+    assert decomposition.apply_sequence(g, seq) == clifford.graph_action(q, g)
+
+
+def _moves(q, first, second):
+    moved = stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, first))
+    return stabilizer.same_subspace(moved, second)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_equivalence_is_reflexive_and_symmetric_and_its_witness_moves_the_state(data):
+    first = data.draw(stabilizer_values())
+    q = data.draw(clifford_values(first.n))
+    second = data.draw(
+        st.one_of(
+            st.just(stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, first))),
+            st.builds(random_stabilizer, st.just(first.n), st.integers(0, 2**32)),
+        )
+    )
+    assert _moves(equivalence.test_equivalence(first, first).q, first, first)
+    forward = equivalence.test_equivalence(first, second)
+    backward = equivalence.test_equivalence(second, first)
+    assert type(forward) is type(backward)
+    if isinstance(forward, equivalence.Equivalent):
+        assert _moves(forward.q, first, second) and _moves(backward.q, second, first)
 
 
 def out_of_range_vertices(n):
