@@ -209,8 +209,12 @@ def _stem(path):
 
 
 def _cmd_reduce(args):
-    stab = _load(stabilizer.parse_stabilizer, args.stabilizer)
-    witness = reduction.to_graph_state(stab)
+    s, what = _load(stabilizer._decode_stabilizer, args.stabilizer)
+    stab = stabilizer.StabilizerGenMatrix._trusted(s)
+    try:
+        witness = reduction.to_graph_state(stab)  # validates stab through its witness
+    except stabilizer.StabilizerError as exc:
+        raise ParseError(f"{args.stabilizer}: line 1: {what}: {exc}") from exc
     stem = _stem(args.stabilizer)
     graph_path = args.out_graph or stem + ".graph"
     clifford_path = args.out_clifford or stem + ".lc"

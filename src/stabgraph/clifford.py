@@ -43,6 +43,9 @@ class LocalCliffordOp:
     def __setattr__(self, name, value):
         raise AttributeError("LocalCliffordOp is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return LocalCliffordOp, (self.a, self.b, self.c, self.d)
+
     @classmethod
     def from_qubit_blocks(cls, blocks):
         """Build from an iterable of per-qubit (a, b, c, d) bit tuples."""

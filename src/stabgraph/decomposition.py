@@ -10,11 +10,12 @@ compose(q, local_complement_op(g, v)):
 and diag(c').adj' + diag(d') is the old matrix times an invertible factor.
 Walking the triple down to the identity (d all ones, no vertex of c with a
 neighbour) yields a vertex sequence whose complementations reproduce the
-full graph action. Uniqueness of the in-domain completion of (c, d) is what
-makes the translation exact.
+full graph action; the uniqueness of the in-domain completion of (c, d) makes
+the translation exact. The walk complements one list of adjacency row ints in
+place, by the row step of :func:`graphs.local_complement`, and builds one graph.
 """
 
-from . import clifford, graphs
+from . import clifford, gf2, graphs
 from .errors import InternalError, ParseError, _decimal, _Record
 
 
@@ -66,9 +67,17 @@ class LCSequence(_Record):
         return out
 
 
-def _complement_at(g, c, d, v):
-    """One walk step at 0-based vertex v: the new (g, c, d)."""
-    return graphs.local_complement(g, v + 1), c ^ (d & 1 << v), d ^ (c & g.adj.row_ints[v])
+def _complement_at(rows, c, d, v):
+    """One walk step at 0-based vertex v: complements ``rows`` in place, returns (c, d)."""
+    graphs._complement_rows(rows, v)  # row v itself is left as it is
+    return c ^ (d & 1 << v), d ^ (c & rows[v])
+
+
+def _lowest_with_neighbour(rows, bits):
+    """The lowest vertex in ``bits`` whose row is not zero, or None."""
+    while bits and not rows[(bits & -bits).bit_length() - 1]:
+        bits &= bits - 1
+    return (bits & -bits).bit_length() - 1 if bits else None
 
 
 def reduce_to_identity(g, c, d):
@@ -96,38 +105,35 @@ def reduce_to_identity(g, c, d):
     if c.n != n or d.n != n:
         raise ValueError("diagonal lengths differ from the vertex count")
     c, d = c.bits, d.bits
+    rows = list(g.adj.row_ints)  # the walk's graph, complemented in place
     full = (1 << n) - 1
     steps = []
     budget = 3 * n
 
-    while True:
-        both = c & d
-        target = next((v for v, row in enumerate(g.adj.row_ints) if both >> v & 1 and row), None)
-        if target is None:
-            break
+    while (target := _lowest_with_neighbour(rows, c & d)) is not None:
         steps.append(Single(target + 1))
-        g, c, d = _complement_at(g, c, d, target)
+        c, d = _complement_at(rows, c, d, target)
         if len(steps) > budget:
             raise DecompositionError("step budget exceeded while clearing diagonal-1 rows")
 
-    while d != full or any(c >> v & 1 and row for v, row in enumerate(g.adj.row_ints)):
+    while d != full or _lowest_with_neighbour(rows, c) is not None:
         if d == full:
             raise DecompositionError(
                 "no zero-diagonal row left but the matrix is not the identity"
             )
         zeros = full ^ d
         j = (zeros & -zeros).bit_length() - 1
-        column = c & g.adj.row_ints[j]
+        column = c & rows[j]
         if not column:
             raise DecompositionError("zero column in an invertible matrix")
         k = (column & -column).bit_length() - 1
         steps.append(Triple(j + 1, k + 1))
         for v in (j, k, j):
-            g, c, d = _complement_at(g, c, d, v)
+            c, d = _complement_at(rows, c, d, v)
         if len(steps) > budget:
             raise DecompositionError("step budget exceeded while clearing zero-diagonal rows")
 
-    return LCSequence(tuple(steps)), g
+    return LCSequence(tuple(steps)), graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
 
 
 def apply_sequence(g, seq):

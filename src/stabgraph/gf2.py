@@ -40,6 +40,9 @@ class BitVec:
     def __setattr__(self, name, value):
         raise AttributeError("BitVec is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return BitVec, (self.n, self.bits)
+
     def __eq__(self, other):
         return isinstance(other, BitVec) and (self.n, self.bits) == (other.n, other.bits)
 
@@ -70,6 +73,9 @@ class BitMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return BitMatrix, (self.rows, self.cols, self.row_ints)
 
     @classmethod
     def from_rows(cls, rows_of_bits):

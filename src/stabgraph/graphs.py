@@ -5,6 +5,10 @@ formats); internally they index bit positions 0..n-1. Graphs are immutable:
 every transformation returns a new graph.
 """
 
+import re
+from itertools import compress
+from operator import lt
+
 from . import gf2
 from .errors import MAX_QUBITS, ParseError, _decimal
 from .gf2 import BitMatrix
@@ -40,18 +44,12 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return Graph, (self.adj,)
+
     def edges(self):
         """Sorted list of (i, j) edge pairs with i < j, 1-based."""
-        out = []
-        for a in range(self.n):
-            bits = self.adj.row_ints[a] >> (a + 1)
-            b = a + 1
-            while bits:
-                if bits & 1:
-                    out.append((a + 1, b + 1))
-                bits >>= 1
-                b += 1
-        return out
+        return [(int(i), int(j)) for i, above in _labels_above(self) for j in above]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
@@ -79,26 +77,66 @@ def local_complement(g, i):
     is built without re-validation.
     """
     idx = _check_vertex(g.n, i)
-    mask = g.adj.row_ints[idx]
     rows = list(g.adj.row_ints)
-    bits = mask
+    _complement_rows(rows, idx)
+    return Graph._trusted(BitMatrix(g.n, g.n, rows))
+
+
+def _complement_rows(rows, idx):
+    """Local complementation at 0-based vertex idx of the adjacency rows, in place."""
+    mask = bits = rows[idx]
     while bits:
         low = bits & -bits
-        j = low.bit_length() - 1
-        rows[j] ^= mask & ~low
+        rows[low.bit_length() - 1] ^= mask ^ low
         bits ^= low
-    return Graph._trusted(BitMatrix(g.n, g.n, rows))
+
+
+def _labels_above(g):
+    """Per vertex, in order, its label i and the sorted labels j > i of its neighbours."""
+    labels = list(map(str, range(1, g.n + 1)))
+    for i, row in enumerate(g.adj.row_ints, start=1):
+        above = gf2.to01(row >> i, g.n - i).encode().translate(gf2._SELECTORS)
+        yield labels[i - 1], list(compress(labels[i:], above))
 
 
 def format_edge_list(g):
     """Edge-list text: line 1 is "n", then one "i j" line per edge (i < j)."""
-    lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in g.edges())
-    return "\n".join(lines) + "\n"
+    rows = (f"{i} " + f"\n{i} ".join(above) for i, above in _labels_above(g) if above)
+    return "\n".join([str(g.n), *rows]) + "\n"
+
+
+# the writer's shape, which parse_edge_list decodes per file; other text, every
+# error included, goes through the line loop. re compiles it on first use, not on import.
+_EDGE_LIST = r"[0-9]+(?:\n[0-9]+ [0-9]+)*\n?"
 
 
 def parse_edge_list(text):
     """Inverse of :func:`format_edge_list`; '#' comments and blank lines allowed."""
+    g = _decode_edges(text.split()) if re.fullmatch(_EDGE_LIST, text) else None
+    return g if g is not None else _parse_edge_lines(text)
+
+
+def _decode_edges(words):
+    """The graph of an edge list's words, or None where the line loop must report."""
+    n = int(words[0]) if len(words[0]) <= 6 else 0  # longer: too large or zero-padded
+    if not 1 <= n <= MAX_QUBITS:
+        return None
+    index = dict(zip(map(str, range(1, n + 1)), range(n)))
+    ends = list(map(index.get, words[1:]))  # None: out of range or not written canonically
+    heads, tails = ends[::2], ends[1::2]
+    if None in ends or not all(map(lt, heads, tails)):
+        return None
+    rows = [0] * n
+    for i, j in zip(heads, tails):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    if sum(map(int.bit_count, rows)) < 2 * len(heads):  # a duplicate edge sets no new bit
+        return None
+    return Graph._trusted(BitMatrix(n, n, rows))
+
+
+def _parse_edge_lines(text):
+    """The line-by-line reader of :func:`parse_edge_list`, which reports every error."""
     n = None
     rows = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,7 +157,7 @@ def parse_edge_list(text):
             raise ParseError("expected an edge 'i j'", line=lineno)
         a, b = parts
         try:
-            if not (a.isdigit() and b.isdigit() and line.isascii()):  # _decimal, inlined: hot loop
+            if not (a.isdigit() and b.isdigit() and line.isascii()):  # _decimal, inlined
                 raise ValueError(line)
             i, j = int(a), int(b)
         except ValueError:
@@ -141,6 +179,6 @@ def to_dot(g):
     """Undirected DOT text with vertices labeled 1..n."""
     lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(1, g.n + 1))
-    lines.extend(f"  {i} -- {j};" for i, j in g.edges())
+    lines.extend(f"  {i} -- {j};" for i, above in _labels_above(g) for j in above)
     lines.append("}")
     return "\n".join(lines) + "\n"

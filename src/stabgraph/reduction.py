@@ -15,6 +15,7 @@ arbitrary invertible row subset and targets the Hadamards at its complement.
 
 from . import clifford, gf2
 from .errors import InternalError, _Record
+from .stabilizer import StabilizerGenMatrix
 
 
 class ReductionWitness(_Record):
@@ -42,8 +43,15 @@ def to_graph_state(stab):
        the whole X block invertible,
     3. the graph form (:func:`clifford.graph_form`): R = X^-1 and M = Z.R,
        so that S.R = [M; I] with M symmetric, and the shears clearing diag(M).
+
+    S may come unchecked: a witness that verifies proves it full rank and
+    self-orthogonal, as X'.R = I makes R invertible, Q is symplectic and adj
+    is symmetric. When a step fails, the validating constructor raises the
+    StabilizerError of an invalid S; for a valid one the InternalError follows.
     """
     n = stab.n
+    if stab.s.rows != 2 * n:
+        StabilizerGenMatrix(stab.s)  # raises the shape error
 
     # Step 1: the lowest-index linearly independent rows of X.
     remainders = gf2._reduce_rows(stab.s.row_ints[n:])
@@ -51,13 +59,17 @@ def to_graph_state(stab):
 
     # Steps 2 and 3: Hadamards on every other qubit, then the graph form.
     swap = ((1 << n) - 1) ^ keep
-    form = clifford.graph_form(clifford._op(n, keep, swap, swap, keep), stab)
-    if form is None:
-        raise InternalError("X block is singular after the Hadamard step")
-    q, graph, r, _ = form
-    witness = ReductionWitness(graph=graph, q=q, r=r)
-    if not verify_witness(stab, witness):
-        raise InternalError("reduction bookkeeping produced a bad witness")
+    try:
+        form = clifford.graph_form(clifford._op(n, keep, swap, swap, keep), stab)
+        if form is None:
+            raise InternalError("X block is singular after the Hadamard step")
+        q, graph, r, _ = form
+        witness = ReductionWitness(graph=graph, q=q, r=r)
+        if not verify_witness(stab, witness):
+            raise InternalError("reduction bookkeeping produced a bad witness")
+    except InternalError:  # graph_form's symmetry check raises it too
+        StabilizerGenMatrix(stab.s)
+        raise
     return witness
 
 

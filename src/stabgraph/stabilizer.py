@@ -71,6 +71,9 @@ class StabilizerGenMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGenMatrix is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return StabilizerGenMatrix, (self.s,)
+
     def __eq__(self, other):
         return isinstance(other, StabilizerGenMatrix) and self.s == other.s
 
@@ -112,15 +115,25 @@ def parse_stabilizer(text):
     Pauli lines are checked one by one (length, letters, the letter count of
     the first line), then as a set: count, independence, commutation.
     """
+    s, what = _decode_stabilizer(text)
+    try:
+        return StabilizerGenMatrix(s)
+    except StabilizerError as exc:
+        raise ParseError(f"{what}: {exc}", line=1) from exc
+
+
+def _decode_stabilizer(text):
+    """The matrix of :func:`parse_stabilizer` text, unvalidated, and its errors' prefix.
+
+    Makes every text check and the generator count, not rank or commutation.
+    """
     stripped = [ln for ln in text.splitlines() if ln.strip()]
-    if stripped and len(stripped[0].split()) == 2 and _all_ints(stripped[0].split()):
+    header = stripped[0].split() if stripped else ()
+    if len(header) == 2 and all(t.isdigit() and t.isascii() for t in header):
         m = gf2.parse_matrix(text)
         if m.cols < 1:
             raise ParseError("qubit count must be >= 1", line=1)
-        try:
-            return StabilizerGenMatrix(m)
-        except StabilizerError as exc:
-            raise ParseError(f"not a valid stabilizer matrix: {exc}", line=1) from exc
+        return m, "not a valid stabilizer matrix"
     n = None
     cols = []  # generator j as one int, its X bits above its Z bits
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,13 +157,7 @@ def parse_stabilizer(text):
         cols.append(int(rev.translate(_X_DIGITS) + rev.translate(_Z_DIGITS), 2))
     if n is None:
         raise ParseError("empty stabilizer file", line=1)
-    try:
-        if len(cols) != n:
-            raise WrongCountError(n, len(cols))
-        return StabilizerGenMatrix(gf2.transpose(BitMatrix(n, 2 * n, cols)))
-    except StabilizerError as exc:
+    if len(cols) != n:
+        exc = WrongCountError(n, len(cols))
         raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
-
-
-def _all_ints(tokens):
-    return all(t.isdigit() and t.isascii() for t in tokens)
+    return gf2.transpose(BitMatrix(n, 2 * n, cols)), "not a valid stabilizer"

@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+import test_pinned_outputs
 from conftest import (
     complete_graph,
     empty_graph,
@@ -459,6 +460,33 @@ def test_reduce_accepts_matrix_block(tmp_path):
     assert cli.run(["reduce", stab_path, "--quiet"]) == cli.EXIT_OK
     g = graphs.parse_edge_list((tmp_path / "path3.graph").read_text())
     assert g == path_graph(3)
+
+
+def test_reduce_accepts_exactly_what_the_constructor_accepts(tmp_path, capsys, monkeypatch):
+    """reduce validates through its witness; on the 500 matrices of the pinned
+    stabilizer verdicts, written as matrix blocks, it agrees with the constructor."""
+    matrices = []
+
+    def record(s):
+        matrices.append(s)
+        return stabilizer.StabilizerGenMatrix(s)
+
+    monkeypatch.setattr(test_pinned_outputs, "StabilizerGenMatrix", record)
+    verdicts = list(test_pinned_outputs.stabilizer_verdicts())
+    monkeypatch.undo()
+    assert len(matrices) == len(verdicts) == 500
+    assert "ok" in verdicts and any(v != "ok" for v in verdicts)
+    path = tmp_path / "s.stab"
+    for s, verdict in zip(matrices, verdicts):
+        path.write_text(gf2.format_matrix(s))
+        code = cli.run(["reduce", str(path), "--quiet", "--verify"])
+        err = capsys.readouterr().err
+        if verdict == "ok":
+            assert code == cli.EXIT_OK, err
+        else:  # "<error type>: <message>"
+            message = verdict.split(": ", 1)[1]
+            assert code == cli.EXIT_PARSE
+            assert err == f"error: parse: {path}: line 1: not a valid stabilizer matrix: {message}\n"
 
 
 def test_decompose_and_apply_roundtrip(tmp_path, capsys):

@@ -36,7 +36,7 @@ from conftest import (
     reference_pauli_from_text,
 )
 from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, reduction, stabilizer
-from stabgraph.errors import ParseError
+from stabgraph.errors import MAX_QUBITS, ParseError
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -515,3 +515,148 @@ def test_stabilizer_lines_read_like_the_character_loops(fmt, first, data):
     else:  # Pauli lines: no inserted character is an ASCII digit, so no header appears
         want = _outcome(reference_pauli_from_text, text)
     assert got == want
+
+
+def _relabeled(stab, perm):
+    """The state with qubit i renamed perm[i]: its Z and X rows moved accordingly."""
+    n, rows = stab.n, stab.s.row_ints
+    moved = [0] * (2 * n)
+    for i, p in enumerate(perm):
+        moved[p], moved[n + p] = rows[i], rows[n + i]
+    return stabilizer.StabilizerGenMatrix(gf2.BitMatrix(2 * n, n, moved))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_equivalence_is_invariant_under_one_relabeling_of_both_states(data):
+    first = data.draw(stabilizer_values())
+    q = data.draw(clifford_values(first.n))
+    second = data.draw(
+        st.one_of(
+            st.just(stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, first))),
+            st.builds(random_stabilizer, st.just(first.n), st.integers(0, 2**32)),
+        )
+    )
+    perm = data.draw(st.permutations(range(first.n)))
+    moved_first, moved_second = _relabeled(first, perm), _relabeled(second, perm)
+    verdict = equivalence.test_equivalence(first, second)
+    moved = equivalence.test_equivalence(moved_first, moved_second)
+    assert type(verdict) is type(moved)
+    if isinstance(moved, equivalence.Equivalent):
+        assert _moves(moved.q, moved_first, moved_second)
+
+
+@st.composite
+def malformed_graphs(draw):
+    """An adjacency matrix that is not square, not symmetric or has a diagonal 1."""
+    g = draw(graph_values())
+    n, rows = g.n, list(g.adj.row_ints)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["shape", "asymmetric", "loop"] if i != j else ["shape", "loop"]))
+    if kind == "shape":
+        return gf2.BitMatrix(n, n + 1, rows)
+    rows[i] ^= 1 << j if kind == "asymmetric" else 1 << i
+    return gf2.BitMatrix(n, n, rows)
+
+
+@st.composite
+def malformed_stabilizers(draw):
+    """A matrix that is not 2n x n, or has a zero or a repeated generator."""
+    s = draw(stabilizer_values()).s
+    n = s.cols
+    kind = draw(st.sampled_from(["shape", "zero", "repeated"] if n > 1 else ["shape", "zero"]))
+    if kind == "shape":
+        extra = draw(st.sampled_from([-1, 1]))
+        return gf2.BitMatrix(2 * n + extra, n, s.row_ints + (0,) if extra > 0 else s.row_ints[1:])
+    gens = list(gf2.transpose(s).row_ints)  # generator j as one row
+    j = draw(st.integers(0, n - 1))
+    gens[j] = 0 if kind == "zero" else gens[(j + 1) % n]
+    return gf2.transpose(gf2.BitMatrix(n, 2 * n, gens))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_malformed_input_to_a_public_name_raises_value_error(data):
+    g = data.draw(graph_values())
+    q = data.draw(clifford_values(g.n))
+    other = data.draw(clifford_values(data.draw(other_sizes(g.n))))
+    v = data.draw(out_of_range_vertices(g.n))
+    step = data.draw(st.sampled_from([(v,), (v, 1), (1, v)]))
+    steps = (decomposition.Single(*step) if len(step) == 1 else decomposition.Triple(*step),)
+    s = data.draw(stabilizer_values())
+    t = data.draw(st.builds(random_stabilizer, other_sizes(s.n), st.integers(0, 2**32)))
+    width = data.draw(st.integers(0, 12))
+    calls = (
+        lambda: graphs.Graph(data.draw(malformed_graphs())),
+        lambda: stabilizer.StabilizerGenMatrix(data.draw(malformed_stabilizers())),
+        lambda: gf2.BitMatrix(2, width, [0]),  # a row short
+        lambda: gf2.BitMatrix(1, width, [1 << width]),  # a bit beyond the last column
+        lambda: gf2.BitMatrix(1, width, [-1]),
+        lambda: gf2.BitMatrix(-1, width, []),
+        lambda: gf2.BitVec(width, 1 << width),
+        lambda: gf2.BitVec(width, -1),
+        lambda: gf2.BitVec(-1),
+        lambda: decomposition.apply_sequence(g, decomposition.LCSequence(steps)),
+        lambda: decomposition.decompose_action(other, g),
+        lambda: equivalence.test_equivalence(s, t),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):  # an IndexError, KeyError, ... is not caught
+            call()
+
+
+EDGE_LIST_EDITS = [
+    "duplicate", "reversed", "self-loop", "out-of-range", "leading-zero", "comment",
+    "crlf", "tab", "unicode-digit", "blank", "no-final-newline", "header",
+]  # fmt: skip
+
+
+@st.composite
+def edge_list_texts(draw):
+    """The writer's text of a graph, as it is or with edits of every malformed kind."""
+    g = draw(graph_values())
+    n, lines = g.n, graphs.format_edge_list(g).splitlines()
+    edges = lines[1:]
+    end, newline = "\n", "\n"
+    for kind in draw(st.lists(st.sampled_from(EDGE_LIST_EDITS), max_size=2)):
+        at = draw(st.integers(1, len(lines)))
+        i, j = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2)))
+        if kind == "duplicate" and edges:
+            lines.insert(at, draw(st.sampled_from(edges)))
+        elif kind == "reversed" and i < j:
+            lines.insert(at, f"{j} {i}")
+        elif kind == "self-loop":
+            lines.insert(at, f"{i} {i}")
+        elif kind == "out-of-range":
+            lines.insert(at, f"{i} {draw(st.sampled_from([0, n + 1, n + 10]))}")
+        elif kind == "leading-zero":
+            lines.insert(at, f"0{i} {j}" if draw(st.booleans()) else f"{i} 0{j}")
+        elif kind == "comment":
+            lines.insert(at, draw(st.sampled_from(["# note", f"{i} {j} # note"])))
+        elif kind == "crlf":
+            newline = "\r\n"
+        elif kind == "tab":
+            lines.insert(at, f"{i}\t{j}")
+        elif kind == "unicode-digit":
+            lines.insert(at, f"{i} {j}".replace("1", "١"))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " "])))
+        elif kind == "no-final-newline":
+            end = ""
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from(["0", f"0{n}", f"{n} {n}", str(MAX_QUBITS + 1)]))
+    return newline.join(lines) + (newline if end else "")
+
+
+def _edge_list_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(text=edge_list_texts())
+def test_edge_lists_read_like_the_line_loop(text):
+    want = _edge_list_outcome(graphs._parse_edge_lines, text)
+    assert _edge_list_outcome(graphs.parse_edge_list, text) == want

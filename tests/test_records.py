@@ -5,7 +5,9 @@ Orbit are immutable values. Each is built positionally or by keyword,
 compares equal to a record of exactly its type with equal fields (Orbit by
 its members alone), hashes consistently with that equality, prints as
 ``Single(i=3)`` does, refuses assignment and deletion, and comes back equal
-from ``copy.copy`` and a pickle round trip.
+from ``copy.copy``, ``copy.deepcopy`` and a pickle round trip. So do the
+values the records hold (BitVec, BitMatrix, Graph, LocalCliffordOp and
+StabilizerGenMatrix), which are rebuilt by their validating constructors.
 """
 
 import copy
@@ -15,17 +17,23 @@ import pytest
 
 from conftest import identity_op, path_graph
 from stabgraph import (
+    BitMatrix,
+    BitVec,
     Equivalent,
+    Graph,
     Inequivalent,
     LCSequence,
+    LocalCliffordOp,
     Orbit,
     ReductionWitness,
     Single,
+    StabilizerGenMatrix,
     Triple,
     from_graph,
     orbit,
     to_graph_state,
 )
+from stabgraph.stabilizer import NotCommutingError
 
 EDGE = path_graph(2)
 WITNESS = to_graph_state(from_graph(path_graph(3)))
@@ -51,18 +59,6 @@ RECORDS = {
         "Orbit(members=frozenset({Graph(n=2, edges=[(1, 2)])}),"
         " transcripts={Graph(n=2, edges=[(1, 2)]): LCSequence(steps=())})",
     ),
-}
-
-# Graph, LocalCliffordOp and BitMatrix do not pickle themselves, so the round
-# trip puts plain values in those fields: it pins the records' own part.
-PICKLABLE = {
-    Single: (3,),
-    Triple: (1, 2),
-    LCSequence: ((Single(1), Triple(2, 3)),),
-    ReductionWitness: ("graph", (1, 2), frozenset({3})),
-    Equivalent: (5,),
-    Inequivalent: (),
-    Orbit: (frozenset({1, 2}), {1: LCSequence(()), 2: LCSequence((Single(1),))}),
 }
 
 TYPES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -123,17 +119,48 @@ def test_a_record_refuses_assignment_and_deletion(cls):
     assert {name: getattr(record, name) for name in fields} == fields
 
 
+def _copies(value):
+    """``value`` through copy.copy, copy.deepcopy and a pickle round trip at every protocol."""
+    pickled = [pickle.dumps(value, p) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(value), copy.deepcopy(value), *map(pickle.loads, pickled)]
+
+
 @TYPES
 def test_a_record_survives_copy_and_pickle(cls):
     fields, _ = RECORDS[cls]
     record = cls(**fields)
-    duplicate = copy.copy(record)
-    assert type(duplicate) is cls and duplicate == record and hash(duplicate) == hash(record)
-    plain = cls(*PICKLABLE[cls])
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        restored = pickle.loads(pickle.dumps(plain, protocol))
-        assert type(restored) is cls and restored == plain
-        assert [getattr(restored, name) for name in fields] == list(PICKLABLE[cls])
+    for duplicate in _copies(record):
+        assert type(duplicate) is cls and duplicate == record and hash(duplicate) == hash(record)
+        assert {name: getattr(duplicate, name) for name in fields} == fields
+
+
+# the five value types the records hold, each with a value built by its constructor
+VALUES = {
+    BitVec: BitVec(3, 0b101),
+    BitMatrix: WITNESS.r,
+    Graph: EDGE,
+    LocalCliffordOp: WITNESS.q,
+    StabilizerGenMatrix: from_graph(path_graph(3)),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+def test_a_value_survives_copy_and_pickle(cls):
+    value = VALUES[cls]
+    for duplicate in _copies(value):
+        assert type(duplicate) is cls and duplicate == value and hash(duplicate) == hash(value)
+        assert repr(duplicate) == repr(value)
+
+
+def test_a_value_is_restored_through_its_validating_constructor():
+    # values built on the unchecked path: an adjacency with a self-loop, and the
+    # anticommuting generators XI and ZI
+    loop = Graph._trusted(BitMatrix(1, 1, [1]))
+    anticommuting = StabilizerGenMatrix._trusted(BitMatrix(4, 2, [0b10, 0, 0b01, 0]))
+    for value, error in [(loop, ValueError), (anticommuting, NotCommutingError)]:
+        data = pickle.dumps(value)
+        with pytest.raises(error):
+            pickle.loads(data)
 
 
 def test_the_canonical_representative_is_computed_once(monkeypatch):

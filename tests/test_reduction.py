@@ -177,3 +177,36 @@ def test_verify_witness_rejects_a_witness_of_the_wrong_size():
         reduction.ReductionWitness(graph=empty_graph(4), q=w.q, r=w.r),
     ):
         assert verify_witness(s, bad) is False
+
+
+def _constructor_error(s):
+    try:
+        stabilizer.StabilizerGenMatrix(s)
+    except stabilizer.StabilizerError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_an_unchecked_input_is_validated_through_the_witness():
+    """On an unchecked matrix, to_graph_state raises what the constructor raises."""
+    rng = random.Random(51)
+    seen = set()
+    for t in range(300):
+        n = rng.randrange(1, 7)
+        rows = list(random_stabilizer(n, t).s.row_ints)
+        kind = t % 3
+        if kind == 0:  # one flipped bit: often still independent, often anticommuting
+            rows[rng.randrange(2 * n)] ^= 1 << rng.randrange(n)
+        elif kind == 1:  # a row too many or too few, the first 2n rows still valid
+            rows = rows + [rng.getrandbits(n)] if t % 2 else rows[:-1]
+        s = BitMatrix(len(rows), n, rows)
+        error = _constructor_error(s)
+        seen.add(error and error[0])
+        try:
+            witness = to_graph_state(stabilizer.StabilizerGenMatrix._trusted(s))
+        except stabilizer.StabilizerError as exc:
+            assert (type(exc), str(exc)) == error
+        else:
+            assert error is None and verify_witness(stabilizer.StabilizerGenMatrix(s), witness)
+    errors = stabilizer.NotIndependentError, stabilizer.NotCommutingError
+    assert seen >= {None, stabilizer.StabilizerError, *errors}
