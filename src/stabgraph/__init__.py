@@ -21,7 +21,6 @@ from .decomposition import (
     Triple,
     apply_sequence,
     decompose_action,
-    reduce_to_identity,
 )
 from .equivalence import (
     Equivalent,
@@ -63,7 +62,6 @@ __all__ = [
     "graph_action",
     "local_complement",
     "local_complement_op",
-    "reduce_to_identity",
     "same_subspace",
     "test_equivalence",
     "test_equivalence_graphs",

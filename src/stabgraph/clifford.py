@@ -8,17 +8,13 @@ which is equivalent to the full 2n x 2n matrix preserving the symplectic
 form.
 """
 
-from . import gf2, graphs, stabilizer
-from .errors import MAX_QUBITS, InternalError, ParseError, _decimal
+from . import decomposition, gf2, graphs, stabilizer
+from .errors import MAX_QUBITS, InternalError, NotInDomainError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec
 
 
 class InvalidCliffordError(ValueError):
     """The four diagonals fail per-qubit invertibility."""
-
-
-class NotInDomainError(ValueError):
-    """The graph is outside the domain of the operation's graph action."""
 
 
 class LocalCliffordOp:
@@ -167,21 +163,14 @@ def complete_from_cd(g, c, d):
     choices keeping the 2x2 block invertible, and they differ by (c_i, d_i).
     Switching between them adds row i of C.adj + D to row i of A.adj + B, so
     it flips only entry (i, i) of the image. The start (a, b) = (d & ~c, c)
-    is valid on every qubit; its graph form switches it where needed.
+    is valid on every qubit; the decomposition walk of the start operation
+    ends with the image's diagonal b', and the start is switched where it is 1.
     """
     if c.n != g.n or d.n != g.n:
         raise ValueError("diagonal length mismatch")
-    n = g.n
-    if c.bits | d.bits != (1 << n) - 1:  # a (0, 0) pair is a zero row of C.adj + D
-        raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    s = stabilizer.from_graph(g)
-    form = graph_form(_op(n, d.bits & ~c.bits, c.bits, c.bits, d.bits), s)
-    if form is None:
-        raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    q, graph, r, _ = form
-    if gf2.mat_mul(BitMatrix(n, n, apply_to_stabilizer(q, s).row_ints[:n]), r) != graph.adj:
-        raise InternalError("completion failed to place the graph in the domain")
-    return q
+    a, b, c, d = d.bits & ~c.bits, c.bits, c.bits, d.bits
+    _, flip = decomposition._walk(g, a, b, c, d)
+    return _op(g.n, a ^ (c & flip), b ^ (d & flip), c, d)
 
 
 def format_clifford(q):

@@ -1,26 +1,24 @@
 """Decomposing local Clifford actions on graphs into local complementations.
 
-The lower blocks (c, d) of an in-domain operation determine the invertible
-matrix diag(c).adj + diag(d). Local complementation at a vertex v with
-c_v = 1 maps the triple (g, c, d) to the lower blocks of
-compose(q, local_complement_op(g, v)):
+Local complementation at a vertex v is the involution L_v with A = D = I,
+B = diag(N(v)) and C = e_v e_v^T. The walk composes an operation q with L_v,
+taken at the graph it complements, and so updates all four diagonals:
 
-    g' = local_complement(g, v),  d' = d ^ (c & N(v)),  c' = c ^ (d & e_v),
+    a' = a ^ (b & e_v),  b' = b ^ (a & N(v)),  c' = c ^ (d & e_v),  d' = d ^ (c & N(v)).
 
-and diag(c').adj' + diag(d') is the old matrix times an invertible factor.
-Walking the triple down to the identity (d all ones, no vertex of c with a
-neighbour) yields a vertex sequence whose complementations reproduce the
-full graph action; the uniqueness of the in-domain completion of (c, d) makes
-the translation exact. The walk complements one list of adjacency row ints in
-place, by the row step of :func:`graphs.local_complement`, and builds one graph.
+q acts on g exactly when the new operation acts on the complemented graph,
+with the same image matrix (A.adj + B)(C.adj + D)^-1, and the denominator
+C.adj + D is multiplied by an invertible factor. The walk's choices read
+only the graph and (c, d). It ends at lower blocks (c', 1) with no vertex
+of c' having a neighbour, where the denominator is the identity and the
+image matrix is the walked graph plus diag(b'). So q acts on g exactly when
+b' = 0, and the image is then the walked graph: the complementation sequence
+reproduces the action. The walk complements one list of adjacency row ints
+in place, by the row step of :func:`graphs.local_complement`.
 """
 
-from . import clifford, gf2, graphs
-from .errors import InternalError, ParseError, _decimal, _Record
-
-
-class DecompositionError(InternalError):
-    """The reduction loop violated its termination or ordering contract."""
+from . import gf2, graphs
+from .errors import NotInDomainError, ParseError, _decimal, _Record
 
 
 class Single(_Record):
@@ -67,10 +65,11 @@ class LCSequence(_Record):
         return out
 
 
-def _complement_at(rows, c, d, v):
-    """One walk step at 0-based vertex v: complements ``rows`` in place, returns (c, d)."""
+def _step(rows, a, b, c, d, v):
+    """One walk step at 0-based vertex v: complements ``rows`` in place, returns the diagonals."""
     graphs._complement_rows(rows, v)  # row v itself is left as it is
-    return c ^ (d & 1 << v), d ^ (c & rows[v])
+    e, nb = 1 << v, rows[v]
+    return a ^ (b & e), b ^ (a & nb), c ^ (d & e), d ^ (c & nb)
 
 
 def _lowest_with_neighbour(rows, bits):
@@ -80,60 +79,39 @@ def _lowest_with_neighbour(rows, bits):
     return (bits & -bits).bit_length() - 1 if bits else None
 
 
-def reduce_to_identity(g, c, d):
-    """Vertex sequence whose local complementations walk (g, c, d) to the identity.
+def _walk(g, a, b, c, d):
+    """Walk the operation with n-bit int diagonals a, b, c, d on g; returns (sequence, b').
 
-    (g, c, d) stands for the matrix diag(c).adj + diag(d), which must be
-    invertible, as it is for the lower blocks of an in-domain operation. Each
-    step complements g at a vertex v and updates the diagonals to
-    d ^ (c & N(v)) and c ^ (d & e_v). On an invertible input every step has
-    c_v = 1, where this is exactly the lower blocks of compose(q,
-    local_complement_op(g, v)): phase-1 targets lie in c, a phase-2 j has
-    d_j = 0 and so c_j = 1, and k is taken from c. Every step the walk takes
-    multiplies the matrix by an invertible factor, so a singular input ends
-    in a DecompositionError.
-
-    The walk ends when d is all ones and no vertex of c has a neighbour. Two
-    phases, all choices lowest-index: first, each vertex in c & d that has a
-    neighbour is finished with one step there; second, the vertices with
-    d_j = 0 are finished in pairs j, k, with k the lowest vertex of c adjacent
-    to j, via the three-step pattern. Singles always come before triples. A
-    step budget of 3n guards the claimed termination behavior. Returns the
-    sequence and the graph the walk ends on (g with the sequence applied).
+    Two phases, all choices lowest-index: first, each vertex in c & d that
+    has a neighbour is finished with one step there; second, the vertices
+    with d_j = 0 are finished in pairs j, k, with k the lowest vertex of c
+    adjacent to j, via the three-step pattern. Singles always come before
+    triples. The walk ends only where d is all ones and no vertex of c has a
+    neighbour, which is the identity denominator, so it raises SingularError
+    when C.adj + D is singular; a step budget of 3n bounds its second phase.
     """
-    n = g.n
-    if c.n != n or d.n != n:
-        raise ValueError("diagonal lengths differ from the vertex count")
-    c, d = c.bits, d.bits
     rows = list(g.adj.row_ints)  # the walk's graph, complemented in place
-    full = (1 << n) - 1
+    full = (1 << g.n) - 1
     steps = []
-    budget = 3 * n
 
-    while (target := _lowest_with_neighbour(rows, c & d)) is not None:
-        steps.append(Single(target + 1))
-        c, d = _complement_at(rows, c, d, target)
-        if len(steps) > budget:
-            raise DecompositionError("step budget exceeded while clearing diagonal-1 rows")
+    while (v := _lowest_with_neighbour(rows, c & d)) is not None:  # clears v from c
+        steps.append(Single(v + 1))
+        a, b, c, d = _step(rows, a, b, c, d, v)
 
-    while d != full or _lowest_with_neighbour(rows, c) is not None:
-        if d == full:
-            raise DecompositionError(
-                "no zero-diagonal row left but the matrix is not the identity"
-            )
+    while d != full and len(steps) <= 3 * g.n:
         zeros = full ^ d
         j = (zeros & -zeros).bit_length() - 1
         column = c & rows[j]
         if not column:
-            raise DecompositionError("zero column in an invertible matrix")
+            break
         k = (column & -column).bit_length() - 1
         steps.append(Triple(j + 1, k + 1))
         for v in (j, k, j):
-            c, d = _complement_at(rows, c, d, v)
-        if len(steps) > budget:
-            raise DecompositionError("step budget exceeded while clearing zero-diagonal rows")
+            a, b, c, d = _step(rows, a, b, c, d, v)
 
-    return LCSequence(tuple(steps)), graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
+    if d != full or _lowest_with_neighbour(rows, c) is not None:
+        raise gf2.SingularError("lower blocks do not give an invertible denominator")
+    return LCSequence(tuple(steps)), b
 
 
 def apply_sequence(g, seq):
@@ -144,18 +122,23 @@ def apply_sequence(g, seq):
 
 
 def decompose_action(q, g):
-    """Translate an in-domain local Clifford action into complementation steps.
+    """Translate the action of q on g into complementation steps.
 
-    Only the lower blocks (c, d) of the operation enter the computation; the
-    upper blocks are implied by the uniqueness of the in-domain completion.
-    The walk's final graph is checked against the direct graph action, which
-    raises clifford.NotInDomainError for a graph outside the domain.
+    The walk of q's four diagonals decides the domain: NotInDomainError names
+    a singular C.adj + D when the walk fails, and a nonzero image diagonal
+    when it ends with b' != 0. Otherwise the steps map g onto its image.
     """
-    image = clifford.graph_action(q, g)
-    seq, walked = reduce_to_identity(g, q.c, q.d)
-    if walked != image:
-        raise InternalError("decomposed sequence does not reproduce the graph action")
-    return seq
+    if q.n != g.n:
+        raise ValueError("qubit count mismatch")
+    try:
+        seq, b = _walk(g, q.a.bits, q.b.bits, q.c.bits, q.d.bits)
+    except gf2.SingularError:
+        detail = "C.adj + D is singular"
+    else:
+        if not b:
+            return seq
+        detail = "the transformed matrix has a nonzero diagonal"
+    raise NotInDomainError(f"graph not in the operation's domain: {detail}")
 
 
 def format_sequence(seq):

@@ -36,6 +36,10 @@ class ParseError(ValueError):
         return loc + self.message
 
 
+class NotInDomainError(ValueError):
+    """The graph is outside the domain of the operation's graph action."""
+
+
 class InternalError(RuntimeError):
     """A guaranteed internal invariant failed; indicates a bug, not bad input."""
 

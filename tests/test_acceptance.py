@@ -28,7 +28,7 @@ from conftest import (
 )
 from stabgraph import clifford, decomposition, equivalence, gf2, graphs
 from stabgraph import orbit, reduction, stabilizer
-from stabgraph.decomposition import Triple, apply_sequence, reduce_to_identity
+from stabgraph.decomposition import Triple, apply_sequence, decompose_action
 from stabgraph.gf2 import BitMatrix, BitVec
 from stabgraph.graphs import Graph, local_complement
 
@@ -122,7 +122,7 @@ def test_05_cd_reduction_to_identity():
         def check(g, c, d):
             n = g.n
             m = cd_matrix(g.adj, c, d)
-            seq, _ = reduce_to_identity(g, c, d)
+            seq = decompose_action(clifford.complete_from_cd(g, c, d), g)
             for v in seq.expand():
                 m = cd_step(m, v)
             assert m == gf2.identity(n)

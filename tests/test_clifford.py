@@ -32,6 +32,7 @@ from stabgraph.clifford import (
     graph_action,
     local_complement_op,
 )
+from stabgraph.decomposition import decompose_action
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
 
@@ -288,22 +289,23 @@ def test_complete_from_cd_matches_reference_seeded_to_n64():
     assert completed >= 100
 
 
-def test_complete_from_cd_inverts_once(monkeypatch):
+def test_complete_from_cd_and_decompose_action_never_invert(monkeypatch):
     calls = []
-    try_invert = gf2.try_invert
-
-    def counting(m):
-        calls.append(m)
-        return try_invert(m)
-
-    monkeypatch.setattr(gf2, "try_invert", counting)
+    for owner, name in ((gf2, "try_invert"), (clifford, "graph_form")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
     rng = random.Random(41)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 12))
         q = random_in_domain_op(rng, g)
         calls.clear()
         assert complete_from_cd(g, q.c, q.d) == q
-        assert len(calls) == 1
+        decompose_action(q, g)
+        assert calls == []
+    graph_action(q, g)
+    assert calls == ["graph_form", "try_invert"]  # the patched names are the ones called
 
 
 def test_clifford_text_roundtrip():

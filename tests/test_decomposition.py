@@ -22,13 +22,11 @@ from conftest import (
 )
 from stabgraph import NotInDomainError, clifford, decomposition, gf2, graphs
 from stabgraph.decomposition import (
-    DecompositionError,
     LCSequence,
     Single,
     Triple,
     apply_sequence,
     decompose_action,
-    reduce_to_identity,
 )
 from stabgraph.errors import ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
@@ -142,8 +140,13 @@ def test_factor_cd_form_accepts_singular_members():
     assert (gf2.to01(c.bits, c.n), gf2.to01(d.bits, d.n)) == ("10", "00")
 
 
+def walk(g, c, d):
+    """The walk's sequence for (g, c, d): the decomposition of their in-domain completion."""
+    return decompose_action(clifford.complete_from_cd(g, c, d), g)
+
+
 def test_reduce_identity_empty_sequence():
-    assert reduce_to_identity(empty_graph(3), BitVec(3, 0), BitVec(3, 0b111))[0].steps == ()
+    assert walk(empty_graph(3), BitVec(3, 0), BitVec(3, 0b111)).steps == ()
 
 
 def test_reduce_single_step_case():
@@ -151,16 +154,14 @@ def test_reduce_single_step_case():
     edge = graph_from_edges(2, [(1, 2)])
     c, d = BitVec(2, 0b01), BitVec(2, 0b11)
     assert cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
-    seq, _ = reduce_to_identity(edge, c, d)
-    assert seq.steps == (Single(1),)
+    assert walk(edge, c, d).steps == (Single(1),)
 
 
 def test_reduce_triple_step_case():
     # c = (1,1), d = (0,0) on the edge graph leaves the adjacency itself
     edge = graph_from_edges(2, [(1, 2)])
     assert cd_matrix(edge.adj, BitVec(2, 0b11), BitVec(2, 0)) == edge.adj
-    seq, _ = reduce_to_identity(edge, BitVec(2, 0b11), BitVec(2, 0))
-    assert seq.steps == (Triple(1, 2),)
+    assert walk(edge, BitVec(2, 0b11), BitVec(2, 0)).steps == (Triple(1, 2),)
     m = edge.adj
     for v in (1, 2, 1):
         m = cd_step(m, v)
@@ -176,8 +177,7 @@ def apply_steps(m, seq):
 def test_reduce_exhaustive_small():
     for n in range(1, 4):
         for g, c, d in cd_members(n):
-            seq, walked = reduce_to_identity(g, c, d)
-            assert walked == apply_sequence(g, seq)
+            seq = walk(g, c, d)
             assert apply_steps(cd_matrix(g.adj, c, d), seq) == gf2.identity(n)
             kinds = [isinstance(s, Triple) for s in seq.steps]
             assert kinds == sorted(kinds)  # singles strictly before triples
@@ -189,8 +189,7 @@ def test_reduce_random_members():
     rng = random.Random(61)
     for _ in range(300):
         g, c, d = random_cd_member(rng, rng.randrange(1, 13))
-        seq, walked = reduce_to_identity(g, c, d)
-        assert walked == apply_sequence(g, seq)
+        seq = walk(g, c, d)
         assert apply_steps(cd_matrix(g.adj, c, d), seq) == gf2.identity(g.n)
         indices = step_indices(seq)
         assert len(set(indices)) == len(indices)
@@ -199,17 +198,26 @@ def test_reduce_random_members():
 def test_reduce_singular_raises():
     for n in range(1, 4):
         for g, c, d, invertible in cd_triples(n):
-            if not invertible:
-                with pytest.raises(DecompositionError):
-                    reduce_to_identity(g, c, d)
+            if invertible:
+                continue
+            with pytest.raises(gf2.SingularError):
+                clifford.complete_from_cd(g, c, d)
+            if c.bits | d.bits != (1 << n) - 1:
+                continue  # a (0, 0) pair is the lower half of no operation
+            for flips in range(1 << n):  # every operation with lower blocks (c, d)
+                a = (d.bits & ~c.bits) ^ (c.bits & flips)
+                b = c.bits ^ (d.bits & flips)
+                q = clifford.LocalCliffordOp(BitVec(n, a), BitVec(n, b), c, d)
+                with pytest.raises(NotInDomainError, match=SINGULAR_CD):
+                    decompose_action(q, g)
 
 
 def test_reduce_length_mismatch():
     g = path_graph(3)
     with pytest.raises(ValueError):
-        reduce_to_identity(g, BitVec(2, 0b11), BitVec(3, 0b111))
+        clifford.complete_from_cd(g, BitVec(2, 0b11), BitVec(3, 0b111))
     with pytest.raises(ValueError):
-        reduce_to_identity(g, BitVec(3, 0b111), BitVec(4, 0b1111))
+        clifford.complete_from_cd(g, BitVec(3, 0b111), BitVec(4, 0b1111))
 
 
 def test_apply_sequence_basics():

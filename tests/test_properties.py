@@ -7,8 +7,9 @@ Commands run on such texts exit with a code the contract gives them and
 never report an internal error. The operation of local complementation acts
 as local complementation, and the action of a product is the composed action
 wherever the factors act. Reduction gives a witness that verifies and a graph
-equivalent to its input, a decomposed action replays to the action, and
-equivalence is reflexive and symmetric with a witness that moves the first
+equivalent to its input, a decomposed action replays to the action, the
+decomposition of any operation fails exactly where the graph action does and
+with its text, and equivalence is reflexive and symmetric with a witness that moves the first
 state onto the second. A size mismatch or an out-of-range vertex raises
 ValueError. Examples are derived from the test source (``derandomize=True``),
 so runs are deterministic.
@@ -307,6 +308,21 @@ def test_a_decomposed_action_replays_to_the_action(data):
     assert decomposition.apply_sequence(g, seq) == clifford.graph_action(q, g)
 
 
+@SETTINGS
+@given(data=st.data())
+def test_decomposition_decides_the_domain_as_the_graph_action_does(data):
+    g = data.draw(graph_values())
+    q = data.draw(clifford_values(g.n))  # mostly out of g's domain
+    try:
+        image = clifford.graph_action(q, g)
+    except clifford.NotInDomainError as exc:
+        with pytest.raises(clifford.NotInDomainError) as err:
+            decomposition.decompose_action(q, g)
+        assert str(err.value) == str(exc)
+    else:
+        assert decomposition.apply_sequence(g, decomposition.decompose_action(q, g)) == image
+
+
 def _moves(q, first, second):
     moved = stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(q, first))
     return stabilizer.same_subspace(moved, second)
@@ -356,7 +372,6 @@ def test_a_size_mismatch_or_a_bad_vertex_raises_value_error(data):
         lambda: graphs.local_complement(g, v),
         lambda: clifford.local_complement_op(g, v),
         lambda: clifford.complete_from_cd(g, q.c, other.d),
-        lambda: decomposition.reduce_to_identity(g, other.c, q.d),
         lambda: clifford.LocalCliffordOp.from_qubit_blocks(blocks),
     )
     for call in calls:
