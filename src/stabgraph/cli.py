@@ -209,10 +209,9 @@ def _stem(path):
 
 
 def _cmd_reduce(args):
-    s, what = _load(stabilizer._decode_stabilizer, args.stabilizer)
-    stab = stabilizer.StabilizerGenMatrix._trusted(s)
+    st, what = _load(stabilizer._decode_columns, args.stabilizer)  # one row per generator
     try:
-        witness = reduction.to_graph_state(stab)  # validates stab through its witness
+        witness = reduction._reduce_columns(st)  # validates S through its witness
     except stabilizer.StabilizerError as exc:
         raise ParseError(f"{args.stabilizer}: line 1: {what}: {exc}") from exc
     stem = _stem(args.stabilizer)
@@ -232,6 +231,7 @@ def _cmd_reduce(args):
             _reread(clifford.parse_clifford, clifford_path),
             _reread(gf2.parse_matrix, basis_path),
         )
+        stab = stabilizer.StabilizerGenMatrix._trusted(gf2.transpose(st))
         ok = reduction.verify_witness(stab, written)
         _check(args, ok, "witness does not map onto the graph state")
     return EXIT_OK

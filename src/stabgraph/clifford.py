@@ -8,6 +8,8 @@ which is equivalent to the full 2n x 2n matrix preserving the symplectic
 form.
 """
 
+import re
+
 from . import decomposition, gf2, graphs, stabilizer
 from .errors import MAX_QUBITS, InternalError, NotInDomainError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec
@@ -104,12 +106,11 @@ def apply_to_stabilizer(q, stab):
 
 
 def graph_form(q, stab):
-    """The paper's graph-form step: q' = shear.q and R with q'.S.R = [adj; I].
+    """The graph form of q.S: (M with its diagonal cleared, as a graph, and diag(M)).
 
-    Applies q to the 2n x n matrix S, inverts its X block once (R = X^-1),
-    asserts that M = Z.R is symmetric, and shears [[1, 1], [0, 1]] the qubits
-    where M has a diagonal 1. Returns (q', graph, R, shear bits), or None
-    when the X block is singular.
+    Applies q to the 2n x n matrix S, inverts its X block once (R = X^-1) and
+    asserts that M = Z.R is symmetric; None when the X block is singular. The
+    reduction reaches it by column operations instead (:mod:`stabgraph.reduction`).
     """
     n = stab.n
     rows = apply_to_stabilizer(q, stab).row_ints
@@ -119,10 +120,7 @@ def graph_form(q, stab):
     m = gf2.mat_mul(BitMatrix(n, n, rows[:n]), r)
     if not gf2.is_symmetric(m):
         raise InternalError("Z block of the graph form is not symmetric")
-    shear = gf2.diagonal(m)
-    ones = (1 << n) - 1
-    q = compose(_op(n, ones, shear, 0, ones), q)
-    return q, graphs.Graph._trusted(gf2.set_diagonal_zero(m)), r, shear
+    return graphs.Graph._trusted(gf2.set_diagonal_zero(m)), gf2.diagonal(m)
 
 
 def graph_action(q, g):
@@ -130,17 +128,17 @@ def graph_action(q, g):
 
     The image adjacency is (A.adj + B)(C.adj + D)^-1, the graph form of
     q.[adj; I], when C.adj + D is invertible; the graph is in the domain when
-    additionally no shear is needed, i.e. that matrix has zero diagonal.
+    additionally that matrix has zero diagonal.
     """
     if q.n != g.n:
         raise ValueError("qubit count mismatch")
     form = graph_form(q, stabilizer.from_graph(g))
     if form is None:
         detail = "C.adj + D is singular"
-    elif form[3]:  # shear bits: the diagonal a graph must not have
+    elif form[1]:  # the diagonal a graph must not have
         detail = "the transformed matrix has a nonzero diagonal"
     else:
-        return form[1]  # the image graph
+        return form[0]  # the image graph
     raise NotInDomainError(f"graph not in the operation's domain: {detail}")
 
 
@@ -180,7 +178,22 @@ def format_clifford(q):
 
 
 def parse_clifford(text):
-    """Inverse of :func:`format_clifford`; raises ParseError with line info."""
+    """Inverse of :func:`format_clifford`; raises ParseError with line info.
+
+    The writer's shape is read in bulk, a diagonal as one stride slice; any
+    other text, and every failure, goes through the line reader.
+    """
+    bulk = re.fullmatch(r"([1-9][0-9]{0,5})\n((?:[01] [01] [01] [01]\n)+)", text)
+    if bulk and len(bulk[2]) == 8 * int(bulk[1]) <= 8 * MAX_QUBITS:
+        try:
+            return _op(int(bulk[1]), *(int(bulk[2][k::8][::-1], 2) for k in range(0, 8, 2)))
+        except InvalidCliffordError:
+            pass  # the line reader reports it
+    return _parse_clifford_lines(text)
+
+
+def _parse_clifford_lines(text):
+    """:func:`parse_clifford` line by line, with every check and its line number."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty clifford file", line=1)

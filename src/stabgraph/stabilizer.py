@@ -7,6 +7,8 @@ all in this representation: a generator matrix fixes its stabilizer state
 only up to per-generator signs.
 """
 
+import re
+
 from . import gf2
 from .errors import MAX_QUBITS, ParseError
 from .gf2 import BitMatrix
@@ -35,6 +37,7 @@ class WrongCountError(StabilizerError):
 _Z_DIGITS = str.maketrans("IXZY", "0011")
 _X_DIGITS = str.maketrans("IXZY", "0101")
 _ZX_TO_PAULI = {"00": "I", "01": "X", "10": "Z", "11": "Y"}
+_MATRIX_HEADER = r"([1-9][0-9]{0,5}) ([1-9][0-9]{0,5})"  # re compiles it on first use
 
 
 class StabilizerGenMatrix:
@@ -46,11 +49,12 @@ class StabilizerGenMatrix:
         if s.rows % 2 != 0 or s.cols * 2 != s.rows:
             raise StabilizerError(f"expected a 2n x n matrix, got {s.rows} x {s.cols}")
         n = s.cols
-        if gf2.rank(s) != n:
+        gens = gf2.transpose(s)  # generator j as row j: Z bits at 0..n-1, X bits above
+        if gf2.rank(gens) != n:
             raise NotIndependentError()
         # Entry (i, j) of p = Z^T.X is z_i.x_j, so the symplectic product of
         # generators i and j is p[i][j] + p[j][i]: all commute iff p is symmetric.
-        z_t = gf2.transpose(BitMatrix(n, n, s.row_ints[:n]))
+        z_t = BitMatrix(n, n, [g & (1 << n) - 1 for g in gens.row_ints])
         p = gf2.mat_mul(z_t, BitMatrix(n, n, s.row_ints[n:]))
         for i, (row, col) in enumerate(zip(p.row_ints, gf2.transpose(p).row_ints)):
             if row != col:
@@ -120,6 +124,29 @@ def parse_stabilizer(text):
         return StabilizerGenMatrix(s)
     except StabilizerError as exc:
         raise ParseError(f"{what}: {exc}", line=1) from exc
+
+
+def _decode_columns(text):
+    """:func:`_decode_stabilizer` transposed: row j is generator j, Z bits then X bits.
+
+    Pauli lines and matrix blocks in the writers' shape are read in bulk; any
+    other text, and every error, goes through :func:`_decode_stabilizer`.
+    """
+    first, _, body = text.partition("\n")
+    n = len(first)
+    if 0 < n <= MAX_QUBITS and len(text) == n * (n + 1) and text[n :: n + 1] == "\n" * n:
+        if sum(map(text.count, "IXYZ")) == n * n:
+            rev = text[::-1].split()[::-1]  # most significant digit first, first line first
+            gens = [int(ln.translate(_X_DIGITS) + ln.translate(_Z_DIGITS), 2) for ln in rev]
+            return BitMatrix(n, 2 * n, gens), "not a valid stabilizer"
+    head = re.fullmatch(_MATRIX_HEADER, first)
+    if head and int(head[1]) == 2 * (n := int(head[2])) <= 2 * MAX_QUBITS:
+        if len(body) == 2 * n * (n + 1) and body[n :: n + 1] == "\n" * 2 * n:
+            if body.count("0") + body.count("1") == 2 * n * n:
+                gens = [int(body[j :: n + 1][::-1], 2) for j in range(n)]
+                return BitMatrix(n, 2 * n, gens), "not a valid stabilizer matrix"
+    s, what = _decode_stabilizer(text)
+    return gf2.transpose(s), what
 
 
 def _decode_stabilizer(text):

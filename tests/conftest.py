@@ -3,7 +3,8 @@ stabilizer, basis changes and fixed operations, which the library itself
 never needs), random-instance generators, naive list-of-lists GF(2) oracles, the
 per-bit loop references for the packed kernels and text codecs, the
 column-by-column elimination behind reference rank, inverse and null basis,
-the tuple orbit key, the matrix references for C.adj + D and the
+the three-step row reduction to graph-state form and stabilizers of any X
+rank, the tuple orbit key, the matrix references for C.adj + D and the
 decomposition walk, the graph-action domain predicate and error texts, the
 reference completion and the exhaustive reference equivalence solver.
 
@@ -154,6 +155,54 @@ def reference_solve_homogeneous(mt):
     null = [r >> width for i, r in enumerate(rows) if i not in pivot_rows]
     pivots = reference_eliminate(null, range(mt.rows - 1, -1, -1))
     return [null[i] for _, i in reversed(pivots)]
+
+
+def reference_to_graph_state(stab):
+    """The three-step row reduction on the 2n x n rows of S, as (graph, q, r).
+
+    Keeps the lowest-index independent rows of the X block, swaps Z and X
+    (Hadamard) on the other qubits, inverts the new X block (r = X'^-1),
+    reads M = Z'.r and shears its diagonal away, with the reference kernels.
+    """
+    n, ones = stab.n, (1 << stab.n) - 1
+    keep = sum(1 << i for _, i in reference_eliminate(list(stab.s.row_ints[n:]), range(n)))
+    swap = ones ^ keep
+    q = clifford._op(n, keep, swap, swap, keep)
+    rows = clifford.apply_to_stabilizer(q, stab).row_ints
+    r = reference_try_invert(gf2.BitMatrix(n, n, rows[n:]))
+    m = reference_mat_mul(gf2.BitMatrix(n, n, rows[:n]), r)
+    assert m == reference_transpose(m)
+    q = clifford.compose(clifford._op(n, ones, gf2.diagonal(m), 0, ones), q)
+    return graphs.Graph(gf2.set_diagonal_zero(m)), q, r
+
+
+def stabilizer_with_x_rank(rng, n, k):
+    """A random stabilizer whose X block has rank k.
+
+    The graph state of a random graph on k random qubits and Z on the other
+    qubits, under a random basis change and phase gates on random qubits,
+    neither of which changes the rank of the X block.
+    """
+    qubits = rng.sample(range(n), k)
+    sub = random_graph(rng, k)
+    gens = [1 << q for q in range(n) if q not in qubits]  # Z bits, then X bits above
+    for a, q in enumerate(qubits):
+        z = sum(1 << qubits[b] for b in range(k) if sub.adj.row_ints[a] >> b & 1)
+        gens.append(z | 1 << n + q)
+    rng.shuffle(gens)
+    s = stabilizer.StabilizerGenMatrix(gf2.transpose(gf2.BitMatrix(n, 2 * n, gens)))
+    ones = (1 << n) - 1
+    s = basis_change(s, random_invertible(rng, n))
+    phases = clifford._op(n, ones, rng.getrandbits(n), 0, ones)
+    return stabilizer.StabilizerGenMatrix(clifford.apply_to_stabilizer(phases, s))
+
+
+def outcome(f, text):
+    """f(text), or the type, text and location of the exception it raises."""
+    try:
+        return f(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
 def reference_entry_tuple(g):

@@ -537,9 +537,9 @@ def _break_result(monkeypatch, command, g):
     """Make the library hand ``command`` a wrong witness, sequence or graph."""
     wrong = hadamard_all_op(g.n)
     if command == "reduce":
-        right = reduction.to_graph_state
+        right = reduction._reduce_columns  # what reduce calls, on the generators as rows
         monkeypatch.setattr(
-            reduction, "to_graph_state", lambda s: reduction.ReductionWitness(g, wrong, right(s).r)
+            reduction, "_reduce_columns", lambda s: reduction.ReductionWitness(g, wrong, right(s).r)
         )
     elif command == "decompose":
         # complementing at 3 instead of 2 reaches another graph

@@ -15,6 +15,7 @@ from conftest import (
     hadamard_all_op,
     identity_op,
     in_domain,
+    outcome,
     path_graph,
     random_graph,
     random_in_domain_op,
@@ -337,6 +338,43 @@ def test_clifford_text_exact():
     for n in (63, 64, 65):
         q = hadamard_all_op(n)
         assert clifford.format_clifford(q) == f"{n}\n" + "0 1 1 0\n" * n
+
+
+def _clifford_texts():
+    """Writer text, irregular text and texts that fail each check of the line reader."""
+    rng = random.Random(42)
+    for n in (1, 2, 5, 64):
+        text = clifford.format_clifford(random_valid_clifford(rng, n))
+        yield text
+        yield text.replace("\n", "\r\n")
+        yield text.replace("\n", " \n")
+        yield text.replace(" ", "  ")
+        yield text + "\n"
+        yield text.rstrip("\n")
+        yield "0" + text
+        yield text.replace(f"{n}\n", f"{n + 1}\n", 1)
+        yield text.replace(f"{n}\n", f"{n - 1}\n", 1)
+        yield text + "1 0 0 1\n"
+        yield text[: text.index("\n") + 1] + "0 0 0 0\n" + text[text.index("\n") + 9 :]
+        yield text[:-2] + "2\n"
+        yield text[:-1] + " 1\n"
+    yield from ("", "\n", "0\n", "1\n", "70000\n" + "1 0 0 1\n" * 70000, "1234567\n1 0 0 1\n")
+    yield from ("\u0661\n1 0 0 1\n", "1\n1 1 1 1\n", "2\n1 0 0 1\n1 1 1 1\n", "1\n1 0 0 1")
+
+
+def test_bulk_clifford_reading_is_the_line_reader():
+    texts = list(_clifford_texts())
+    results = [outcome(clifford.parse_clifford, text) for text in texts]
+    assert results == [outcome(clifford._parse_clifford_lines, text) for text in texts]
+    assert sum(isinstance(r, LocalCliffordOp) for r in results) >= 20
+    assert sum(isinstance(r, tuple) and r[0] is ParseError for r in results) >= 20
+
+
+def test_writer_clifford_text_is_read_without_the_line_reader(monkeypatch):
+    rng = random.Random(43)
+    ops = [random_valid_clifford(rng, n) for n in (1, 2, 64, 300)]
+    monkeypatch.setattr(clifford, "_parse_clifford_lines", None)  # a call raises TypeError
+    assert [clifford.parse_clifford(clifford.format_clifford(q)) for q in ops] == ops
 
 
 def test_clifford_parse_errors():

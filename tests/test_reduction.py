@@ -13,6 +13,8 @@ from conftest import (
     random_in_domain_op,
     random_invertible,
     random_stabilizer,
+    reference_to_graph_state,
+    stabilizer_with_x_rank,
     zero_matrix,
 )
 from stabgraph import clifford, gf2, graphs, reduction, stabilizer
@@ -72,6 +74,21 @@ def test_z_only_becomes_empty_graph_via_hadamards():
         assert w.graph == empty_graph(n)
         assert w.q == hadamard_all_op(n)
         assert verify_witness(z_only(n), w)
+
+
+def test_the_column_elimination_gives_the_row_reduction_witness():
+    """Bit for bit the witness of the three-step row reduction, on X = 0, X = I,
+    an X block of every rank in between and the seeded random stabilizers."""
+    rng = random.Random(54)
+    for n in range(1, 17):
+        cases = [z_only(n), stabilizer.from_graph(random_graph(rng, n))]
+        cases += [stabilizer_with_x_rank(rng, n, k) for k in range(n + 1) for _ in range(2)]
+        cases += [random_stabilizer(n, seed) for seed in range(4)]
+        for k, s in enumerate(cases[2 : 2 * n + 4 : 2]):
+            assert gf2.rank(BitMatrix(n, n, s.s.row_ints[n:])) == k
+        for s in cases:
+            w = to_graph_state(s)
+            assert (w.graph, w.q, w.r) == reference_to_graph_state(s)
 
 
 def test_witness_identity_on_random_stabilizers():

@@ -10,6 +10,7 @@ from conftest import (
     empty_graph,
     graph_from_edges,
     mat_vec,
+    outcome,
     path_graph,
     random_invertible,
     random_stabilizer,
@@ -221,3 +222,53 @@ def test_parse_stabilizer_errors():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         stabilizer.parse_stabilizer("XI\nZI\n")  # anticommuting
+
+
+def _decoded_by_rows(text):
+    s, what = stabilizer._decode_stabilizer(text)
+    return gf2.transpose(s), what
+
+
+def _stabilizer_texts():
+    """Writer text in both formats, irregular text and texts that fail each check."""
+    for n in (1, 2, 3, 7, 64):
+        s = random_stabilizer(n, n)
+        pauli, block = format_stabilizer(s), gf2.format_matrix(s.s)
+        lines = pauli.splitlines()
+        for text in (pauli, block):
+            yield text
+            yield text.replace("\n", "\r\n")
+            yield "\n" + text.replace("\n", "\n\n")
+            yield text.replace("\n", "  \n")
+            yield text.rstrip("\n")
+            yield text[:-1] + "I\n"
+            yield text[:-2] + "\n"
+            yield text + text.splitlines()[-1] + "\n"
+            yield text[text.index("\n") + 1 :]
+        yield "".join(("+" if i % 2 else "-") + line + "\n" for i, line in enumerate(lines))
+        yield pauli.replace("Z", "W", 1).replace("X", "\u0425", 1)
+        yield pauli.replace(lines[-1], lines[0]) if n > 1 else "XX\n"
+        yield block.replace("1", "2", 1)
+        yield block.replace(f"{2 * n} {n}", f"{2 * n} {n + 1}", 1)
+        yield block.replace(f"{2 * n} {n}", f"0{2 * n} {n}", 1)
+        yield block.replace(f"{2 * n} {n}", f"{2 * n + 2} {n + 1}", 1) + "0" * n + "\n" * 2
+    yield from ("", "\n", "0 0\n", "2 1\n0\n1\n", "2 1\n1\n0\n", "4 2\n11\n00\n11\n00\n")
+    yield from ("\u0664 \u0662\n11\n00\n11\n00\n", "XI\nZI\n", "4 2\n1x\n00\n11\n00\n", "ZZ\nXX\n")
+
+
+def test_the_column_decoder_is_the_row_decoder_transposed():
+    texts = list(_stabilizer_texts())
+    results = [outcome(stabilizer._decode_columns, text) for text in texts]
+    assert results == [outcome(_decoded_by_rows, text) for text in texts]
+    assert sum(isinstance(r[0], BitMatrix) for r in results) >= 50
+    assert sum(r[0] is ParseError for r in results) >= 20
+
+
+def test_writer_text_is_decoded_without_the_line_reader(monkeypatch):
+    texts = []
+    for n in (1, 5, 64):
+        s = random_stabilizer(n, 3)
+        texts += [format_stabilizer(s), gf2.format_matrix(s.s)]
+    expected = [_decoded_by_rows(text) for text in texts]
+    monkeypatch.setattr(stabilizer, "_decode_stabilizer", None)  # a call raises TypeError
+    assert [stabilizer._decode_columns(text) for text in texts] == expected
