@@ -174,13 +174,14 @@ def _load(parse, path):
 
 def _parse_state(text):
     """Graph or stabilizer text, sniffed by the first meaningful line."""
-    first = next(
-        (ln.split("#", 1)[0].strip() for ln in text.splitlines() if ln.split("#", 1)[0].strip()),
-        "",
-    )
-    if len(first.split()) == 1 and first.isdigit():
+    first, start = "", 0  # text.splitlines() piece by piece, up to the first meaningful line
+    while not first and start <= len(text):
+        end = text.find("\n", start) % (len(text) + 1)  # the end of the text when none is left
+        lines = (ln.split("#", 1)[0].strip() for ln in text[start:end].splitlines())
+        first, start = next(filter(None, lines), ""), end + 1
+    if first.isdigit():
         return graphs.parse_edge_list(text)
-    return stabilizer.parse_stabilizer(text)
+    return stabilizer._parse_echelon(text)  # the basis the equivalence system is fastest on
 
 
 def _reread(parse, path):

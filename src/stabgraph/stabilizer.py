@@ -46,22 +46,8 @@ class StabilizerGenMatrix:
     __slots__ = ("n", "s")
 
     def __init__(self, s):
-        if s.rows % 2 != 0 or s.cols * 2 != s.rows:
-            raise StabilizerError(f"expected a 2n x n matrix, got {s.rows} x {s.cols}")
-        n = s.cols
-        gens = gf2.transpose(s)  # generator j as row j: Z bits at 0..n-1, X bits above
-        if gf2.rank(gens) != n:
-            raise NotIndependentError()
-        # Entry (i, j) of p = Z^T.X is z_i.x_j, so the symplectic product of
-        # generators i and j is p[i][j] + p[j][i]: all commute iff p is symmetric.
-        z_t = BitMatrix(n, n, [g & (1 << n) - 1 for g in gens.row_ints])
-        p = gf2.mat_mul(z_t, BitMatrix(n, n, s.row_ints[n:]))
-        for i, (row, col) in enumerate(zip(p.row_ints, gf2.transpose(p).row_ints)):
-            if row != col:
-                # the first asymmetric row i has its lowest asymmetric column j > i
-                diff = row ^ col
-                raise NotCommutingError(i + 1, (diff & -diff).bit_length())
-        object.__setattr__(self, "n", n)
+        _check(gf2.transpose(s), s)
+        object.__setattr__(self, "n", s.cols)
         object.__setattr__(self, "s", s)
 
     @classmethod
@@ -119,11 +105,44 @@ def parse_stabilizer(text):
     Pauli lines are checked one by one (length, letters, the letter count of
     the first line), then as a set: count, independence, commutation.
     """
-    s, what = _decode_stabilizer(text)
+    return _validated(*_decode_columns(text))
+
+
+def _parse_echelon(text):
+    """:func:`parse_stabilizer` on the remainders of its rank check's elimination.
+
+    Remainder j is generator j plus earlier ones, with its own highest bit. So
+    the remainders span the same state, and fail each check with the same
+    message: if the generators before i commute with all, remainder i commutes
+    with the others as generator i does, up to its first anticommuting partner.
+    """
+    gens, what = _decode_columns(text)
+    return _validated(BitMatrix(gens.rows, gens.cols, gf2._reduce_rows(gens.row_ints)), what)
+
+
+def _validated(gens, what):
+    s = gf2.transpose(gens)
     try:
-        return StabilizerGenMatrix(s)
+        _check(gens, s)
     except StabilizerError as exc:
         raise ParseError(f"{what}: {exc}", line=1) from exc
+    return StabilizerGenMatrix._trusted(s)
+
+
+def _check(gens, s):
+    """Raise the StabilizerError of the first failed check; gens holds generator j as row j."""
+    n = s.cols
+    if s.rows != 2 * n:
+        raise StabilizerError(f"expected a 2n x n matrix, got {s.rows} x {s.cols}")
+    if gf2.rank(gens) != n:
+        raise NotIndependentError()
+    # Row i of X^T.Z + Z^T.X = [X^T | Z^T].[Z; X] holds the symplectic products of
+    # generator i: the first nonzero row's lowest 1 is at j > i, as the sum is symmetric.
+    ones = (1 << n) - 1
+    swapped = BitMatrix(n, 2 * n, [g >> n | (g & ones) << n for g in gens.row_ints])
+    for i, row in enumerate(gf2.mat_mul(swapped, s).row_ints):
+        if row:
+            raise NotCommutingError(i + 1, (row & -row).bit_length())
 
 
 def _decode_columns(text):

@@ -16,6 +16,7 @@ from conftest import (
     empty_graph,
     graph_from_edges,
     hadamard_all_op,
+    outcome,
     path_graph,
     random_graph,
     random_in_domain_op,
@@ -31,7 +32,7 @@ from dense_oracle import (
 )
 from stabgraph import cli, clifford, decomposition, equivalence, gf2, graphs, orbit, reduction
 from stabgraph import stabilizer
-from stabgraph.errors import MAX_QUBITS
+from stabgraph.errors import MAX_QUBITS, ParseError
 
 
 def write(tmp_path, name, text):
@@ -705,6 +706,78 @@ def test_equiv_compares_qubit_counts_before_lifting_graphs(tmp_path, capsys):
     assert code == cli.EXIT_FAILURE
     assert capsys.readouterr().err == "error: invalid: qubit count mismatch\n"
     assert peak < 1 << 20
+
+
+def test_equiv_sniffs_the_first_meaningful_line_as_splitlines_does(monkeypatch):
+    def reference(text):
+        lines = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+        first = next(filter(None, lines), "")
+        return "graph" if len(first.split()) == 1 and first.isdigit() else "stabilizer"
+
+    monkeypatch.setattr(graphs, "parse_edge_list", lambda text: "graph")
+    monkeypatch.setattr(stabilizer, "_parse_echelon", lambda text: "stabilizer")
+    rng = random.Random(83)
+    pieces = ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "#", "# 3", "12"]
+    pieces += ["1 2", "X", "XZ", "\u0663", "\xb2"]
+    texts = ["", "\n", "5", "5\n", "#\n5", "\r\n\r\n7\r\n", "\r\n4 2\n"]
+    texts += ["".join(rng.choices(pieces, k=rng.randrange(12))) for _ in range(3000)]
+    kinds = [cli._parse_state(text) for text in texts]
+    assert kinds == [reference(text) for text in texts]
+    assert 500 < kinds.count("graph") < 2500
+
+
+# dependent generators, an anticommuting pair whose second generator the
+# elimination changes (XIX leaves XII), and a wrong count
+_INVALID_STABILIZERS = {
+    "dependent": ("XX\nXX\n", "4 2\n00\n00\n11\n00\n"),
+    "anticommuting": ("IIX\nXIX\nZII\n", "6 3\n001\n000\n000\n010\n000\n110\n"),
+    "count": ("XX\nZZ\nYY\n", "6 2\n10\n01\n00\n00\n00\n00\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_STABILIZERS))
+@pytest.mark.parametrize("form", [0, 1], ids=["pauli", "matrix"])
+def test_equiv_rejects_a_stabilizer_as_the_parser_does(tmp_path, capsys, case, form):
+    text = _INVALID_STABILIZERS[case][form]
+    with pytest.raises(ParseError) as exc:
+        stabilizer.parse_stabilizer(text)
+    bad = write(tmp_path, "bad.stab", text)
+    n = len(text.split()[-1])
+    good = graph_file(tmp_path, "good.graph", empty_graph(n))
+    for argv in ([bad, good], [good, bad]):
+        assert cli.run(["equiv", *argv, "--witness", str(tmp_path / "w.lc")]) == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: parse: {bad}: {exc.value}\n")
+    assert not (tmp_path / "w.lc").exists()
+
+
+def test_equiv_accepts_exactly_what_the_constructor_accepts(tmp_path, capsys, monkeypatch):
+    """On the 500 matrices of the pinned stabilizer verdicts, as Pauli lines and
+    as matrix blocks, equiv fails with the parser's error or decides the state
+    equivalent to itself."""
+    matrices = []
+
+    def record(s):
+        matrices.append(s)
+        return stabilizer.StabilizerGenMatrix(s)
+
+    monkeypatch.setattr(test_pinned_outputs, "StabilizerGenMatrix", record)
+    verdicts = list(test_pinned_outputs.stabilizer_verdicts())
+    monkeypatch.undo()
+    assert len(matrices) == len(verdicts) == 500
+    assert "ok" in verdicts and any(v != "ok" for v in verdicts)
+    path, witness = tmp_path / "s.stab", str(tmp_path / "w.lc")
+    for s, verdict in zip(matrices, verdicts):
+        pauli = stabilizer.format_stabilizer(stabilizer.StabilizerGenMatrix._trusted(s))
+        for text in (pauli, gf2.format_matrix(s)):
+            path.write_text(text)
+            code = cli.run(["equiv", str(path), str(path), "--quiet", "--witness", witness])
+            err = capsys.readouterr().err
+            if verdict == "ok":
+                assert code == cli.EXIT_OK, err
+            else:  # "<error type>: <message>"
+                message = outcome(stabilizer.parse_stabilizer, text)[1]
+                assert code == cli.EXIT_PARSE and message.endswith(verdict.split(": ", 1)[1])
+                assert err == f"error: parse: {path}: {message}\n"
 
 
 def test_export_dot(tmp_path, capsys):

@@ -19,7 +19,7 @@ from conftest import (
     reference_linear_system,
     star_graph,
 )
-from stabgraph import clifford, equivalence, gf2, graphs, orbit, stabilizer
+from stabgraph import cli, clifford, equivalence, gf2, graphs, orbit, stabilizer
 from stabgraph.decomposition import LCSequence, Single, apply_sequence
 from stabgraph.equivalence import Equivalent, Inequivalent, build_linear_system
 from stabgraph.equivalence import test_equivalence as decide
@@ -341,3 +341,70 @@ def test_blocks_are_the_components_of_overlapping_supports():
                         reached |= _support(v, n)
                         grown = True
             assert reached == support
+
+
+def _scrambled(rng, s):
+    return basis_change(s, random_invertible(rng, s.n))
+
+
+def _has_distinct_highest_bits(stab):
+    tops = [g.bit_length() for g in gf2.transpose(stab.s).row_ints]
+    return 0 not in tops and len(set(tops)) == len(tops)
+
+
+def _seeded_pairs(rng, count, max_n):
+    """Valid pairs n <= max_n: half of them equivalent through a random operation."""
+    for k in range(count):
+        n = rng.randrange(1, max_n + 1)
+        sa = random_stabilizer(n, rng.randrange(10**6))
+        if k % 2:
+            sb = random_stabilizer(n, rng.randrange(10**6))
+        else:
+            sb = stabilizer.StabilizerGenMatrix(
+                clifford.apply_to_stabilizer(random_valid_clifford(rng, n), sa)
+            )
+        yield sa, sb
+
+
+def test_a_change_of_generator_basis_changes_neither_verdict_nor_witness():
+    # S -> S.R mixes the equations of the system invertibly: same null space,
+    # same reduced basis, same search and the same witness bytes
+    rng = random.Random(79)
+    verdicts = set()
+    for sa, sb in _seeded_pairs(rng, 300, 12):
+        want = decide(sa, sb)
+        assert _same_verdict(decide(_scrambled(rng, sa), _scrambled(rng, sb)), want)
+        verdicts.add(type(want))
+    assert verdicts == {Equivalent, Inequivalent}
+
+
+def test_the_echelon_basis_gives_the_null_basis_of_the_system_as_written():
+    rng = random.Random(80)
+    scrambled = 0
+    for sa, sb in _seeded_pairs(rng, 200, 12):
+        sa, sb = _scrambled(rng, sa), _scrambled(rng, sb)
+        ea, eb = equivalence._echelon(sa), equivalence._echelon(sb)
+        assert _has_distinct_highest_bits(ea) and _has_distinct_highest_bits(eb)
+        assert stabilizer.same_subspace(ea, sa) and stabilizer.same_subspace(eb, sb)
+        as_written = gf2.solve_homogeneous(build_linear_system(sa, sb))
+        assert gf2.solve_homogeneous(build_linear_system(ea, eb)) == as_written
+        scrambled += (ea is not sa) + (eb is not sb)
+    assert scrambled >= 300
+
+
+def test_graph_and_parsed_states_reach_the_build_unchanged(monkeypatch):
+    rng = random.Random(81)
+    states = [stabilizer.from_graph(random_graph(rng, n)) for n in (1, 2, 5, 16, 33)]
+    for n in (1, 2, 5, 16, 33):
+        s = _scrambled(rng, random_stabilizer(n, n))
+        texts = (stabilizer.format_stabilizer(s), gf2.format_matrix(s.s))
+        states += [cli._parse_state(text) for text in texts]
+    assert all(_has_distinct_highest_bits(s) for s in states)
+    seen, real = [], equivalence.build_linear_system
+    monkeypatch.setattr(equivalence, "build_linear_system", lambda *st: seen.append(st) or real(*st))
+    for s in states:
+        assert equivalence._echelon(s) is s  # the scan passes: no elimination, no transpose
+        assert isinstance(decide(s, s), Equivalent)
+        (sa, sb), = seen
+        assert sa is s and sb is s
+        seen.clear()

@@ -272,3 +272,34 @@ def test_writer_text_is_decoded_without_the_line_reader(monkeypatch):
     expected = [_decoded_by_rows(text) for text in texts]
     monkeypatch.setattr(stabilizer, "_decode_stabilizer", None)  # a call raises TypeError
     assert [stabilizer._decode_columns(text) for text in texts] == expected
+
+
+def _invalid_texts():
+    """Stabilizers with one flipped bit, most failing the rank or commutation check, in both
+    formats; then hand-made anticommuting, wrong-count and wrong-shape texts."""
+    rng = random.Random(82)
+    for n in (2, 3, 5, 8):
+        for _ in range(40):
+            rows = list(random_stabilizer(n, rng.randrange(10**6)).s.row_ints)
+            rows[rng.randrange(2 * n)] ^= 1 << rng.randrange(n)  # often still independent
+            s = StabilizerGenMatrix._trusted(BitMatrix(2 * n, n, rows))
+            yield format_stabilizer(s)
+            yield gf2.format_matrix(s.s)
+    # the remainders 1: IIX, 2: XII (from XIX) and 3: ZII anticommute where 2 and 3 do
+    yield from ("IIX\nXIX\nZII\n", "6 3\n001\n000\n000\n010\n000\n110\n")
+    yield from ("XX\nZZ\nYY\n", "XZ\n", "6 2\n10\n01\n00\n00\n00\n00\n")
+
+
+def test_the_echelon_parse_fails_as_the_parser_does_and_spans_the_same_state():
+    texts = list(_stabilizer_texts()) + list(_invalid_texts())
+    results = [outcome(stabilizer._parse_echelon, text) for text in texts]
+    failures = 0
+    for text, got in zip(texts, results):
+        want = outcome(stabilizer.parse_stabilizer, text)
+        if isinstance(want, StabilizerGenMatrix):
+            tops = [g.bit_length() for g in gf2.transpose(got.s).row_ints]
+            assert len(set(tops)) == got.n and stabilizer.same_subspace(got, want)
+        else:
+            assert got == want
+            failures += "anticommute" in want[1]
+    assert failures >= 100
