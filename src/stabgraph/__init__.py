@@ -11,9 +11,7 @@ from .clifford import (
     LocalCliffordOp,
     NotInDomainError,
     complete_from_cd,
-    compose,
     graph_action,
-    local_complement_op,
 )
 from .decomposition import (
     LCSequence,
@@ -55,13 +53,11 @@ __all__ = [
     "Triple",
     "apply_sequence",
     "complete_from_cd",
-    "compose",
     "decompose_action",
     "enumerate_orbit",
     "from_graph",
     "graph_action",
     "local_complement",
-    "local_complement_op",
     "same_subspace",
     "test_equivalence",
     "test_equivalence_graphs",

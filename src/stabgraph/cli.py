@@ -199,10 +199,22 @@ def _check(args, ok, failure):
 
 
 def _replay(g, seq):
-    """Fold ``seq`` over g through the symplectic graph action of each step's operation."""
+    """The graph that ``seq`` walks g to, or None when one symplectic check fails.
+
+    The decomposition walk runs from the identity, so its final operation
+    maps the walked graph back onto g; :func:`clifford.graph_action` checks
+    that exactly and shares no code with the row step.
+    """
+    n, ones = g.n, (1 << g.n) - 1
+    rows, a, b, c, d = list(g.adj.row_ints), ones, 0, 0, ones
     for v in seq.expand():
-        g = clifford.graph_action(clifford.local_complement_op(g, v), g)
-    return g
+        a, b, c, d = decomposition._step(rows, a, b, c, d, graphs._check_vertex(n, v))
+    try:
+        walked = graphs.Graph(gf2.BitMatrix(n, n, rows))
+        ok = clifford.graph_action(clifford._op(n, a, b, c, d), walked) == g
+    except ValueError:  # an invalid graph or operation, or a domain error
+        return None
+    return walked if ok else None
 
 
 def _stem(path):

@@ -76,17 +76,6 @@ def _op(n, a, b, c, d):
     return LocalCliffordOp(BitVec(n, a), BitVec(n, b), BitVec(n, c), BitVec(n, d))
 
 
-def compose(q2, q1):
-    """Group product: q1 applied first, then q2 (right-to-left operator order)."""
-    if q2.n != q1.n:
-        raise ValueError("qubit count mismatch")
-    a = (q2.a.bits & q1.a.bits) ^ (q2.b.bits & q1.c.bits)
-    b = (q2.a.bits & q1.b.bits) ^ (q2.b.bits & q1.d.bits)
-    c = (q2.c.bits & q1.a.bits) ^ (q2.d.bits & q1.c.bits)
-    d = (q2.c.bits & q1.b.bits) ^ (q2.d.bits & q1.d.bits)
-    return _op(q1.n, a, b, c, d)
-
-
 def apply_to_stabilizer(q, stab):
     """Left-multiply a generator matrix by the operation; returns the raw 2n x n matrix.
 
@@ -140,18 +129,6 @@ def graph_action(q, g):
     else:
         return form[0]  # the image graph
     raise NotInDomainError(f"graph not in the operation's domain: {detail}")
-
-
-def local_complement_op(g, i):
-    """The local Clifford operation whose graph action is local complementation at i.
-
-    Blocks: A = I, B = diag(row i of the adjacency), C = the single-entry
-    diagonal at i, D = I. Every graph is in its domain, and the action equals
-    :func:`graphs.local_complement` at the same vertex.
-    """
-    idx = graphs._check_vertex(g.n, i)
-    ones = (1 << g.n) - 1
-    return _op(g.n, ones, g.adj.row_ints[idx], 1 << idx, ones)
 
 
 def complete_from_cd(g, c, d):

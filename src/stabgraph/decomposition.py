@@ -14,7 +14,8 @@ of c' having a neighbour, where the denominator is the identity and the
 image matrix is the walked graph plus diag(b'). So q acts on g exactly when
 b' = 0, and the image is then the walked graph: the complementation sequence
 reproduces the action. The walk complements one list of adjacency row ints
-in place, by the row step of :func:`graphs.local_complement`.
+in place, by the row step of :func:`graphs.local_complement`. The CLI's
+``--verify`` replay reuses the walk's step, :func:`_step`, from the identity.
 """
 
 from . import gf2, graphs

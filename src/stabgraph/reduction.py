@@ -74,8 +74,8 @@ def _reduce_columns(st):
     cols.reverse()
     m = BitMatrix(n, n, [c >> n & ones for c in cols])  # row i is column i of M
     tags = [c >> 2 * n for c in cols]  # column i of R
-    shear = clifford._op(n, ones, gf2.diagonal(m), 0, ones)
-    q = clifford.compose(shear, clifford._op(n, keep, swap, swap, keep))
+    shear = gf2.diagonal(m)  # the qubits that get [[1, 1], [0, 1]] after the Hadamards
+    q = clifford._op(n, keep ^ shear & swap, swap ^ shear & keep, swap, keep)
     graph = graphs.Graph._trusted(gf2.set_diagonal_zero(m))
     if gf2.transpose(m) != m or not _maps_onto(st, q, graph, tags):
         _reject(st)

@@ -146,7 +146,7 @@ def _check(gens, s):
 
 
 def _decode_columns(text):
-    """:func:`_decode_stabilizer` transposed: row j is generator j, Z bits then X bits.
+    """The generators of :func:`parse_stabilizer` text: row j is generator j, Z then X bits.
 
     Pauli lines and matrix blocks in the writers' shape are read in bulk; any
     other text, and every error, goes through :func:`_decode_stabilizer`.
@@ -164,12 +164,11 @@ def _decode_columns(text):
             if body.count("0") + body.count("1") == 2 * n * n:
                 gens = [int(body[j :: n + 1][::-1], 2) for j in range(n)]
                 return BitMatrix(n, 2 * n, gens), "not a valid stabilizer matrix"
-    s, what = _decode_stabilizer(text)
-    return gf2.transpose(s), what
+    return _decode_stabilizer(text)
 
 
 def _decode_stabilizer(text):
-    """The matrix of :func:`parse_stabilizer` text, unvalidated, and its errors' prefix.
+    """The generator rows of :func:`parse_stabilizer` text, unvalidated, and its errors' prefix.
 
     Makes every text check and the generator count, not rank or commutation.
     """
@@ -179,7 +178,7 @@ def _decode_stabilizer(text):
         m = gf2.parse_matrix(text)
         if m.cols < 1:
             raise ParseError("qubit count must be >= 1", line=1)
-        return m, "not a valid stabilizer matrix"
+        return gf2.transpose(m), "not a valid stabilizer matrix"
     n = None
     cols = []  # generator j as one int, its X bits above its Z bits
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -206,4 +205,4 @@ def _decode_stabilizer(text):
     if len(cols) != n:
         exc = WrongCountError(n, len(cols))
         raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
-    return gf2.transpose(BitMatrix(n, 2 * n, cols)), "not a valid stabilizer"
+    return BitMatrix(n, 2 * n, cols), "not a valid stabilizer"

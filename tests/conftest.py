@@ -1,6 +1,7 @@
 """Shared test-instance generators (named graph families, the seeded random
-stabilizer, basis changes and fixed operations, which the library itself
-never needs), random-instance generators, naive list-of-lists GF(2) oracles, the
+stabilizer, basis changes, fixed operations, the group product and the
+operation of one local complementation, which the library itself never
+needs), random-instance generators, naive list-of-lists GF(2) oracles, the
 per-bit loop references for the packed kernels and text codecs, the
 column-by-column elimination behind reference rank, inverse and null basis,
 the three-step row reduction to graph-state form and stabilizers of any X
@@ -172,7 +173,7 @@ def reference_to_graph_state(stab):
     r = reference_try_invert(gf2.BitMatrix(n, n, rows[n:]))
     m = reference_mat_mul(gf2.BitMatrix(n, n, rows[:n]), r)
     assert m == reference_transpose(m)
-    q = clifford.compose(clifford._op(n, ones, gf2.diagonal(m), 0, ones), q)
+    q = compose(clifford._op(n, ones, gf2.diagonal(m), 0, ones), q)
     return graphs.Graph(gf2.set_diagonal_zero(m)), q, r
 
 
@@ -440,6 +441,29 @@ def graph_from_edges(n, edges):
 def identity_op(n):
     ones = (1 << n) - 1
     return clifford._op(n, ones, 0, 0, ones)
+
+
+def compose(q2, q1):
+    """Group product: q1 applied first, then q2 (right-to-left operator order)."""
+    if q2.n != q1.n:
+        raise ValueError("qubit count mismatch")
+    a = (q2.a.bits & q1.a.bits) ^ (q2.b.bits & q1.c.bits)
+    b = (q2.a.bits & q1.b.bits) ^ (q2.b.bits & q1.d.bits)
+    c = (q2.c.bits & q1.a.bits) ^ (q2.d.bits & q1.c.bits)
+    d = (q2.c.bits & q1.b.bits) ^ (q2.d.bits & q1.d.bits)
+    return clifford._op(q1.n, a, b, c, d)
+
+
+def local_complement_op(g, i):
+    """The local Clifford operation whose graph action is local complementation at i.
+
+    Blocks: A = I, B = diag(row i of the adjacency), C = the single-entry
+    diagonal at i, D = I. Every graph is in its domain, and the action equals
+    :func:`graphs.local_complement` at the same vertex.
+    """
+    idx = graphs._check_vertex(g.n, i)
+    ones = (1 << g.n) - 1
+    return clifford._op(g.n, ones, g.adj.row_ints[idx], 1 << idx, ones)
 
 
 def hadamard_all_op(n):

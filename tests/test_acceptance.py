@@ -20,6 +20,7 @@ from conftest import (
     complete_graph,
     empty_graph,
     in_domain,
+    local_complement_op,
     random_graph,
     random_in_domain_op,
     random_stabilizer,
@@ -66,14 +67,14 @@ def test_02_generator_op_equals_local_complement():
         for n in range(1, 5):
             for g in all_graphs(n):
                 for i in range(1, n + 1):
-                    op = clifford.local_complement_op(g, i)
+                    op = local_complement_op(g, i)
                     assert clifford.graph_action(op, g) == local_complement(g, i)
         rng = random.Random(201)
         for _ in range(500):
             n = rng.randrange(1, 13)
             g = random_graph(rng, n)
             i = rng.randrange(1, n + 1)
-            op = clifford.local_complement_op(g, i)
+            op = local_complement_op(g, i)
             assert clifford.graph_action(op, g) == local_complement(g, i)
 
 
@@ -210,7 +211,7 @@ def test_08_dense_oracle_ground_truth():
             state = oracle.build_graph_state(g)
             cur = g
             for v in seq.expand():
-                step = clifford.local_complement_op(cur, v)
+                step = local_complement_op(cur, v)
                 state = oracle.apply_lifted(state, oracle.lift_local_clifford(step))
                 cur = local_complement(cur, v)
             target = stabilizer.from_graph(clifford.graph_action(q, g))

@@ -13,9 +13,12 @@ import pytest
 import test_pinned_outputs
 from conftest import (
     complete_graph,
+    compose,
     empty_graph,
     graph_from_edges,
     hadamard_all_op,
+    identity_op,
+    local_complement_op,
     outcome,
     path_graph,
     random_graph,
@@ -215,7 +218,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
     g = path_graph(4)
     gpath = graph_file(tmp_path, "g.graph", g)
     stab = write(tmp_path, "g.stab", stabilizer.format_stabilizer(stabilizer.from_graph(g)))
-    op = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+    op = write(tmp_path, "op.lc", clifford.format_clifford(local_complement_op(g, 2)))
     steps = write(tmp_path, "steps.lcs", "g 2\n")
     argvs = {
         "reduce": ["reduce", stab],
@@ -334,7 +337,7 @@ def test_undecodable_input_is_a_parse_error(tmp_path, capsys, command):
 def _unwritable_argv(tmp_path, command, out):
     g = path_graph(3)
     gpath = graph_file(tmp_path, "g.graph", g)
-    op = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+    op = write(tmp_path, "op.lc", clifford.format_clifford(local_complement_op(g, 2)))
     return {
         "reduce": ["reduce", write(tmp_path, "g.stab", "ZII\nIZI\nIIZ\n"), "--out-graph", out],
         "decompose": ["decompose", op, gpath, "--out", out],
@@ -493,7 +496,7 @@ def test_reduce_accepts_exactly_what_the_constructor_accepts(tmp_path, capsys, m
 def test_decompose_and_apply_roundtrip(tmp_path, capsys):
     g = path_graph(4)
     gpath = graph_file(tmp_path, "path4.graph", g)
-    q = clifford.local_complement_op(g, 2)
+    q = local_complement_op(g, 2)
     qpath = write(tmp_path, "op.lc", clifford.format_clifford(q))
     seq_path = str(tmp_path / "steps.lcs")
     assert cli.run(["decompose", qpath, gpath, "--out", seq_path, "--verify"]) == cli.EXIT_OK
@@ -522,7 +525,7 @@ def _verify_inputs(tmp_path, command, g):
         stab = stabilizer.format_stabilizer(stabilizer.from_graph(g))
         return ["reduce", write(tmp_path, "g.stab", stab), "--verify"]
     if command == "decompose":
-        qpath = write(tmp_path, "op.lc", clifford.format_clifford(clifford.local_complement_op(g, 2)))
+        qpath = write(tmp_path, "op.lc", clifford.format_clifford(local_complement_op(g, 2)))
         return ["decompose", qpath, gpath, "--verify"]
     if command == "apply":
         return ["apply", gpath, write(tmp_path, "steps.lcs", "g 2\n"), "--verify"]
@@ -593,6 +596,65 @@ def test_verify_catches_a_wrong_result(tmp_path, capsys, monkeypatch, command, f
     assert "check: ok" not in captured.out
 
 
+def _walk_inputs(tmp_path, n, seed):
+    """Files for a seeded G(n, 1/2), n random single steps and the operation they compose to."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n)
+    q, cur, steps = identity_op(n), g, []
+    for _ in range(n):
+        v = rng.randrange(1, n + 1)
+        q, cur = compose(local_complement_op(cur, v), q), graphs.local_complement(cur, v)
+        steps.append(f"g {v}\n")
+    return (
+        graph_file(tmp_path, "g.graph", g),
+        write(tmp_path, "steps.lcs", "".join(steps)),
+        write(tmp_path, "op.lc", clifford.format_clifford(q)),
+    )
+
+
+def _drop_highest_neighbour(monkeypatch):
+    right = graphs._complement_rows
+
+    def step(rows, idx):  # complements the neighbourhood without its highest vertex
+        nb = rows[idx]
+        rows[idx] = nb ^ (1 << nb.bit_length() >> 1)
+        right(rows, idx)
+        rows[idx] = nb
+
+    monkeypatch.setattr(graphs, "_complement_rows", step)
+
+
+def _drop_the_a_update(monkeypatch):
+    right = decomposition._step
+    monkeypatch.setattr(decomposition, "_step", lambda rows, a, *bcd: (a, *right(rows, a, *bcd)[1:]))
+
+
+@pytest.mark.parametrize("n", [4, 13, 64])
+@pytest.mark.parametrize("mutant", [_drop_highest_neighbour, _drop_the_a_update])
+def test_a_broken_row_step_fails_the_replay_check(tmp_path, capsys, monkeypatch, mutant, n):
+    # the walk and the command share the broken step; the one graph action does not
+    gpath, seq_path, qpath = _walk_inputs(tmp_path, n, seed=1)
+    mutant(monkeypatch)
+    assert cli.run(["apply", gpath, seq_path, "--verify"]) == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    failure = "symplectic replay disagrees with edge toggling"
+    assert captured.err == f"error: failed: check failed: {failure}\n"
+    assert cli.run(["decompose", qpath, gpath, "--verify"]) == cli.EXIT_FAILURE
+    assert "check: ok" not in capsys.readouterr().out
+
+
+def test_the_replay_makes_one_graph_action_per_sequence(tmp_path, monkeypatch):
+    gpath, seq_path, qpath = _walk_inputs(tmp_path, 64, seed=64)
+    calls = []
+    right = clifford.graph_action
+    monkeypatch.setattr(clifford, "graph_action", lambda q, g: calls.append(q) or right(q, g))
+    assert cli.run(["apply", gpath, seq_path, "--verify", "--quiet"]) == cli.EXIT_OK
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.run(["decompose", qpath, gpath, "--verify", "--quiet"]) == cli.EXIT_OK
+    assert len(calls) == 2  # the replay's check and the image it is compared with
+
+
 def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
     """reduce, decompose and equiv outputs, read back from their files, lifted onto statevectors."""
     rng = random.Random(77)
@@ -617,7 +679,7 @@ def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
         image = clifford.graph_action(op, g)
         state, cur = build_graph_state(g), g
         for v in seq.expand():
-            state = apply_lifted(state, lift_local_clifford(clifford.local_complement_op(cur, v)))
+            state = apply_lifted(state, lift_local_clifford(local_complement_op(cur, v)))
             cur = graphs.local_complement(cur, v)
         assert stabilized_up_to_signs(state, stabilizer.from_graph(image))
 

@@ -10,11 +10,13 @@ from conftest import (
     SINGULAR_CD,
     all_graphs,
     complete_graph,
+    compose,
     empty_graph,
     graph_from_edges,
     hadamard_all_op,
     identity_op,
     in_domain,
+    local_complement_op,
     outcome,
     path_graph,
     random_graph,
@@ -31,7 +33,6 @@ from stabgraph.clifford import (
     NotInDomainError,
     complete_from_cd,
     graph_action,
-    local_complement_op,
 )
 from stabgraph.decomposition import decompose_action
 from stabgraph.errors import ParseError
@@ -87,10 +88,10 @@ def test_compose_identity_and_hadamard():
     rng = random.Random(31)
     q = random_valid_clifford(rng, 5)
     ident = identity_op(5)
-    assert clifford.compose(ident, q) == q
-    assert clifford.compose(q, ident) == q
+    assert compose(ident, q) == q
+    assert compose(q, ident) == q
     h = hadamard_all_op(5)
-    assert clifford.compose(h, h) == ident
+    assert compose(h, h) == ident
 
 
 def test_compose_matches_assembled_product():
@@ -99,7 +100,7 @@ def test_compose_matches_assembled_product():
         n = rng.randrange(1, 7)
         q1 = random_valid_clifford(rng, n)
         q2 = random_valid_clifford(rng, n)
-        composed = clifford.compose(q2, q1)
+        composed = compose(q2, q1)
         assert assemble(composed) == gf2.mat_mul(assemble(q2), assemble(q1))
 
 

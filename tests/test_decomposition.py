@@ -10,10 +10,12 @@ from conftest import (
     all_graphs,
     cd_matrix,
     cd_step,
+    compose,
     empty_graph,
     graph_from_edges,
     hadamard_all_op,
     identity_op,
+    local_complement_op,
     path_graph,
     random_graph,
     random_in_domain_op,
@@ -115,9 +117,7 @@ def test_cd_step_closure():
         # the step is local complementation at i on the graph and the lower
         # blocks of the operation when c_i = 1, and the identity otherwise
         if c.bits >> (i - 1) & 1:
-            q = clifford.compose(
-                clifford.complete_from_cd(g, c, d), clifford.local_complement_op(g, i)
-            )
+            q = compose(clifford.complete_from_cd(g, c, d), local_complement_op(g, i))
             lc = graphs.local_complement(g, i)
             assert cd_matrix(lc.adj, q.c, q.d) == stepped
         else:
@@ -243,7 +243,7 @@ def test_decompose_generator_op():
         n = rng.randrange(1, 10)
         g = random_graph(rng, n)
         i = rng.randrange(1, n + 1)
-        q = clifford.local_complement_op(g, i)
+        q = local_complement_op(g, i)
         seq = decompose_action(q, g)
         assert apply_sequence(g, seq) == graphs.local_complement(g, i)
 
@@ -271,7 +271,7 @@ def test_composed_step_operations_realize_the_action():
         total = identity_op(n)
         cur = g
         for v in seq.expand():
-            total = clifford.compose(clifford.local_complement_op(cur, v), total)
+            total = compose(local_complement_op(cur, v), total)
             cur = graphs.local_complement(cur, v)
         assert clifford.graph_action(total, g) == clifford.graph_action(q, g)
         assert clifford.complete_from_cd(g, total.c, total.d) == total

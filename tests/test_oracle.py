@@ -13,6 +13,7 @@ from conftest import (
     graph_from_edges,
     hadamard_all_op,
     identity_op,
+    local_complement_op,
     path_graph,
     random_graph,
     random_in_domain_op,
@@ -151,7 +152,7 @@ def test_lifted_generator_op_moves_graph_state():
         n = rng.randrange(2, 7)
         g = random_graph(rng, n)
         i = rng.randrange(1, n + 1)
-        q = clifford.local_complement_op(g, i)
+        q = local_complement_op(g, i)
         moved = apply_lifted(build_graph_state(g), lift_local_clifford(q))
         target = stabilizer.from_graph(graphs.local_complement(g, i))
         assert stabilized_up_to_signs(moved, target)
@@ -167,7 +168,7 @@ def test_lifted_sequence_matches_decomposition():
         state = build_graph_state(g)
         cur = g
         for v in seq.expand():
-            step = clifford.local_complement_op(cur, v)
+            step = local_complement_op(cur, v)
             state = apply_lifted(state, lift_local_clifford(step))
             cur = graphs.local_complement(cur, v)
         target = stabilizer.from_graph(clifford.graph_action(q, g))

@@ -27,11 +27,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    compose,
     empty_graph,
     graph_from_edges,
     hadamard_all_op,
     identity_op,
     in_domain,
+    local_complement_op,
     random_stabilizer,
     reference_parse_matrix,
     reference_pauli_from_text,
@@ -258,7 +260,7 @@ def in_domain_ops(draw, g):
 def domain_ops(draw, g):
     """An operation with g in its domain: a completion, or else one local complementation."""
     q = draw(in_domain_ops(g))
-    return q if in_domain(q, g) else clifford.local_complement_op(g, draw(st.integers(1, g.n)))
+    return q if in_domain(q, g) else local_complement_op(g, draw(st.integers(1, g.n)))
 
 
 @SETTINGS
@@ -267,7 +269,7 @@ def test_local_complement_op_acts_as_local_complementation(data):
     g = data.draw(graph_values())
     v = data.draw(st.integers(1, g.n))
     h = graphs.local_complement(g, v)
-    assert clifford.graph_action(clifford.local_complement_op(g, v), g) == h
+    assert clifford.graph_action(local_complement_op(g, v), g) == h
     assert graphs.local_complement(h, v) == g
 
 
@@ -278,7 +280,7 @@ def test_the_action_of_a_product_is_the_composed_action(data):
     q1 = data.draw(domain_ops(g))
     h = clifford.graph_action(q1, g)
     q2 = data.draw(domain_ops(h))
-    assert clifford.graph_action(clifford.compose(q2, q1), g) == clifford.graph_action(q2, h)
+    assert clifford.graph_action(compose(q2, q1), g) == clifford.graph_action(q2, h)
 
 
 def test_a_product_can_act_where_its_first_factor_does_not():
@@ -286,8 +288,8 @@ def test_a_product_can_act_where_its_first_factor_does_not():
     g, h = empty_graph(1), hadamard_all_op(1)
     with pytest.raises(clifford.NotInDomainError):
         clifford.graph_action(h, g)
-    assert clifford.compose(h, h) == identity_op(1)
-    assert clifford.graph_action(clifford.compose(h, h), g) == g
+    assert compose(h, h) == identity_op(1)
+    assert clifford.graph_action(compose(h, h), g) == g
 
 
 @SETTINGS
@@ -367,10 +369,8 @@ def test_a_size_mismatch_or_a_bad_vertex_raises_value_error(data):
         .filter(lambda blocks: any(len(block) != 4 for block in blocks))
     )
     calls = (
-        lambda: clifford.compose(q, other),
         lambda: clifford.graph_action(other, g),
         lambda: graphs.local_complement(g, v),
-        lambda: clifford.local_complement_op(g, v),
         lambda: clifford.complete_from_cd(g, q.c, other.d),
         lambda: clifford.LocalCliffordOp.from_qubit_blocks(blocks),
     )

@@ -5,6 +5,7 @@ import random
 from conftest import (
     basis_change,
     cd_matrix,
+    compose,
     empty_graph,
     hadamard_all_op,
     identity_op,
@@ -65,7 +66,7 @@ def test_completion_is_the_start_op_then_the_reduction_shears():
         q = random_in_domain_op(rng, g)
         start = LocalCliffordOp(BitVec(g.n, q.d.bits & ~q.c.bits), q.c, q.c, q.d)
         w = to_graph_state(moved(start, g))
-        assert clifford.complete_from_cd(g, q.c, q.d) == clifford.compose(w.q, start)
+        assert clifford.complete_from_cd(g, q.c, q.d) == compose(w.q, start)
 
 
 def test_z_only_becomes_empty_graph_via_hadamards():
@@ -159,7 +160,7 @@ def test_verify_witness_rejects_perturbed_operation():
     s = random_stabilizer(4, 7)
     w = to_graph_state(s)
     shear = LocalCliffordOp(BitVec(4, 0b1111), BitVec(4, 1), BitVec(4, 0), BitVec(4, 0b1111))
-    bad = reduction.ReductionWitness(graph=w.graph, q=clifford.compose(shear, w.q), r=w.r)
+    bad = reduction.ReductionWitness(graph=w.graph, q=compose(shear, w.q), r=w.r)
     assert not verify_witness(s, bad)
 
 

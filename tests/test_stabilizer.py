@@ -225,8 +225,7 @@ def test_parse_stabilizer_errors():
 
 
 def _decoded_by_rows(text):
-    s, what = stabilizer._decode_stabilizer(text)
-    return gf2.transpose(s), what
+    return stabilizer._decode_stabilizer(text)
 
 
 def _stabilizer_texts():
