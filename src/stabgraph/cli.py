@@ -201,9 +201,10 @@ def _check(args, ok, failure):
 def _replay(g, seq):
     """The graph that ``seq`` walks g to, or None when one symplectic check fails.
 
-    The decomposition walk runs from the identity, so its final operation
-    maps the walked graph back onto g; :func:`clifford.graph_action` checks
-    that exactly and shares no code with the row step.
+    The decomposition walk runs from the identity, so its final operation Q'
+    maps the walked graph W back onto g. :func:`clifford._maps` checks that
+    exactly, A'.W + B' = g.(C'.W + D') with one product, and shares no code
+    with the row step.
     """
     n, ones = g.n, (1 << g.n) - 1
     rows, a, b, c, d = list(g.adj.row_ints), ones, 0, 0, ones
@@ -211,8 +212,8 @@ def _replay(g, seq):
         a, b, c, d = decomposition._step(rows, a, b, c, d, graphs._check_vertex(n, v))
     try:
         walked = graphs.Graph(gf2.BitMatrix(n, n, rows))
-        ok = clifford.graph_action(clifford._op(n, a, b, c, d), walked) == g
-    except ValueError:  # an invalid graph or operation, or a domain error
+        ok = clifford._maps(clifford._op(n, a, b, c, d), walked, g)
+    except ValueError:  # an invalid graph or operation
         return None
     return walked if ok else None
 
@@ -259,7 +260,8 @@ def _cmd_decompose(args):
     _say(args, f"{len(seq)} steps -> {out}")
     if args.verify:
         written = _reread(decomposition.parse_sequence, out)
-        ok = _replay(g, written) == clifford.graph_action(q, g)
+        walked = _replay(g, written)
+        ok = walked is not None and clifford._maps(q, g, walked)
         _check(args, ok, "sequence misses the image of the graph action")
     return EXIT_OK
 

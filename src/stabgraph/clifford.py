@@ -11,7 +11,7 @@ form.
 import re
 
 from . import decomposition, gf2, graphs, stabilizer
-from .errors import MAX_QUBITS, InternalError, NotInDomainError, ParseError, _decimal
+from .errors import MAX_QUBITS, NotInDomainError, ParseError, _decimal
 from .gf2 import BitMatrix, BitVec
 
 
@@ -94,41 +94,25 @@ def apply_to_stabilizer(q, stab):
     return BitMatrix(2 * n, n, out_z + out_x)
 
 
-def graph_form(q, stab):
-    """The graph form of q.S: (M with its diagonal cleared, as a graph, and diag(M)).
-
-    Applies q to the 2n x n matrix S, inverts its X block once (R = X^-1) and
-    asserts that M = Z.R is symmetric; None when the X block is singular. The
-    reduction reaches it by column operations instead (:mod:`stabgraph.reduction`).
-    """
-    n = stab.n
-    rows = apply_to_stabilizer(q, stab).row_ints
-    r = gf2.try_invert(BitMatrix(n, n, rows[n:]))
-    if r is None:
-        return None
-    m = gf2.mat_mul(BitMatrix(n, n, rows[:n]), r)
-    if not gf2.is_symmetric(m):
-        raise InternalError("Z block of the graph form is not symmetric")
-    return graphs.Graph._trusted(gf2.set_diagonal_zero(m)), gf2.diagonal(m)
-
-
 def graph_action(q, g):
     """Act on a graph; returns the image graph or raises NotInDomainError.
 
-    The image adjacency is (A.adj + B)(C.adj + D)^-1, the graph form of
-    q.[adj; I], when C.adj + D is invertible; the graph is in the domain when
-    additionally that matrix has zero diagonal.
+    The image adjacency is (A.adj + B)(C.adj + D)^-1 when C.adj + D is
+    invertible and that matrix has zero diagonal. The decomposition walk
+    decides both and ends at the image (:mod:`stabgraph.decomposition`).
     """
-    if q.n != g.n:
-        raise ValueError("qubit count mismatch")
-    form = graph_form(q, stabilizer.from_graph(g))
-    if form is None:
-        detail = "C.adj + D is singular"
-    elif form[1]:  # the diagonal a graph must not have
-        detail = "the transformed matrix has a nonzero diagonal"
-    else:
-        return form[0]  # the image graph
-    raise NotInDomainError(f"graph not in the operation's domain: {detail}")
+    return graphs.Graph._trusted(BitMatrix(g.n, g.n, decomposition._act(q, g)[1]))
+
+
+def _maps(q, g, h):
+    """Whether q maps graph g onto graph h: A.g + B = h.(C.g + D), one product, no inversion.
+
+    Exact because q is invertible per qubit: q.[g; I] then has full column
+    rank, so the equality forces C.g + D to be invertible and h, which has a
+    zero diagonal, to be the image (A.g + B)(C.g + D)^-1.
+    """
+    rows = apply_to_stabilizer(q, stabilizer.from_graph(g)).row_ints
+    return gf2.mat_mul(h.adj, BitMatrix(g.n, g.n, rows[g.n :])).row_ints == rows[: g.n]
 
 
 def complete_from_cd(g, c, d):
@@ -144,7 +128,7 @@ def complete_from_cd(g, c, d):
     if c.n != g.n or d.n != g.n:
         raise ValueError("diagonal length mismatch")
     a, b, c, d = d.bits & ~c.bits, c.bits, c.bits, d.bits
-    _, flip = decomposition._walk(g, a, b, c, d)
+    flip = decomposition._walk(g, a, b, c, d)[1]
     return _op(g.n, a ^ (c & flip), b ^ (d & flip), c, d)
 
 

@@ -14,8 +14,13 @@ of c' having a neighbour, where the denominator is the identity and the
 image matrix is the walked graph plus diag(b'). So q acts on g exactly when
 b' = 0, and the image is then the walked graph: the complementation sequence
 reproduces the action. The walk complements one list of adjacency row ints
-in place, by the row step of :func:`graphs.local_complement`. The CLI's
-``--verify`` replay reuses the walk's step, :func:`_step`, from the identity.
+in place, by the row step of :func:`graphs.local_complement`.
+
+The walk is the library's one graph action: :func:`decompose_action` returns
+its sequence and :func:`clifford.graph_action` its walked graph. The CLI's
+``--verify`` replay reuses the walk's step, :func:`_step`, from the identity,
+and checks the result with :func:`clifford._maps`, one product that shares
+no code with the walk.
 """
 
 from . import gf2, graphs
@@ -81,7 +86,7 @@ def _lowest_with_neighbour(rows, bits):
 
 
 def _walk(g, a, b, c, d):
-    """Walk the operation with n-bit int diagonals a, b, c, d on g; returns (sequence, b').
+    """Walk the operation with n-bit int diagonals a, b, c, d on g; returns (sequence, b', rows).
 
     Two phases, all choices lowest-index: first, each vertex in c & d that
     has a neighbour is finished with one step there; second, the vertices
@@ -112,34 +117,39 @@ def _walk(g, a, b, c, d):
 
     if d != full or _lowest_with_neighbour(rows, c) is not None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
-    return LCSequence(tuple(steps)), b
+    return LCSequence(tuple(steps)), b, rows
 
 
 def apply_sequence(g, seq):
-    """Fold local complementation over the expanded step list, left to right."""
+    """Fold local complementation over the expanded step list, left to right, on one row list."""
+    rows = list(g.adj.row_ints)
     for v in seq.expand():
-        g = graphs.local_complement(g, v)
-    return g
+        graphs._complement_rows(rows, graphs._check_vertex(g.n, v))
+    return graphs.Graph._trusted(gf2.BitMatrix(g.n, g.n, rows))
 
 
-def decompose_action(q, g):
-    """Translate the action of q on g into complementation steps.
+def _act(q, g):
+    """The walk of q's four diagonals on g: (sequence, image rows), or NotInDomainError.
 
-    The walk of q's four diagonals decides the domain: NotInDomainError names
-    a singular C.adj + D when the walk fails, and a nonzero image diagonal
-    when it ends with b' != 0. Otherwise the steps map g onto its image.
+    NotInDomainError names a singular C.adj + D when the walk fails, and a
+    nonzero image diagonal when it ends with b' != 0.
     """
     if q.n != g.n:
         raise ValueError("qubit count mismatch")
     try:
-        seq, b = _walk(g, q.a.bits, q.b.bits, q.c.bits, q.d.bits)
+        seq, b, rows = _walk(g, q.a.bits, q.b.bits, q.c.bits, q.d.bits)
     except gf2.SingularError:
         detail = "C.adj + D is singular"
     else:
         if not b:
-            return seq
+            return seq, rows
         detail = "the transformed matrix has a nonzero diagonal"
     raise NotInDomainError(f"graph not in the operation's domain: {detail}")
+
+
+def decompose_action(q, g):
+    """Translate the action of q on g into complementation steps that map g onto its image."""
+    return _act(q, g)[0]
 
 
 def format_sequence(seq):

@@ -215,29 +215,6 @@ def rank(m):
     return sum(1 for r in _reduce_rows(m.row_ints) if r)
 
 
-def try_invert(m):
-    """Inverse of a square matrix, or None when singular.
-
-    Reduces the rows of [m | I], with I below m's bits, and returns None at
-    the first dependent row. Otherwise the n remainders, ascending, form a
-    lower unitriangular E above a block B with E = B.m, and the inverse
-    E^-1.B follows by forward substitution, row i from rows 0..i-1.
-    """
-    if not m.is_square():
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    echelon = []
-    for r in _reduce_rows((r << n | 1 << i for i, r in enumerate(m.row_ints)), n):
-        if not r >> n:
-            return None
-        echelon.append(r)
-    inv, mask = [], (1 << n) - 1
-    for i, r in enumerate(sorted(echelon)):  # distinct top bits: value order is pivot order
-        below = format((r >> n) ^ (1 << i), f"0{i}b").encode().translate(_SELECTORS)
-        inv.append(reduce(xor, compress(reversed(inv), below), r & mask))
-    return BitMatrix(n, n, inv)
-
-
 def solve_homogeneous(mt):
     """Basis of the null space {x : m.x = 0}, given the system by columns.
 

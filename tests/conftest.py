@@ -4,7 +4,7 @@ operation of one local complementation, which the library itself never
 needs), random-instance generators, naive list-of-lists GF(2) oracles, the
 per-bit loop references for the packed kernels and text codecs, the
 column-by-column elimination behind reference rank, inverse and null basis,
-the three-step row reduction to graph-state form and stabilizers of any X
+the inversion form of the graph action, the three-step row reduction to graph-state form and stabilizers of any X
 rank, the tuple orbit key, the matrix references for C.adj + D and the
 decomposition walk, the graph-action domain predicate and error texts, the
 reference completion and the exhaustive reference equivalence solver.
@@ -141,6 +141,29 @@ def reference_try_invert(m):
     if len(pivots) < n:
         return None
     return gf2.BitMatrix(n, n, [work[i] >> n for _, i in pivots])
+
+
+def reference_graph_action(q, g):
+    """The graph action as the inversion form (A.adj + B)(C.adj + D)^-1, with the reference kernels.
+
+    Applies q to [adj; I], inverts the X block C.adj + D and multiplies; raises
+    the library's NotInDomainError texts when that block is singular or the
+    image has a nonzero diagonal, and ValueError for a qubit count mismatch.
+    """
+    if q.n != g.n:
+        raise ValueError("qubit count mismatch")
+    n = g.n
+    rows = clifford.apply_to_stabilizer(q, stabilizer.from_graph(g)).row_ints
+    r = reference_try_invert(gf2.BitMatrix(n, n, rows[n:]))
+    if r is None:
+        detail = "C.adj + D is singular"
+    else:
+        m = reference_mat_mul(gf2.BitMatrix(n, n, rows[:n]), r)
+        assert m == reference_transpose(m)
+        if not gf2.diagonal(m):
+            return graphs.Graph(m)
+        detail = "the transformed matrix has a nonzero diagonal"
+    raise clifford.NotInDomainError(f"graph not in the operation's domain: {detail}")
 
 
 def reference_solve_homogeneous(mt):
@@ -316,7 +339,7 @@ def diag_from_vec(v, n):
 
 def invert(m):
     """Inverse of a square matrix; raises SingularError when rank < n."""
-    inv = gf2.try_invert(m)
+    inv = reference_try_invert(m)
     if inv is None:
         raise gf2.SingularError(f"{m.rows}x{m.cols} matrix is singular")
     return inv
@@ -370,7 +393,7 @@ def random_bitmatrix(rng, rows, cols):
 def random_invertible(rng, n):
     while True:
         m = random_bitmatrix(rng, n, n)
-        if gf2.try_invert(m) is not None:
+        if reference_try_invert(m) is not None:
             return m
 
 
@@ -474,7 +497,7 @@ def hadamard_all_op(n):
 
 def basis_change(stab, r):
     """Right-multiply by an invertible matrix: new generators for the same subspace."""
-    if not r.is_square() or gf2.try_invert(r) is None:
+    if not r.is_square() or reference_try_invert(r) is None:
         raise gf2.SingularError("basis change matrix must be invertible")
     return stabilizer.StabilizerGenMatrix._trusted(gf2.mat_mul(stab.s, r))
 
@@ -509,7 +532,7 @@ def random_stabilizer(n, seed):
 def in_domain(q, g):
     """Whether g lies in the domain of q's graph action."""
     try:
-        clifford.graph_action(q, g)
+        reference_graph_action(q, g)
     except clifford.NotInDomainError:
         return False
     return True
@@ -555,11 +578,11 @@ def reference_completion(g, c, d):
 
     Per qubit, the first of (0, 1), (1, 0), (1, 1) that keeps the 2x2 block
     invertible is taken and switched by (c_i, d_i) when its image diagonal
-    entry is 1; the result is checked with a full :func:`clifford.graph_action`.
+    entry is 1; the result is checked with :func:`reference_graph_action`.
     Raises SingularError when C.adj + D is singular.
     """
     n = g.n
-    denom_inv = gf2.try_invert(cd_matrix(g.adj, c, d))
+    denom_inv = reference_try_invert(cd_matrix(g.adj, c, d))
     if denom_inv is None:
         raise gf2.SingularError("lower blocks do not give an invertible denominator")
     inv_cols = gf2.transpose(denom_inv).row_ints

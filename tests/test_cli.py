@@ -24,6 +24,7 @@ from conftest import (
     random_graph,
     random_in_domain_op,
     random_stabilizer,
+    reference_graph_action,
     star_graph,
 )
 from dense_oracle import (
@@ -510,10 +511,10 @@ def test_decompose_and_apply_roundtrip(tmp_path, capsys):
 
 
 def test_apply_verify_catches_wrong_edge_toggling(tmp_path, capsys, monkeypatch):
-    # the replay goes through the symplectic graph action, not local_complement
+    # apply and the replay toggle edges with the same row step; the replay's check does not
     gpath = graph_file(tmp_path, "path4.graph", path_graph(4))
     seq_path = write(tmp_path, "steps.lcs", "g 2\n")
-    monkeypatch.setattr(graphs, "local_complement", lambda g, i: g)
+    monkeypatch.setattr(graphs, "_complement_rows", lambda rows, idx: None)
     assert cli.run(["apply", gpath, seq_path, "--verify", "--quiet"]) == cli.EXIT_FAILURE
     assert "error: failed: check failed: symplectic replay" in capsys.readouterr().err
 
@@ -550,7 +551,7 @@ def _break_result(monkeypatch, command, g):
         wrong_seq = decomposition.LCSequence((decomposition.Single(3),))
         monkeypatch.setattr(decomposition, "decompose_action", lambda q, h: wrong_seq)
     elif command == "apply":
-        monkeypatch.setattr(graphs, "local_complement", lambda h, i: h)
+        monkeypatch.setattr(decomposition, "apply_sequence", lambda h, seq: h)
     else:
         monkeypatch.setattr(equivalence, "test_equivalence", lambda a, b: equivalence.Equivalent(wrong))
 
@@ -643,16 +644,18 @@ def test_a_broken_row_step_fails_the_replay_check(tmp_path, capsys, monkeypatch,
     assert "check: ok" not in capsys.readouterr().out
 
 
-def test_the_replay_makes_one_graph_action_per_sequence(tmp_path, monkeypatch):
+def test_the_replay_makes_one_product_per_check(tmp_path, monkeypatch):
     gpath, seq_path, qpath = _walk_inputs(tmp_path, 64, seed=64)
-    calls = []
-    right = clifford.graph_action
-    monkeypatch.setattr(clifford, "graph_action", lambda q, g: calls.append(q) or right(q, g))
+    products, actions = [], []
+    for owner, name, calls in ((gf2, "mat_mul", products), (clifford, "graph_action", actions)):
+        right = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=right, _c=calls: _c.append(1) or _f(*args))
     assert cli.run(["apply", gpath, seq_path, "--verify", "--quiet"]) == cli.EXIT_OK
-    assert len(calls) == 1
-    calls.clear()
+    assert len(products) == 1
+    products.clear()
     assert cli.run(["decompose", qpath, gpath, "--verify", "--quiet"]) == cli.EXIT_OK
-    assert len(calls) == 2  # the replay's check and the image it is compared with
+    assert len(products) == 2  # the replay's check and the check of the image it walked to
+    assert actions == []
 
 
 def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
@@ -676,7 +679,7 @@ def test_cli_outputs_hold_on_the_dense_oracle(tmp_path):
         seq_path = str(tmp_path / "g.lcs")
         assert cli.run(["decompose", qpath, gpath, "--out", seq_path, "--quiet"]) == cli.EXIT_OK
         seq = decomposition.parse_sequence((tmp_path / "g.lcs").read_text())
-        image = clifford.graph_action(op, g)
+        image = reference_graph_action(op, g)
         state, cur = build_graph_state(g), g
         for v in seq.expand():
             state = apply_lifted(state, lift_local_clifford(local_complement_op(cur, v)))

@@ -23,11 +23,12 @@ from conftest import (
     random_in_domain_op,
     random_valid_clifford,
     reference_completion,
+    reference_graph_action,
     star_graph,
     symplectic_form_matrix,
     zero_matrix,
 )
-from stabgraph import clifford, gf2, graphs, stabilizer
+from stabgraph import clifford, decomposition, gf2, graphs, stabilizer
 from stabgraph.clifford import (
     LocalCliffordOp,
     NotInDomainError,
@@ -224,7 +225,7 @@ def test_complete_from_cd_alternates_break_zero_diagonal():
                 d,
             )
             with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
-                graph_action(flipped, g)
+                reference_graph_action(flipped, g)
 
 
 def test_complete_from_cd_unique_among_all_sign_choices():
@@ -292,22 +293,34 @@ def test_complete_from_cd_matches_reference_seeded_to_n64():
 
 
 def test_complete_from_cd_and_decompose_action_never_invert(monkeypatch):
+    # each entry point to the graph action is one decomposition walk, and nothing else
     calls = []
-    for owner, name in ((gf2, "try_invert"), (clifford, "graph_form")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(
-            owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
-        )
+    right = decomposition._walk
+    monkeypatch.setattr(decomposition, "_walk", lambda *args: calls.append(1) or right(*args))
     rng = random.Random(41)
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 12))
         q = random_in_domain_op(rng, g)
         calls.clear()
         assert complete_from_cd(g, q.c, q.d) == q
+        assert len(calls) == 1
         decompose_action(q, g)
-        assert calls == []
-    graph_action(q, g)
-    assert calls == ["graph_form", "try_invert"]  # the patched names are the ones called
+        assert len(calls) == 2
+        assert graph_action(q, g) == reference_graph_action(q, g)
+        assert len(calls) == 3
+
+
+def test_maps_holds_exactly_where_the_action_maps_g_onto_h():
+    # every operation on up to 3 qubits and every pair of labeled graphs
+    valid = [(a, b, c, d) for a, b, c, d in itertools.product((0, 1), repeat=4) if a & d ^ b & c]
+    for n in range(1, 4):
+        graphs_n = list(all_graphs(n))
+        for blocks in itertools.product(valid, repeat=n):
+            q = LocalCliffordOp.from_qubit_blocks(blocks)
+            for g in graphs_n:
+                image = outcome(lambda g: reference_graph_action(q, g), g)
+                for h in graphs_n:
+                    assert clifford._maps(q, g, h) == (image == h)  # False for all h off the domain
 
 
 def test_clifford_text_roundtrip():

@@ -9,8 +9,9 @@ as local complementation, and the action of a product is the composed action
 wherever the factors act. Reduction gives a witness that verifies and a graph
 equivalent to its input, a decomposed action replays to the action, the
 decomposition of any operation fails exactly where the graph action does and
-with its text, and equivalence is reflexive and symmetric with a witness that moves the first
-state onto the second. A size mismatch or an out-of-range vertex raises
+with its text, the graph action is the inversion form (A.adj + B)(C.adj + D)^-1
+with its domain errors, and equivalence is reflexive and symmetric with a
+witness that moves the first state onto the second. A size mismatch or an out-of-range vertex raises
 ValueError. Examples are derived from the test source (``derandomize=True``),
 so runs are deterministic.
 """
@@ -34,7 +35,9 @@ from conftest import (
     identity_op,
     in_domain,
     local_complement_op,
+    outcome,
     random_stabilizer,
+    reference_graph_action,
     reference_parse_matrix,
     reference_pauli_from_text,
 )
@@ -269,7 +272,7 @@ def test_local_complement_op_acts_as_local_complementation(data):
     g = data.draw(graph_values())
     v = data.draw(st.integers(1, g.n))
     h = graphs.local_complement(g, v)
-    assert clifford.graph_action(local_complement_op(g, v), g) == h
+    assert reference_graph_action(local_complement_op(g, v), g) == h
     assert graphs.local_complement(h, v) == g
 
 
@@ -307,7 +310,7 @@ def test_a_decomposed_action_replays_to_the_action(data):
     g = data.draw(graph_values())
     q = data.draw(domain_ops(g))
     seq = decomposition.decompose_action(q, g)
-    assert decomposition.apply_sequence(g, seq) == clifford.graph_action(q, g)
+    assert decomposition.apply_sequence(g, seq) == reference_graph_action(q, g)
 
 
 @SETTINGS
@@ -316,13 +319,24 @@ def test_decomposition_decides_the_domain_as_the_graph_action_does(data):
     g = data.draw(graph_values())
     q = data.draw(clifford_values(g.n))  # mostly out of g's domain
     try:
-        image = clifford.graph_action(q, g)
+        image = reference_graph_action(q, g)
     except clifford.NotInDomainError as exc:
         with pytest.raises(clifford.NotInDomainError) as err:
             decomposition.decompose_action(q, g)
         assert str(err.value) == str(exc)
     else:
         assert decomposition.apply_sequence(g, decomposition.decompose_action(q, g)) == image
+
+
+@SETTINGS
+@given(data=st.data())
+def test_the_graph_action_is_the_inversion_form(data):
+    g = data.draw(graph_values())
+    other = other_sizes(g.n).flatmap(clifford_values)
+    q = data.draw(st.one_of(domain_ops(g), clifford_values(g.n), other))
+    actions = (clifford.graph_action, reference_graph_action)
+    library, reference = (outcome(lambda f: f(q, g), f) for f in actions)
+    assert library == reference  # the image, or the error's type and text
 
 
 def _moves(q, first, second):
