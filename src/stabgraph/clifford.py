@@ -11,7 +11,7 @@ form.
 import re
 
 from . import decomposition, gf2, graphs, stabilizer
-from .errors import MAX_QUBITS, NotInDomainError, ParseError, _decimal
+from .errors import MAX_QUBITS, NotInDomainError, ParseError, _decimal, _Record
 from .gf2 import BitMatrix, BitVec
 
 
@@ -19,10 +19,10 @@ class InvalidCliffordError(ValueError):
     """The four diagonals fail per-qubit invertibility."""
 
 
-class LocalCliffordOp:
+class LocalCliffordOp(_Record):
     """Four block diagonals (a, b, c, d), one bit of each per qubit."""
 
-    __slots__ = ("n", "a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         n = a.n
@@ -32,17 +32,11 @@ class LocalCliffordOp:
         if singular:
             bad = [i + 1 for i in range(n) if singular >> i & 1]
             raise InvalidCliffordError(f"qubit blocks not invertible at {bad}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self._store((a, b, c, d))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalCliffordOp is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
-        return LocalCliffordOp, (self.a, self.b, self.c, self.d)
+    @property
+    def n(self):
+        return self.a.n
 
     @classmethod
     def from_qubit_blocks(cls, blocks):
@@ -53,18 +47,6 @@ class LocalCliffordOp:
                 raise ValueError(f"qubit {i}: expected four bits (a, b, c, d), got {len(block)}")
         diagonals = BitMatrix.from_rows([bl[f] for bl in blocks] for f in range(4)).row_ints
         return _op(len(blocks), *diagonals)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalCliffordOp)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def __repr__(self):
         a, b, c, d = (gf2.to01(v.bits, self.n) for v in (self.a, self.b, self.c, self.d))
@@ -91,7 +73,7 @@ def apply_to_stabilizer(q, stab):
     rows = list(enumerate(zip(stab.s.row_ints[:n], stab.s.row_ints[n:])))
     out_z = [(z if a >> i & 1 else 0) ^ (x if b >> i & 1 else 0) for i, (z, x) in rows]
     out_x = [(z if c >> i & 1 else 0) ^ (x if d >> i & 1 else 0) for i, (z, x) in rows]
-    return BitMatrix(2 * n, n, out_z + out_x)
+    return BitMatrix._trusted(2 * n, n, tuple(out_z + out_x))
 
 
 def graph_action(q, g):
@@ -101,7 +83,8 @@ def graph_action(q, g):
     invertible and that matrix has zero diagonal. The decomposition walk
     decides both and ends at the image (:mod:`stabgraph.decomposition`).
     """
-    return graphs.Graph._trusted(BitMatrix(g.n, g.n, decomposition._act(q, g)[1]))
+    rows = tuple(decomposition._act(q, g)[1])
+    return graphs.Graph._trusted(BitMatrix._trusted(g.n, g.n, rows))
 
 
 def _maps(q, g, h):
@@ -112,7 +95,7 @@ def _maps(q, g, h):
     zero diagonal, to be the image (A.g + B)(C.g + D)^-1.
     """
     rows = apply_to_stabilizer(q, stabilizer.from_graph(g)).row_ints
-    return gf2.mat_mul(h.adj, BitMatrix(g.n, g.n, rows[g.n :])).row_ints == rows[: g.n]
+    return gf2.mat_mul(h.adj, BitMatrix._trusted(g.n, g.n, rows[g.n :])).row_ints == rows[: g.n]
 
 
 def complete_from_cd(g, c, d):

@@ -33,7 +33,7 @@ class Single(_Record):
     __slots__ = ("i",)
 
     def __init__(self, i):
-        object.__setattr__(self, "i", i)
+        self._store((i,))
 
 
 class Triple(_Record):
@@ -42,8 +42,7 @@ class Triple(_Record):
     __slots__ = ("j", "k")
 
     def __init__(self, j, k):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", k)
+        self._store((j, k))
 
 
 class LCSequence(_Record):
@@ -52,7 +51,7 @@ class LCSequence(_Record):
     __slots__ = ("steps",)
 
     def __init__(self, steps):
-        object.__setattr__(self, "steps", steps)
+        self._store((steps,))
 
     def __iter__(self):
         return iter(self.steps)
@@ -125,7 +124,7 @@ def apply_sequence(g, seq):
     rows = list(g.adj.row_ints)
     for v in seq.expand():
         graphs._complement_rows(rows, graphs._check_vertex(g.n, v))
-    return graphs.Graph._trusted(gf2.BitMatrix(g.n, g.n, rows))
+    return graphs.Graph._trusted(gf2.BitMatrix._trusted(g.n, g.n, tuple(rows)))
 
 
 def _act(q, g):

@@ -37,7 +37,7 @@ class Equivalent(_Record):
     __slots__ = ("q",)
 
     def __init__(self, q):
-        object.__setattr__(self, "q", q)
+        self._store((q,))
 
 
 class Inequivalent(_Record):
@@ -81,7 +81,8 @@ def build_linear_system(sa, sb):
     za, xa = spread[:n], spread[n:]
     zb, xb = sb.s.row_ints[:n], sb.s.row_ints[n:]
     pairs = ((za, xb), (xa, xb), (za, zb), (xa, zb))
-    return BitMatrix(4 * n, n * n, [u * v for us, vs in pairs for u, v in zip(us, vs)])
+    rows = tuple([u * v for us, vs in pairs for u, v in zip(us, vs)])
+    return BitMatrix._trusted(4 * n, n * n, rows)
 
 
 def _echelon(stab):
@@ -89,7 +90,8 @@ def _echelon(stab):
     seen = 0  # generators with a 1 in a later row of S; each row may bring in at most one more
     for row in reversed(stab.s.row_ints):
         if (new := row & ~seen) & new - 1:
-            gens = BitMatrix(stab.n, 2 * stab.n, gf2._reduce_rows(gf2.transpose(stab.s).row_ints))
+            rows = tuple(gf2._reduce_rows(gf2.transpose(stab.s).row_ints))
+            gens = BitMatrix._trusted(stab.n, 2 * stab.n, rows)
             return stabilizer.StabilizerGenMatrix._trusted(gf2.transpose(gens))
         seen |= row
     return stab

@@ -1,4 +1,9 @@
-"""Shared exception types, parser limits and the base of the result records."""
+"""Shared exception types, parser limits and the one base of the immutable values.
+
+:class:`_Record` is the base of the seven result records and of the five
+values they hold (``BitVec``, ``BitMatrix``, ``Graph``, ``LocalCliffordOp``
+and ``StabilizerGenMatrix``).
+"""
 
 MAX_QUBITS = 1 << 16  # the largest vertex or qubit count a parser accepts
 
@@ -45,17 +50,33 @@ class InternalError(RuntimeError):
 
 
 class _Record:
-    """Immutable record: equal by exact type and ``_key()``, printed as ``Single(i=3)``.
+    """Immutable value: equal by exact type and ``_key()``, printed as ``Single(i=3)``.
 
-    A subclass's ``__init__`` sets its ``_fields`` (``__slots__`` by default) by
-    ``object.__setattr__``.
+    Its fields are ``_fields``: a subclass's ``__slots__`` unless it names
+    them. A subclass's ``__init__`` checks its arguments and stores them with
+    :meth:`_store`; :meth:`_trusted` stores them unchecked, for values that are
+    valid by construction. Copies and pickles go through ``__init__``.
     """
 
     __slots__ = ()
 
-    @property
-    def _fields(self):
-        return self.__slots__
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)  # slot setters
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value with these fields, built without the checks of ``cls.__init__``."""
+        self = object.__new__(cls)
+        self._store(values)
+        return self
+
+    def _store(self, values):
+        """Set the fields, in ``_fields`` order, past the refusing ``__setattr__``."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)

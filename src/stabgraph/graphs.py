@@ -10,18 +10,18 @@ from itertools import compress
 from operator import lt
 
 from . import gf2
-from .errors import MAX_QUBITS, ParseError, _decimal
+from .errors import MAX_QUBITS, ParseError, _decimal, _Record
 from .gf2 import BitMatrix
 
 
-class Graph:
+class Graph(_Record):
     """Simple undirected graph held as a symmetric, zero-diagonal adjacency matrix.
 
     ``Graph(adj)`` validates its input; transformations whose output is a
-    graph by construction build it with :meth:`_trusted` instead.
+    graph by construction build it with ``Graph._trusted(adj)`` instead.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("adj",)
 
     def __init__(self, adj):
         if not adj.is_square():
@@ -30,32 +30,18 @@ class Graph:
             raise ValueError("adjacency matrix must be symmetric")
         if gf2.diagonal(adj):
             raise ValueError("adjacency matrix must have zero diagonal (no self-loops)")
-        object.__setattr__(self, "n", adj.rows)
-        object.__setattr__(self, "adj", adj)
+        self._store((adj,))
 
-    @classmethod
-    def _trusted(cls, adj):
-        """Wrap an adjacency matrix that is symmetric with zero diagonal by construction."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", adj.rows)
-        object.__setattr__(g, "adj", adj)
-        return g
+    @property
+    def n(self):
+        return self.adj.rows
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
-        return Graph, (self.adj,)
+    def _key(self):  # a square adjacency is fixed by its rows
+        return self.adj.row_ints
 
     def edges(self):
         """Sorted list of (i, j) edge pairs with i < j, 1-based."""
         return [(int(i), int(j)) for i, above in _labels_above(self) for j in above]
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.adj == other.adj
-
-    def __hash__(self):
-        return hash(self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -76,10 +62,10 @@ def local_complement(g, i):
     neighborhood keeps the matrix symmetric with zero diagonal, so the result
     is built without re-validation.
     """
-    idx = _check_vertex(g.n, i)
+    n = g.adj.rows
     rows = list(g.adj.row_ints)
-    _complement_rows(rows, idx)
-    return Graph._trusted(BitMatrix(g.n, g.n, rows))
+    _complement_rows(rows, _check_vertex(n, i))
+    return Graph._trusted(BitMatrix._trusted(n, n, tuple(rows)))
 
 
 def _complement_rows(rows, idx):
@@ -132,7 +118,7 @@ def _decode_edges(words):
         rows[j] |= 1 << i
     if sum(map(int.bit_count, rows)) < 2 * len(heads):  # a duplicate edge sets no new bit
         return None
-    return Graph._trusted(BitMatrix(n, n, rows))
+    return Graph._trusted(BitMatrix._trusted(n, n, tuple(rows)))
 
 
 def _parse_edge_lines(text):
@@ -172,7 +158,7 @@ def _parse_edge_lines(text):
         rows[j - 1] |= 1 << (i - 1)
     if n is None:
         raise ParseError("empty graph file", line=1)
-    return Graph._trusted(BitMatrix(n, n, rows))
+    return Graph._trusted(BitMatrix._trusted(n, n, tuple(rows)))
 
 
 def to_dot(g):

@@ -29,8 +29,7 @@ class Orbit(_Record):
     __slots__ = _fields + ("_canonical",)
 
     def __init__(self, members, transcripts):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "transcripts", transcripts)
+        self._store((members, transcripts))
 
     def _key(self):  # orbits compare and hash by their members alone
         return (self.members,)
@@ -65,10 +64,9 @@ def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
     CapExceededError rather than growing past ``member_cap`` members.
     """
     transcripts = {g: LCSequence(())}
-    frontier = deque([g])
+    frontier = deque([(g, ())])  # each member with the steps of its transcript
     while frontier:
-        cur = frontier.popleft()
-        base = transcripts[cur].steps
+        cur, base = frontier.popleft()
         for i, row in enumerate(cur.adj.row_ints, 1):
             if row & (row - 1) == 0:  # degree < 2: complementing at i changes nothing
                 continue
@@ -77,7 +75,8 @@ def enumerate_orbit(g, member_cap=DEFAULT_MEMBER_CAP):
                 continue
             if len(transcripts) >= member_cap:
                 raise CapExceededError(member_cap)
-            transcripts[nxt] = LCSequence(base + (Single(i),))
-            frontier.append(nxt)
+            steps = base + (Single(i),)
+            transcripts[nxt] = LCSequence(steps)
+            frontier.append((nxt, steps))
     return Orbit(members=frozenset(transcripts), transcripts=transcripts)
 

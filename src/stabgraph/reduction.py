@@ -28,9 +28,7 @@ class ReductionWitness(_Record):
     __slots__ = ("graph", "q", "r")
 
     def __init__(self, graph, q, r):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        self._store((graph, q, r))
 
 
 def to_graph_state(stab):
@@ -72,14 +70,14 @@ def _reduce_columns(st):
         above = format((e & ones) >> i + 1, f"0{n - 1 - i}b").encode().translate(gf2._SELECTORS)
         cols.append(reduce(xor, compress(cols, above), e))
     cols.reverse()
-    m = BitMatrix(n, n, [c >> n & ones for c in cols])  # row i is column i of M
+    m = BitMatrix._trusted(n, n, tuple([c >> n & ones for c in cols]))  # row i is column i of M
     tags = [c >> 2 * n for c in cols]  # column i of R
     shear = gf2.diagonal(m)  # the qubits that get [[1, 1], [0, 1]] after the Hadamards
     q = clifford._op(n, keep ^ shear & swap, swap ^ shear & keep, swap, keep)
     graph = graphs.Graph._trusted(gf2.set_diagonal_zero(m))
     if gf2.transpose(m) != m or not _maps_onto(st, q, graph, tags):
         _reject(st)
-    return ReductionWitness(graph, q, gf2.transpose(BitMatrix(n, n, tags)))
+    return ReductionWitness(graph, q, gf2.transpose(BitMatrix._trusted(n, n, tuple(tags))))
 
 
 def _reject(st):
@@ -109,7 +107,7 @@ def _maps_onto(st, q, graph, r_cols):
     """True iff column i of q.S.R, with column i of R in ``r_cols``, is [adj.e_i; e_i]."""
     n = st.rows
     a, b, c, d = q.a.bits, q.b.bits, q.c.bits, q.d.bits
-    sr = gf2.mat_mul(BitMatrix(n, n, r_cols), st).row_ints  # the transpose of S.R
+    sr = gf2.mat_mul(BitMatrix._trusted(n, n, tuple(r_cols)), st).row_ints  # the transpose of S.R
     return all(
         a & v ^ b & v >> n == row and c & v ^ d & v >> n == 1 << i
         for i, (v, row) in enumerate(zip(sr, graph.adj.row_ints))

@@ -10,7 +10,7 @@ only up to per-generator signs.
 import re
 
 from . import gf2
-from .errors import MAX_QUBITS, ParseError
+from .errors import MAX_QUBITS, ParseError, _Record
 from .gf2 import BitMatrix
 
 
@@ -40,35 +40,18 @@ _ZX_TO_PAULI = {"00": "I", "01": "X", "10": "Z", "11": "Y"}
 _MATRIX_HEADER = r"([1-9][0-9]{0,5}) ([1-9][0-9]{0,5})"  # re compiles it on first use
 
 
-class StabilizerGenMatrix:
+class StabilizerGenMatrix(_Record):
     """Validated 2n x n generator matrix: full rank and symplectically self-orthogonal."""
 
-    __slots__ = ("n", "s")
+    __slots__ = ("s",)
 
     def __init__(self, s):
         _check(gf2.transpose(s), s)
-        object.__setattr__(self, "n", s.cols)
-        object.__setattr__(self, "s", s)
+        self._store((s,))
 
-    @classmethod
-    def _trusted(cls, s):
-        """Wrap a 2n x n matrix that is a valid generator matrix by construction."""
-        stab = object.__new__(cls)
-        object.__setattr__(stab, "n", s.cols)
-        object.__setattr__(stab, "s", s)
-        return stab
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizerGenMatrix is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
-        return StabilizerGenMatrix, (self.s,)
-
-    def __eq__(self, other):
-        return isinstance(other, StabilizerGenMatrix) and self.s == other.s
-
-    def __hash__(self):
-        return hash(self.s)
+    @property
+    def n(self):
+        return self.s.cols
 
     def __repr__(self):
         return f"StabilizerGenMatrix({format_stabilizer(self).split()})"
@@ -117,7 +100,8 @@ def _parse_echelon(text):
     with the others as generator i does, up to its first anticommuting partner.
     """
     gens, what = _decode_columns(text)
-    return _validated(BitMatrix(gens.rows, gens.cols, gf2._reduce_rows(gens.row_ints)), what)
+    rows = tuple(gf2._reduce_rows(gens.row_ints))
+    return _validated(BitMatrix._trusted(gens.rows, gens.cols, rows), what)
 
 
 def _validated(gens, what):
@@ -139,8 +123,9 @@ def _check(gens, s):
     # Row i of X^T.Z + Z^T.X = [X^T | Z^T].[Z; X] holds the symplectic products of
     # generator i: the first nonzero row's lowest 1 is at j > i, as the sum is symmetric.
     ones = (1 << n) - 1
-    swapped = BitMatrix(n, 2 * n, [g >> n | (g & ones) << n for g in gens.row_ints])
-    for i, row in enumerate(gf2.mat_mul(swapped, s).row_ints):
+    swapped = [g >> n | (g & ones) << n for g in gens.row_ints]
+    products = gf2.mat_mul(BitMatrix._trusted(n, 2 * n, tuple(swapped)), s)
+    for i, row in enumerate(products.row_ints):
         if row:
             raise NotCommutingError(i + 1, (row & -row).bit_length())
 
@@ -157,13 +142,13 @@ def _decode_columns(text):
         if sum(map(text.count, "IXYZ")) == n * n:
             rev = text[::-1].split()[::-1]  # most significant digit first, first line first
             gens = [int(ln.translate(_X_DIGITS) + ln.translate(_Z_DIGITS), 2) for ln in rev]
-            return BitMatrix(n, 2 * n, gens), "not a valid stabilizer"
+            return BitMatrix._trusted(n, 2 * n, tuple(gens)), "not a valid stabilizer"
     head = re.fullmatch(_MATRIX_HEADER, first)
     if head and int(head[1]) == 2 * (n := int(head[2])) <= 2 * MAX_QUBITS:
         if len(body) == 2 * n * (n + 1) and body[n :: n + 1] == "\n" * 2 * n:
             if body.count("0") + body.count("1") == 2 * n * n:
                 gens = [int(body[j :: n + 1][::-1], 2) for j in range(n)]
-                return BitMatrix(n, 2 * n, gens), "not a valid stabilizer matrix"
+                return BitMatrix._trusted(n, 2 * n, tuple(gens)), "not a valid stabilizer matrix"
     return _decode_stabilizer(text)
 
 
@@ -205,4 +190,4 @@ def _decode_stabilizer(text):
     if len(cols) != n:
         exc = WrongCountError(n, len(cols))
         raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
-    return BitMatrix(n, 2 * n, cols), "not a valid stabilizer"
+    return BitMatrix._trusted(n, 2 * n, tuple(cols)), "not a valid stabilizer"

@@ -12,11 +12,13 @@ decomposition of any operation fails exactly where the graph action does and
 with its text, the graph action is the inversion form (A.adj + B)(C.adj + D)^-1
 with its domain errors, and equivalence is reflexive and symmetric with a
 witness that moves the first state onto the second. A size mismatch or an out-of-range vertex raises
-ValueError. Examples are derived from the test source (``derandomize=True``),
+ValueError. Every matrix that the library builds on its trusted path, unchecked,
+holds a tuple of rows that the validating constructor accepts. Examples are derived from the test source (``derandomize=True``),
 so runs are deterministic.
 """
 
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -36,6 +38,7 @@ from conftest import (
     in_domain,
     local_complement_op,
     outcome,
+    random_in_domain_op,
     random_stabilizer,
     reference_graph_action,
     reference_parse_matrix,
@@ -689,3 +692,49 @@ def _edge_list_outcome(parse, text):
 def test_edge_lists_read_like_the_line_loop(text):
     want = _edge_list_outcome(graphs._parse_edge_lines, text)
     assert _edge_list_outcome(graphs.parse_edge_list, text) == want
+
+
+def _assert_whole(m):
+    """A matrix built unchecked holds its rows as a tuple that the validating constructor takes."""
+    assert type(m.row_ints) is tuple
+    assert gf2.BitMatrix(m.rows, m.cols, m.row_ints) == m
+    hash(m)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_the_trusted_path_builds_values_the_constructors_accept(data):
+    g = data.draw(graph_values())
+    n = g.n
+    stab = data.draw(st.builds(random_stabilizer, st.just(n), st.integers(0, 2**32)))
+    q = data.draw(clifford_values(n))
+    acting = random_in_domain_op(random.Random(data.draw(st.integers(0, 2**32))), g)
+    seq = data.draw(sequence_values(max_vertex=n))
+    m = data.draw(matrix_values())
+    square = gf2.mat_mul(g.adj, g.adj)  # its diagonal holds the degrees' parities
+    witness = reduction.to_graph_state(stab)
+    graph_text, pauli_text = graphs.format_edge_list(g), stabilizer.format_stabilizer(stab)
+    for built in [
+        gf2.identity(n),
+        square,
+        gf2.transpose(m),
+        gf2.set_diagonal_zero(square),
+        gf2.hstack(g.adj, square),
+        gf2.vstack(stab.s, g.adj),
+        graphs.local_complement(g, data.draw(st.integers(1, n))).adj,
+        decomposition.apply_sequence(g, seq).adj,
+        clifford.graph_action(acting, g).adj,
+        clifford.apply_to_stabilizer(q, stab),
+        witness.graph.adj,
+        witness.r,
+        graphs.parse_edge_list(graph_text).adj,
+        graphs.parse_edge_list("# the line loop\n" + graph_text).adj,
+        stabilizer.parse_stabilizer(pauli_text).s,
+        stabilizer.parse_stabilizer("+" + pauli_text).s,  # a sign: the line loop
+        stabilizer.parse_stabilizer(gf2.format_matrix(stab.s)).s,
+        stabilizer._parse_echelon(pauli_text).s,
+    ]:
+        _assert_whole(built)
+    parsed = clifford.parse_clifford(clifford.format_clifford(q))
+    assert clifford.LocalCliffordOp(parsed.a, parsed.b, parsed.c, parsed.d) == parsed == q
+    hash(parsed)

@@ -7,7 +7,8 @@ its members alone), hashes consistently with that equality, prints as
 ``Single(i=3)`` does, refuses assignment and deletion, and comes back equal
 from ``copy.copy``, ``copy.deepcopy`` and a pickle round trip. So do the
 values the records hold (BitVec, BitMatrix, Graph, LocalCliffordOp and
-StabilizerGenMatrix), which are rebuilt by their validating constructors.
+StabilizerGenMatrix), which refuse assignment and deletion of their fields
+and are rebuilt by their validating constructors.
 """
 
 import copy
@@ -33,6 +34,7 @@ from stabgraph import (
     orbit,
     to_graph_state,
 )
+from stabgraph.clifford import InvalidCliffordError
 from stabgraph.stabilizer import NotCommutingError
 
 EDGE = path_graph(2)
@@ -62,6 +64,17 @@ RECORDS = {
 }
 
 TYPES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+
+# the five value types the records hold: a value built by its constructor, and its fields
+VALUES = {
+    BitVec: (BitVec(3, 0b101), ("n", "bits")),
+    BitMatrix: (WITNESS.r, ("rows", "cols", "row_ints")),
+    Graph: (EDGE, ("adj",)),
+    LocalCliffordOp: (WITNESS.q, ("a", "b", "c", "d")),
+    StabilizerGenMatrix: (from_graph(path_graph(3)), ("s",)),
+}
+
+VALUE_TYPES = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 
 
 @TYPES
@@ -106,10 +119,14 @@ def test_orbits_are_equal_by_their_members_alone():
     assert first != Orbit(frozenset({empty}), {empty: LCSequence(())})
 
 
-@TYPES
+@pytest.mark.parametrize("cls", [*RECORDS, *VALUES], ids=lambda cls: cls.__name__)
 def test_a_record_refuses_assignment_and_deletion(cls):
-    fields, _ = RECORDS[cls]
-    record = cls(**fields)
+    if cls in RECORDS:
+        fields, _ = RECORDS[cls]
+        record = cls(**fields)
+    else:
+        record, names = VALUES[cls]
+        fields = {name: getattr(record, name) for name in names}
     for name in [*fields, "extra"]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -134,30 +151,29 @@ def test_a_record_survives_copy_and_pickle(cls):
         assert {name: getattr(duplicate, name) for name in fields} == fields
 
 
-# the five value types the records hold, each with a value built by its constructor
-VALUES = {
-    BitVec: BitVec(3, 0b101),
-    BitMatrix: WITNESS.r,
-    Graph: EDGE,
-    LocalCliffordOp: WITNESS.q,
-    StabilizerGenMatrix: from_graph(path_graph(3)),
-}
-
-
-@pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
+@VALUE_TYPES
 def test_a_value_survives_copy_and_pickle(cls):
-    value = VALUES[cls]
+    value, _ = VALUES[cls]
     for duplicate in _copies(value):
         assert type(duplicate) is cls and duplicate == value and hash(duplicate) == hash(value)
         assert repr(duplicate) == repr(value)
 
 
 def test_a_value_is_restored_through_its_validating_constructor():
-    # values built on the unchecked path: an adjacency with a self-loop, and the
-    # anticommuting generators XI and ZI
+    # values built on the unchecked path: an adjacency with a self-loop, the
+    # anticommuting generators XI and ZI, a row with a bit beyond its one column,
+    # and a qubit block [[1, 1], [1, 1]]
     loop = Graph._trusted(BitMatrix(1, 1, [1]))
     anticommuting = StabilizerGenMatrix._trusted(BitMatrix(4, 2, [0b10, 0, 0b01, 0]))
-    for value, error in [(loop, ValueError), (anticommuting, NotCommutingError)]:
+    wide = BitMatrix._trusted(1, 1, (0b10,))
+    singular = LocalCliffordOp._trusted(*[BitVec(1, 1)] * 4)
+    cases = [
+        (loop, ValueError),
+        (anticommuting, NotCommutingError),
+        (wide, ValueError),
+        (singular, InvalidCliffordError),
+    ]
+    for value, error in cases:
         data = pickle.dumps(value)
         with pytest.raises(error):
             pickle.loads(data)
