@@ -8,8 +8,6 @@ which is equivalent to the full 2n x 2n matrix preserving the symplectic
 form.
 """
 
-import re
-
 from . import decomposition, gf2, graphs, stabilizer
 from .errors import MAX_QUBITS, NotInDomainError, ParseError, _decimal, _Record
 from .gf2 import BitMatrix, BitVec
@@ -37,16 +35,6 @@ class LocalCliffordOp(_Record):
     @property
     def n(self):
         return self.a.n
-
-    @classmethod
-    def from_qubit_blocks(cls, blocks):
-        """Build from an iterable of per-qubit (a, b, c, d) bit tuples."""
-        blocks = list(blocks)
-        for i, block in enumerate(blocks, start=1):
-            if len(block) != 4:
-                raise ValueError(f"qubit {i}: expected four bits (a, b, c, d), got {len(block)}")
-        diagonals = BitMatrix.from_rows([bl[f] for bl in blocks] for f in range(4)).row_ints
-        return _op(len(blocks), *diagonals)
 
     def __repr__(self):
         a, b, c, d = (gf2.to01(v.bits, self.n) for v in (self.a, self.b, self.c, self.d))
@@ -101,8 +89,9 @@ def _maps(q, g, h):
 def complete_from_cd(g, c, d):
     """The unique operation with lower diagonals (c, d) that keeps g in-domain.
 
-    Requires C.adj + D invertible. Per qubit there are exactly two (a_i, b_i)
-    choices keeping the 2x2 block invertible, and they differ by (c_i, d_i).
+    Requires C.adj + D invertible, or the decomposition walk raises
+    gf2.SingularError. Per qubit there are exactly two (a_i, b_i) choices
+    keeping the 2x2 block invertible, and they differ by (c_i, d_i).
     Switching between them adds row i of C.adj + D to row i of A.adj + B, so
     it flips only entry (i, i) of the image. The start (a, b) = (d & ~c, c)
     is valid on every qubit; the decomposition walk of the start operation
@@ -124,20 +113,11 @@ def format_clifford(q):
 def parse_clifford(text):
     """Inverse of :func:`format_clifford`; raises ParseError with line info.
 
-    The writer's shape is read in bulk, a diagonal as one stride slice; any
-    other text, and every failure, goes through the line reader.
+    The qubit lines, last first, are joined with a word "|" between each two
+    and split once: each line holds four bits exactly when every word is one
+    character, every fifth a "|" and the other 4n '0' or '1'. A diagonal is
+    then a stride slice, top bit first; only a failed check seeks the bad line.
     """
-    bulk = re.fullmatch(r"([1-9][0-9]{0,5})\n((?:[01] [01] [01] [01]\n)+)", text)
-    if bulk and len(bulk[2]) == 8 * int(bulk[1]) <= 8 * MAX_QUBITS:
-        try:
-            return _op(int(bulk[1]), *(int(bulk[2][k::8][::-1], 2) for k in range(0, 8, 2)))
-        except InvalidCliffordError:
-            pass  # the line reader reports it
-    return _parse_clifford_lines(text)
-
-
-def _parse_clifford_lines(text):
-    """:func:`parse_clifford` line by line, with every check and its line number."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty clifford file", line=1)
@@ -149,16 +129,17 @@ def _parse_clifford_lines(text):
         raise ParseError(f"qubit count must be in 1..{MAX_QUBITS}", line=1)
     if len(lines) - 1 < n:
         raise ParseError(f"expected {n} qubit lines, found {len(lines) - 1}", line=len(lines))
-    blocks = []
-    for i in range(n):
-        parts = lines[1 + i].split()
-        if len(parts) != 4 or any(p not in ("0", "1") for p in parts):
-            raise ParseError("expected four bits 'a b c d'", line=2 + i)
-        blocks.append(tuple(int(p) for p in parts))
+    words = " | ".join(lines[n:0:-1]).split()
+    bits = "".join(words)
+    ok = len(words) == len(bits) == 5 * n - 1 and bits[4::5] == "|" * (n - 1)
+    if not ok or bits.count("0") + bits.count("1") != 4 * n:
+        rows = (line.split() for line in lines[1 : n + 1])
+        bad = next(k for k, row in enumerate(rows, 2) if len(row) != 4 or {*row} - {"0", "1"})
+        raise ParseError("expected four bits 'a b c d'", line=bad)
     for extra in range(1 + n, len(lines)):
         if lines[extra].strip():
             raise ParseError("trailing content after qubit lines", line=extra + 1)
     try:
-        return LocalCliffordOp.from_qubit_blocks(blocks)
+        return _op(n, *(int(bits[k::5], 2) for k in range(4)))
     except InvalidCliffordError as exc:
         raise ParseError(str(exc), line=2) from exc

@@ -24,7 +24,7 @@ _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # digits to falsy/truthy bytes
 
 
 class SingularError(Exception):
-    """Raised when a matrix that must be invertible has rank below its size."""
+    """C.adj + D is singular: raised by the decomposition walk, and so by ``complete_from_cd``."""
 
 
 class BitVec(_Record):
@@ -61,27 +61,6 @@ class BitMatrix(_Record):
             if r < 0 or r >> cols:
                 raise ValueError("row bits set beyond column count")
         self._store((rows, cols, row_ints))
-
-    @classmethod
-    def from_rows(cls, rows_of_bits):
-        """Build from an iterable of rows, each an iterable of 0/1 values."""
-        ints = []
-        width = None
-        for row in rows_of_bits:
-            acc = count = 0
-            for b in row:
-                if b not in (0, 1):
-                    raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-                acc |= b << count
-                count += 1
-            if width is None:
-                width = count
-            elif count != width:
-                raise ValueError("ragged rows")
-            ints.append(acc)
-        if width is None:
-            width = 0
-        return cls(len(ints), width, ints)
 
     def is_square(self):
         return self.rows == self.cols

@@ -1,8 +1,9 @@
 """Shared test-instance generators (named graph families, the seeded random
 stabilizer, basis changes, fixed operations, the group product and the
 operation of one local complementation, which the library itself never
-needs), random-instance generators, naive list-of-lists GF(2) oracles, the
-per-bit loop references for the packed kernels and text codecs, the
+needs), the matrix and operation built from lists of bits, random-instance
+generators, naive list-of-lists GF(2) oracles, the per-bit loop references
+for the packed kernels and text codecs, the line-by-line clifford reader, the
 column-by-column elimination behind reference rank, inverse and null basis,
 the inversion form of the graph action, the three-step row reduction to graph-state form and stabilizers of any X
 rank, the tuple orbit key, the matrix references for C.adj + D and the
@@ -272,6 +273,34 @@ def reference_parse_matrix(text):
     return gf2.BitMatrix(rows, cols, ints)
 
 
+def reference_parse_clifford(text):
+    """``parse_clifford`` line by line, with every check and its line number."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError("empty clifford file", line=1)
+    try:
+        n = _decimal(lines[0].strip())
+    except ValueError:
+        raise ParseError("expected qubit count", line=1) from None
+    if not 1 <= n <= MAX_QUBITS:
+        raise ParseError(f"qubit count must be in 1..{MAX_QUBITS}", line=1)
+    if len(lines) - 1 < n:
+        raise ParseError(f"expected {n} qubit lines, found {len(lines) - 1}", line=len(lines))
+    blocks = []
+    for i in range(n):
+        parts = lines[1 + i].split()
+        if len(parts) != 4 or any(p not in ("0", "1") for p in parts):
+            raise ParseError("expected four bits 'a b c d'", line=2 + i)
+        blocks.append(tuple(int(p) for p in parts))
+    for extra in range(1 + n, len(lines)):
+        if lines[extra].strip():
+            raise ParseError("trailing content after qubit lines", line=extra + 1)
+    try:
+        return op_from_qubit_blocks(blocks)
+    except clifford.InvalidCliffordError as exc:
+        raise ParseError(str(exc), line=2) from exc
+
+
 _PAULI_TO_ZX = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _ZX_TO_PAULI = {v: k for k, v in _PAULI_TO_ZX.items()}
 
@@ -307,7 +336,7 @@ def reference_pauli_from_text(text):
             raise stabilizer.WrongCountError(n, len(gens))
         # row i holds the Z bit of qubit i in every generator, row n + i its X bit
         rows = [[gen[i][half] for gen in gens] for half in (0, 1) for i in range(n)]
-        return stabilizer.StabilizerGenMatrix(gf2.BitMatrix.from_rows(rows))
+        return stabilizer.StabilizerGenMatrix(matrix_from_rows(rows))
     except stabilizer.StabilizerError as exc:
         raise ParseError(f"not a valid stabilizer: {exc}", line=1) from exc
 
@@ -419,6 +448,27 @@ def all_graphs(n):
         yield graphs.Graph(gf2.BitMatrix(n, n, rows))
 
 
+def matrix_from_rows(rows_of_bits):
+    """Build a BitMatrix from an iterable of rows, each an iterable of 0/1 values."""
+    ints = []
+    width = None
+    for row in rows_of_bits:
+        acc = count = 0
+        for b in row:
+            if b not in (0, 1):
+                raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+            acc |= b << count
+            count += 1
+        if width is None:
+            width = count
+        elif count != width:
+            raise ValueError("ragged rows")
+        ints.append(acc)
+    if width is None:
+        width = 0
+    return gf2.BitMatrix(len(ints), width, ints)
+
+
 def zero_matrix(rows, cols):
     return gf2.BitMatrix(rows, cols, [0] * rows)
 
@@ -459,6 +509,16 @@ def graph_from_edges(n, edges):
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     return graphs.Graph._trusted(gf2.BitMatrix(n, n, rows))
+
+
+def op_from_qubit_blocks(blocks):
+    """Build a LocalCliffordOp from an iterable of per-qubit (a, b, c, d) bit tuples."""
+    blocks = list(blocks)
+    for i, block in enumerate(blocks, start=1):
+        if len(block) != 4:
+            raise ValueError(f"qubit {i}: expected four bits (a, b, c, d), got {len(block)}")
+    diagonals = matrix_from_rows([bl[f] for bl in blocks] for f in range(4)).row_ints
+    return clifford._op(len(blocks), *diagonals)
 
 
 def identity_op(n):
@@ -609,7 +669,7 @@ def reference_completion(g, c, d):
 def random_valid_clifford(rng, n):
     """Uniform random local Clifford diagonals (not tied to any graph)."""
     valid = _all_blocks()
-    return clifford.LocalCliffordOp.from_qubit_blocks(
+    return op_from_qubit_blocks(
         rng.choice(valid) for _ in range(n)
     )
 

@@ -19,6 +19,7 @@ from conftest import (
     hadamard_all_op,
     identity_op,
     local_complement_op,
+    op_from_qubit_blocks,
     outcome,
     path_graph,
     random_graph,
@@ -94,7 +95,7 @@ def _contract_argv(tmp_path, row):
     hadamards = clifford.format_clifford(hadamard_all_op(3))
     hadamards = write(tmp_path, "h.lc", hadamards)
     edge2 = graph_file(tmp_path, "edge2.graph", graph_from_edges(2, [(1, 2)]))
-    shear = clifford.LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
+    shear = op_from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     shear = write(tmp_path, "shear.lc", clifford.format_clifford(shear))
     huge = write(tmp_path, "huge.graph", "1000000000000\n")
     edgeless2048 = write(tmp_path, "edgeless2048.graph", "2048\n")

@@ -17,6 +17,8 @@ from conftest import (
     identity_op,
     in_domain,
     local_complement_op,
+    matrix_from_rows,
+    op_from_qubit_blocks,
     outcome,
     path_graph,
     random_graph,
@@ -24,6 +26,7 @@ from conftest import (
     random_valid_clifford,
     reference_completion,
     reference_graph_action,
+    reference_parse_clifford,
     star_graph,
     symplectic_form_matrix,
     zero_matrix,
@@ -36,7 +39,7 @@ from stabgraph.clifford import (
     graph_action,
 )
 from stabgraph.decomposition import decompose_action
-from stabgraph.errors import ParseError
+from stabgraph.errors import MAX_QUBITS, ParseError
 from stabgraph.gf2 import BitMatrix, BitVec
 
 
@@ -55,9 +58,9 @@ def test_validity_enforced():
     with pytest.raises(clifford.InvalidCliffordError):
         LocalCliffordOp(BitVec(2, 0b11), BitVec(2, 0b11), BitVec(2, 0b11), BitVec(2, 0b11))
     with pytest.raises(clifford.InvalidCliffordError):
-        LocalCliffordOp.from_qubit_blocks([(1, 0, 0, 1), (0, 0, 0, 1)])
+        op_from_qubit_blocks([(1, 0, 0, 1), (0, 0, 0, 1)])
     with pytest.raises(ValueError, match="bit values must be 0 or 1, got 2"):
-        LocalCliffordOp.from_qubit_blocks([(1, 0, 0, 1), (1, 0, 0, 2)])
+        op_from_qubit_blocks([(1, 0, 0, 1), (1, 0, 0, 2)])
     with pytest.raises(ValueError, match="diagonal lengths differ"):
         LocalCliffordOp(BitVec(2, 0b11), BitVec(2, 0), BitVec(3, 0), BitVec(2, 0b11))
     for blocks, qubit, length in (
@@ -66,7 +69,7 @@ def test_validity_enforced():
         ([(1, 0, 0, 1, 1)], 1, 5),
     ):
         with pytest.raises(ValueError) as err:
-            LocalCliffordOp.from_qubit_blocks(blocks)
+            op_from_qubit_blocks(blocks)
         assert str(err.value) == f"qubit {qubit}: expected four bits (a, b, c, d), got {length}"
 
 
@@ -79,7 +82,7 @@ def test_validity_equals_symplectic_condition():
         m = assemble(q)
         assert gf2.mat_mul(gf2.mat_mul(gf2.transpose(m), p), m) == p
     # a diagonal-block matrix with a non-invertible qubit block breaks it
-    bad = BitMatrix.from_rows([[1, 0], [0, 0]])  # n=1 blocks a=1, b=0, c=0, d=0
+    bad = matrix_from_rows([[1, 0], [0, 0]])  # n=1 blocks a=1, b=0, c=0, d=0
     assert gf2.mat_mul(
         gf2.mat_mul(gf2.transpose(bad), symplectic_form_matrix(1)), bad
     ) != symplectic_form_matrix(1)
@@ -122,7 +125,7 @@ def test_apply_to_stabilizer_generator_blocks():
     q = local_complement_op(edge, 1)
     out = clifford.apply_to_stabilizer(q, stabilizer.from_graph(edge))
     # upper block: adj + diag(row 1) = [[0,1],[1,1]]; lower: unit-diag.adj + I = [[1,1],[0,1]]
-    assert out == BitMatrix.from_rows([[0, 1], [1, 1], [1, 1], [0, 1]])
+    assert out == matrix_from_rows([[0, 1], [1, 1], [1, 1], [0, 1]])
 
 
 def test_graph_action_identity():
@@ -141,7 +144,7 @@ def test_graph_action_singular_denominator():
 def test_graph_action_zero_diagonal_failure():
     # shear on one qubit of an edge graph puts a 1 on the image diagonal
     edge = graph_from_edges(2, [(1, 2)])
-    q = LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
+    q = op_from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
         graph_action(q, edge)
 
@@ -316,7 +319,7 @@ def test_maps_holds_exactly_where_the_action_maps_g_onto_h():
     for n in range(1, 4):
         graphs_n = list(all_graphs(n))
         for blocks in itertools.product(valid, repeat=n):
-            q = LocalCliffordOp.from_qubit_blocks(blocks)
+            q = op_from_qubit_blocks(blocks)
             for g in graphs_n:
                 image = outcome(lambda g: reference_graph_action(q, g), g)
                 for h in graphs_n:
@@ -337,7 +340,7 @@ def test_from_qubit_blocks_puts_qubit_i_at_bit_i(n):
     rng = random.Random(n)
     valid = [(a, b, c, d) for a, b, c, d in itertools.product((0, 1), repeat=4) if a & d ^ b & c]
     blocks = [rng.choice(valid) for _ in range(n)]
-    q = LocalCliffordOp.from_qubit_blocks(blocks)
+    q = op_from_qubit_blocks(blocks)
     assert q.n == n
     assert [tuple(v.bits >> i & 1 for v in (q.a, q.b, q.c, q.d)) for i in range(n)] == blocks
     ones = (1 << n) - 1
@@ -376,19 +379,72 @@ def _clifford_texts():
     yield from ("\u0661\n1 0 0 1\n", "1\n1 1 1 1\n", "2\n1 0 0 1\n1 1 1 1\n", "1\n1 0 0 1")
 
 
+# pieces a mutation inserts or writes over: bits, the separators that split() and
+# splitlines() know, the "|" that the reader joins lines with, and whole words and lines
+_PIECES = ["0", "1", "2", "x", "|", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x1f", "\xa0"]
+_PIECES += ["\u2028", "01", "0 1", "1 0 0 1\n", "\n\n", " | "]
+# the six invertible qubit blocks and two singular ones, as "a b c d" lines
+_BLOCK_LINES = ["1 0 0 1", "0 1 1 0", "1 1 0 1", "1 0 1 1", "0 1 1 1", "1 1 1 0", "1 1 1 1", "0 0 0 0"]
+
+
+def _mutated_clifford_texts(count):
+    """Texts in the writer's shape on n <= 5 qubits, each given zero to three random edits."""
+    rng = random.Random(44)
+    for _ in range(count):
+        n = rng.randrange(1, 6)
+        text = f"{n}\n" + "".join(rng.choice(_BLOCK_LINES) + "\n" for _ in range(n))
+        for _ in range(rng.randrange(4)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:  # insert
+                text = text[:at] + rng.choice(_PIECES) + text[at:]
+            elif edit == 1:  # delete one to three characters
+                text = text[:at] + text[at + rng.randrange(1, 4) :]
+            else:  # overwrite one character
+                text = text[:at] + rng.choice(_PIECES) + text[at + 1 :]
+        yield text
+
+
 def test_bulk_clifford_reading_is_the_line_reader():
-    texts = list(_clifford_texts())
+    texts = list(_clifford_texts()) + list(_mutated_clifford_texts(3000))
     results = [outcome(clifford.parse_clifford, text) for text in texts]
-    assert results == [outcome(clifford._parse_clifford_lines, text) for text in texts]
-    assert sum(isinstance(r, LocalCliffordOp) for r in results) >= 20
-    assert sum(isinstance(r, tuple) and r[0] is ParseError for r in results) >= 20
+    assert results == [outcome(reference_parse_clifford, text) for text in texts]
+    assert sum(isinstance(r, LocalCliffordOp) for r in results) >= 300
+    messages = "\n".join(r[1] for r in results if isinstance(r, tuple))
+    for check in ("empty", "expected qubit count", "must be in", "qubit lines", "four bits"):
+        assert check in messages  # each check of the reader fails somewhere
+    assert "trailing" in messages and "not invertible" in messages
 
 
-def test_writer_clifford_text_is_read_without_the_line_reader(monkeypatch):
-    rng = random.Random(43)
-    ops = [random_valid_clifford(rng, n) for n in (1, 2, 64, 300)]
-    monkeypatch.setattr(clifford, "_parse_clifford_lines", None)  # a call raises TypeError
-    assert [clifford.parse_clifford(clifford.format_clifford(q)) for q in ops] == ops
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2\r\n1 0 0 1\r\n0 1 1 0\r\n", "2\n1 0 0 1\n0 1 1 0\n"),
+        ("2\n1\t0\t0\t1\n0\t1 1\t0\n", "2\n1 0 0 1\n0 1 1 0\n"),
+        ("2 \n1 0 0 1  \n 0 1 1 0 \n", "2\n1 0 0 1\n0 1 1 0\n"),
+        ("2\n1 0 0 1\n0 1 1 0\n\n \n\n", "2\n1 0 0 1\n0 1 1 0\n"),
+        ("02\n1 0 0 1\n0 1 1 0\n", "2\n1 0 0 1\n0 1 1 0\n"),
+        ("2\n1 0 0 1\n\n0 1 1 0\n", "line 3: expected four bits 'a b c d'"),
+        ("2\n1 0 0 1\n1 0 0\n", "line 3: expected four bits 'a b c d'"),
+        ("2\n1 0 0\n1 0 0 1 1\n", "line 2: expected four bits 'a b c d'"),
+        ("2\n1 0 0 1 1\n1 0 0\n", "line 2: expected four bits 'a b c d'"),
+        ("1\n01 0 1\n", "line 2: expected four bits 'a b c d'"),
+        ("2\n1 0 0 1 | 1 0 0\n1\n", "line 2: expected four bits 'a b c d'"),
+        ("2\n1 0 0 |\n1 0 0 1\n", "line 2: expected four bits 'a b c d'"),
+        ("0\n", f"line 1: qubit count must be in 1..{MAX_QUBITS}"),
+        ("65537\n1 0 0 1\n", f"line 1: qubit count must be in 1..{MAX_QUBITS}"),
+        ("2\n1 0 0 1\n1 1 1 1\n", "line 2: qubit blocks not invertible at [2]"),
+        ("2\n1 1 1 1\nx\n", "line 3: expected four bits 'a b c d'"),
+        ("1\n1 1 1 1\nx\n", "line 3: trailing content after qubit lines"),
+    ],
+)
+def test_clifford_reader_cases(text, expected):
+    got = outcome(clifford.parse_clifford, text)
+    assert got == outcome(reference_parse_clifford, text)
+    if isinstance(got, LocalCliffordOp):
+        assert clifford.format_clifford(got) == expected
+    else:
+        assert got[:2] == (ParseError, expected)
 
 
 def test_clifford_parse_errors():

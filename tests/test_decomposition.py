@@ -16,6 +16,8 @@ from conftest import (
     hadamard_all_op,
     identity_op,
     local_complement_op,
+    matrix_from_rows,
+    op_from_qubit_blocks,
     path_graph,
     random_graph,
     random_in_domain_op,
@@ -100,7 +102,7 @@ def test_cd_step_identity_fixed():
 
 
 def test_cd_step_clears_unit_upper():
-    m = BitMatrix.from_rows([[1, 1], [0, 1]])
+    m = matrix_from_rows([[1, 1], [0, 1]])
     assert cd_step(m, 1) == gf2.identity(2)
 
 
@@ -128,14 +130,14 @@ def test_cd_step_closure():
 
 def test_factor_cd_form_rejects_non_members():
     # off-diagonal rows force an asymmetric adjacency in both cases
-    assert factor_cd_form(BitMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) is None
-    assert factor_cd_form(BitMatrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])) is None
+    assert factor_cd_form(matrix_from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) is None
+    assert factor_cd_form(matrix_from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])) is None
     assert factor_cd_form(zero_matrix(2, 3)) is None
 
 
 def test_factor_cd_form_accepts_singular_members():
     # membership does not require invertibility: c = (1, 0), d = 0 on the edge graph
-    got = factor_cd_form(BitMatrix.from_rows([[0, 1], [0, 0]]))
+    got = factor_cd_form(matrix_from_rows([[0, 1], [0, 0]]))
     assert got is not None
     g, c, d = got
     assert g == graph_from_edges(2, [(1, 2)])
@@ -155,7 +157,7 @@ def test_reduce_single_step_case():
     # c = (1,0), d = (1,1) on the 2-vertex edge graph gives [[1,1],[0,1]]
     edge = graph_from_edges(2, [(1, 2)])
     c, d = BitVec(2, 0b01), BitVec(2, 0b11)
-    assert cd_matrix(edge.adj, c, d) == BitMatrix.from_rows([[1, 1], [0, 1]])
+    assert cd_matrix(edge.adj, c, d) == matrix_from_rows([[1, 1], [0, 1]])
     assert walk(edge, c, d).steps == (Single(1),)
 
 
@@ -284,7 +286,7 @@ def test_decompose_not_in_domain():
         decompose_action(hadamard_all_op(3), empty_graph(3))
     # invertible denominator but nonzero image diagonal
     edge = graph_from_edges(2, [(1, 2)])
-    shear = clifford.LocalCliffordOp.from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
+    shear = op_from_qubit_blocks([(1, 1, 0, 1), (1, 0, 0, 1)])
     with pytest.raises(NotInDomainError, match=NONZERO_DIAGONAL):
         decompose_action(shear, edge)
 

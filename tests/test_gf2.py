@@ -9,6 +9,7 @@ from conftest import (
     diag_from_vec,
     invert,
     mat_vec,
+    matrix_from_rows,
     naive_mat_mul,
     naive_rank,
     random_bitmatrix,
@@ -33,7 +34,7 @@ from stabgraph.gf2 import BitMatrix, BitVec, SingularError
 
 
 def test_bitvec_basics():
-    (bits,) = BitMatrix.from_rows([[1, 0, 1, 1]]).row_ints
+    (bits,) = matrix_from_rows([[1, 0, 1, 1]]).row_ints
     v = BitVec(4, bits)
     assert v.n == 4
     assert v.bits == 0b1101
@@ -52,9 +53,9 @@ def test_bitvec_storage_invariant():
         BitVec(3, 0b1000)
     for row in ([0, 2], [0] * 64 + [2]):
         with pytest.raises(ValueError, match="bit values must be 0 or 1, got 2"):
-            BitMatrix.from_rows([row])
+            matrix_from_rows([row])
     with pytest.raises(ValueError, match="ragged rows"):
-        BitMatrix.from_rows([[0, 1], [1]])
+        matrix_from_rows([[0, 1], [1]])
 
 
 def test_mat_mul_identity():
@@ -65,7 +66,7 @@ def test_mat_mul_identity():
 
 
 def test_mat_mul_upper_triangular_involution():
-    m = BitMatrix.from_rows([[1, 1], [0, 1]])
+    m = matrix_from_rows([[1, 1], [0, 1]])
     assert gf2.mat_mul(m, m) == gf2.identity(2)
 
 
@@ -87,7 +88,7 @@ def test_mat_mul_dimension_mismatch():
 
 def test_invert_identity_and_permutation():
     assert invert(gf2.identity(4)) == gf2.identity(4)
-    swap = BitMatrix.from_rows([[0, 1], [1, 0]])
+    swap = matrix_from_rows([[0, 1], [1, 0]])
     assert invert(swap) == swap
 
 
@@ -128,13 +129,13 @@ def test_invert_wide_matrices():
 def test_invert_singular():
     with pytest.raises(SingularError):
         invert(zero_matrix(3, 3))
-    assert reference_try_invert(BitMatrix.from_rows([[1, 1], [1, 1]])) is None
+    assert reference_try_invert(matrix_from_rows([[1, 1], [1, 1]])) is None
 
 
 def test_rank_examples():
     assert gf2.rank(zero_matrix(4, 4)) == 0
     assert gf2.rank(gf2.identity(5)) == 5
-    assert gf2.rank(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert gf2.rank(matrix_from_rows([[1, 1], [1, 1]])) == 1
 
 
 def test_rank_matches_naive_oracle():
@@ -151,7 +152,7 @@ def test_solve_homogeneous_trivial():
 
 
 def test_solve_homogeneous_single_row():
-    m = BitMatrix.from_rows([[1, 1, 0]])
+    m = matrix_from_rows([[1, 1, 0]])
     basis = gf2.solve_homogeneous(gf2.transpose(m))
     assert len(basis) == 2
     # oracle: enumerate all 8 vectors and compare kernels
@@ -180,7 +181,7 @@ def test_solve_homogeneous_properties():
 
 
 def test_solve_homogeneous_deterministic_order():
-    m = BitMatrix.from_rows([[1, 0, 1, 1]])
+    m = matrix_from_rows([[1, 0, 1, 1]])
     basis = gf2.solve_homogeneous(gf2.transpose(m))
     # free columns ascending, each with the matching pivot-column fill
     assert [gf2.to01(b, 4) for b in basis] == ["0100", "1010", "1001"]
@@ -312,26 +313,26 @@ def test_helpers():
     m = random_bitmatrix(rng, 5, 3)
     assert gf2.transpose(gf2.transpose(m)) == m
     assert gf2.diagonal(gf2.identity(2)) == 0b11
-    sq = BitMatrix.from_rows([[1, 1], [0, 1]])
-    assert gf2.set_diagonal_zero(sq) == BitMatrix.from_rows([[0, 1], [0, 0]])
+    sq = matrix_from_rows([[1, 1], [0, 1]])
+    assert gf2.set_diagonal_zero(sq) == matrix_from_rows([[0, 1], [0, 0]])
     assert gf2.is_symmetric(complete_graph(4).adj)
     assert not gf2.is_symmetric(sq)
-    assert diag_from_vec(0b101, 3) == BitMatrix.from_rows(
+    assert diag_from_vec(0b101, 3) == matrix_from_rows(
         [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     )
     for n in (63, 64, 65):  # one word, and either side of it
         m = random_bitmatrix(rng, n, n)
         rows = rows_of(m)
-        assert BitMatrix.from_rows(rows) == m
+        assert matrix_from_rows(rows) == m
         assert gf2.diagonal(m) == sum(rows[i][i] << i for i in range(n))
         assert gf2.diagonal(gf2.identity(n)) == (1 << n) - 1
 
 
 def test_stacking():
-    a = BitMatrix.from_rows([[1, 0], [0, 1]])
-    b = BitMatrix.from_rows([[1, 1], [0, 0]])
-    assert gf2.hstack(a, b) == BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]])
-    assert gf2.vstack(a, b) == BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [0, 0]])
+    a = matrix_from_rows([[1, 0], [0, 1]])
+    b = matrix_from_rows([[1, 1], [0, 0]])
+    assert gf2.hstack(a, b) == matrix_from_rows([[1, 0, 1, 1], [0, 1, 0, 0]])
+    assert gf2.vstack(a, b) == matrix_from_rows([[1, 0], [0, 1], [1, 1], [0, 0]])
 
 
 def test_symplectic_form():
@@ -357,7 +358,7 @@ def test_matrix_text_roundtrip():
 
 
 def test_matrix_text_exact():
-    m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    m = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     assert gf2.format_matrix(m) == "2 3\n101\n011\n"
 
 

@@ -9,6 +9,7 @@ from conftest import (
     complete_graph,
     empty_graph,
     graph_from_edges,
+    matrix_from_rows,
     path_graph,
     random_graph,
     star_graph,
@@ -22,9 +23,9 @@ from stabgraph.graphs import Graph
 
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
-        Graph(BitMatrix.from_rows([[0, 1], [0, 0]]))  # asymmetric
+        Graph(matrix_from_rows([[0, 1], [0, 0]]))  # asymmetric
     with pytest.raises(ValueError):
-        Graph(BitMatrix.from_rows([[1, 0], [0, 0]]))  # self-loop
+        Graph(matrix_from_rows([[1, 0], [0, 0]]))  # self-loop
     with pytest.raises(ValueError):
         Graph(zero_matrix(2, 3))
 

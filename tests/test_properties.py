@@ -37,6 +37,7 @@ from conftest import (
     identity_op,
     in_domain,
     local_complement_op,
+    op_from_qubit_blocks,
     outcome,
     random_in_domain_op,
     random_stabilizer,
@@ -76,7 +77,7 @@ def stabilizer_values():
 def clifford_values(draw, n=None):
     n = draw(st.integers(1, 12)) if n is None else n
     blocks = draw(st.lists(st.sampled_from(INVERTIBLE_BLOCKS), min_size=n, max_size=n))
-    return clifford.LocalCliffordOp.from_qubit_blocks(blocks)
+    return op_from_qubit_blocks(blocks)
 
 
 @st.composite
@@ -255,7 +256,7 @@ def value_texts(values, fmt):
 def in_domain_ops(draw, g):
     """An operation with g in its domain, or a random one when its lower blocks are singular."""
     blocks = draw(st.lists(st.sampled_from(INVERTIBLE_BLOCKS), min_size=g.n, max_size=g.n))
-    q = clifford.LocalCliffordOp.from_qubit_blocks(blocks)
+    q = op_from_qubit_blocks(blocks)
     try:
         return clifford.complete_from_cd(g, q.c, q.d)
     except gf2.SingularError:
@@ -389,7 +390,7 @@ def test_a_size_mismatch_or_a_bad_vertex_raises_value_error(data):
         lambda: clifford.graph_action(other, g),
         lambda: graphs.local_complement(g, v),
         lambda: clifford.complete_from_cd(g, q.c, other.d),
-        lambda: clifford.LocalCliffordOp.from_qubit_blocks(blocks),
+        lambda: op_from_qubit_blocks(blocks),
     )
     for call in calls:
         with pytest.raises(ValueError):  # an IndexError, KeyError, ... is not caught

@@ -10,6 +10,7 @@ from conftest import (
     empty_graph,
     graph_from_edges,
     mat_vec,
+    matrix_from_rows,
     outcome,
     path_graph,
     random_invertible,
@@ -128,9 +129,9 @@ def test_ragged_pauli_lines_are_reported_where_they_start():
 def test_constructor_rejects_bad_matrices():
     with pytest.raises(NotCommutingError):
         # columns encode XI and ZI, which anticommute
-        StabilizerGenMatrix(BitMatrix.from_rows([[0, 1], [0, 0], [1, 0], [0, 0]]))
+        StabilizerGenMatrix(matrix_from_rows([[0, 1], [0, 0], [1, 0], [0, 0]]))
     with pytest.raises(NotIndependentError):
-        StabilizerGenMatrix(BitMatrix.from_rows([[1, 1], [0, 0], [0, 0], [0, 0]]))
+        StabilizerGenMatrix(matrix_from_rows([[1, 1], [0, 0], [0, 0], [0, 0]]))
     with pytest.raises(stabilizer.StabilizerError):
         StabilizerGenMatrix(zero_matrix(3, 2))
 
@@ -155,7 +156,7 @@ def test_pauli_roundtrip_on_columns():
 def test_basis_change():
     s = from_graph(path_graph(3))
     assert basis_change(s, gf2.identity(3)) == s
-    swap = BitMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    swap = matrix_from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     permuted = basis_change(s, swap)
     lines, permuted_lines = format_stabilizer(s).split(), format_stabilizer(permuted).split()
     assert permuted_lines == [lines[1], lines[0], lines[2]]
